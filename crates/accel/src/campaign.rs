@@ -66,6 +66,7 @@ use serde::{Deserialize, Serialize};
 use xbar::endurance::EnduranceParams;
 
 use crate::analytic::ErrorModel;
+use crate::envelope::Envelope;
 use crate::sim::{evaluate_with_model, ShardGap, SimResult};
 use crate::{AccelConfig, AccelError, ProtectionScheme};
 
@@ -337,33 +338,103 @@ pub struct Campaign {
     config: CampaignConfig,
     state: CampaignState,
     checkpoint: Option<PathBuf>,
-    /// Deterministic fault-injection schedule; `None` (the default)
-    /// means every I/O seam and shard runs clean.
-    chaos: Option<ChaosSchedule>,
+    /// Deterministic fault injection; with no schedule (the default)
+    /// every I/O seam and shard runs clean. Its counters are
+    /// process-local, deliberately not part of the serialized state.
+    dice: ChaosDice,
     /// Retries after a failed checkpoint/final write (so a write gets
     /// `write_retries + 1` attempts).
     write_retries: u32,
-    /// Per-seam operation counters feeding the chaos schedule
-    /// (indexed by `Seam`; process-local, deliberately not part of the
-    /// serialized state — chaos decisions replay from the seed and
-    /// these indices, which restart at 0 per `Campaign` value).
-    io_index: [u64; 4],
 }
 
-/// The checkpoint-slot envelope header: the first line of a slot file,
-/// ahead of the pretty-printed [`CampaignState`] payload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-struct SlotHeader {
-    /// Envelope format version (equals [`CHECKPOINT_VERSION`]).
-    ckpt: u64,
-    /// Completed-epoch count at write time; resume picks the highest
-    /// generation that verifies.
-    generation: u64,
-    /// Byte length of the state payload after the header line.
-    len: u64,
-    /// CRC-32 (IEEE) of the state payload bytes.
-    crc32: u64,
+/// Rolls a chaos schedule at the I/O seams, owning one operation
+/// counter per [`Seam`]. Shared by [`Campaign`] (checkpoint and final
+/// writes, checkpoint reads) and the [`grid`](crate::grid) driver
+/// (worker spawns, lease writes and reads).
+///
+/// Decisions replay from the schedule's seed and these counters, which
+/// start at 0 for every new dice — so each `Campaign` value and each
+/// grid driver sees the same fault script on every run. Injected
+/// faults are announced as `chaos_fault` obs events, so chaos runs are
+/// self-documenting.
+#[derive(Debug, Clone)]
+pub struct ChaosDice {
+    chaos: Option<ChaosSchedule>,
+    counters: [u64; 7],
+    #[cfg(test)]
+    script: Option<IoFault>,
 }
+
+impl ChaosDice {
+    /// Dice drawing from `chaos` (or never faulting when `None`).
+    pub fn new(chaos: Option<ChaosSchedule>) -> ChaosDice {
+        ChaosDice {
+            chaos,
+            counters: [0; 7],
+            #[cfg(test)]
+            script: None,
+        }
+    }
+
+    /// Test-only dice that inject `fault` on the first lease write and
+    /// roll clean afterwards — a deterministic one-shot for protocol
+    /// tests.
+    #[cfg(test)]
+    pub(crate) fn scripted(fault: Option<IoFault>) -> ChaosDice {
+        ChaosDice {
+            script: fault,
+            ..ChaosDice::new(None)
+        }
+    }
+
+    /// The schedule the dice roll, if any.
+    pub(crate) fn schedule(&self) -> Option<ChaosSchedule> {
+        self.chaos
+    }
+
+    /// The fault (if any) for the next operation at `seam`, advancing
+    /// that seam's counter. Without a schedule no counter moves.
+    pub fn fault(&mut self, seam: Seam) -> Option<IoFault> {
+        #[cfg(test)]
+        if seam == Seam::LeaseWrite {
+            if let Some(f) = self.script.take() {
+                return Some(f);
+            }
+        }
+        let schedule = self.chaos?;
+        let counter = &mut self.counters[match seam {
+            Seam::CheckpointWrite => 0,
+            Seam::CheckpointRead => 1,
+            Seam::FinalWrite => 2,
+            Seam::EventWrite => 3,
+            Seam::ProcessSpawn => 4,
+            Seam::LeaseWrite => 5,
+            Seam::LeaseRead => 6,
+        }];
+        let index = *counter;
+        *counter += 1;
+        let fault = schedule.io_fault(seam, index);
+        if let Some(f) = &fault {
+            obs::events::emit(
+                obs::Event::new("chaos_fault")
+                    .str("seam", seam.label())
+                    .u64("index", index)
+                    .str("fault", f.label()),
+            );
+        }
+        fault
+    }
+}
+
+/// The checkpoint-slot envelope: a
+/// `{"ckpt":2,"generation":G,"len":L,"crc32":C}` header line ahead of
+/// the pretty-printed [`CampaignState`]. The generation is the
+/// completed-epoch count at write time; resume picks the highest
+/// generation that verifies.
+pub(crate) const SLOT_ENVELOPE: Envelope = Envelope {
+    tag: "ckpt",
+    version: CHECKPOINT_VERSION,
+};
 
 /// Path of the A/B slot for a generation: `<path>.a` for even
 /// generations, `<path>.b` for odd. Alternating means a failed or torn
@@ -378,55 +449,15 @@ fn slot_path(path: &Path, generation: u64) -> PathBuf {
     path.with_file_name(format!("{name}.{suffix}"))
 }
 
-/// Renders a slot file: header line, newline, state JSON.
-fn render_slot(state_json: &str, generation: u64) -> Vec<u8> {
-    let body = state_json.as_bytes();
-    let mut out = format!(
-        "{{\"ckpt\":{CHECKPOINT_VERSION},\"generation\":{generation},\"len\":{},\"crc32\":{}}}\n",
-        body.len(),
-        chaos::crc::crc32(body)
-    )
-    .into_bytes();
-    out.extend_from_slice(body);
-    out
-}
-
-/// Parses and verifies a slot file: header shape, payload length,
-/// CRC-32, then the state JSON itself. Any failure returns a short
-/// reason string (surfaced in `checkpoint_fallback` events).
+/// Opens a slot file (envelope, then the state JSON). Any failure
+/// returns a short reason string (surfaced in `checkpoint_fallback`
+/// events).
 fn parse_slot(bytes: &[u8]) -> Result<(u64, CampaignState), String> {
-    let nl = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or("no envelope header line")?;
-    let header_text =
-        std::str::from_utf8(&bytes[..nl]).map_err(|_| "envelope header is not UTF-8")?;
-    let header: SlotHeader =
-        serde_json::from_str(header_text).map_err(|e| format!("bad envelope header: {e:?}"))?;
-    if header.ckpt != CHECKPOINT_VERSION {
-        return Err(format!(
-            "envelope version {} but this binary writes {CHECKPOINT_VERSION}",
-            header.ckpt
-        ));
-    }
-    let body = &bytes[nl + 1..];
-    if body.len() as u64 != header.len {
-        return Err(format!(
-            "payload is {} bytes but the header promises {} (torn write)",
-            body.len(),
-            header.len
-        ));
-    }
-    let crc = u64::from(chaos::crc::crc32(body));
-    if crc != header.crc32 {
-        return Err(format!(
-            "payload CRC-32 {crc:#010x} does not match header {:#010x} (corruption)",
-            header.crc32
-        ));
-    }
+    let (generation, body) = SLOT_ENVELOPE.open(bytes)?;
+    let generation = generation.ok_or("bad envelope header: missing field `generation`")?;
     let text = std::str::from_utf8(body).map_err(|_| "payload is not UTF-8")?;
     let state = CampaignState::from_json(text).map_err(|e| e.to_string())?;
-    Ok((header.generation, state))
+    Ok((generation, state))
 }
 
 impl Campaign {
@@ -458,9 +489,8 @@ impl Campaign {
             config,
             state,
             checkpoint: None,
-            chaos: None,
+            dice: ChaosDice::new(None),
             write_retries: 2,
-            io_index: [0; 4],
         })
     }
 
@@ -498,7 +528,7 @@ impl Campaign {
             });
         }
         let mut campaign = Campaign::new(config)?;
-        campaign.chaos = chaos;
+        campaign.dice = ChaosDice::new(chaos);
 
         // Collect every candidate artifact: the two generation slots
         // and the plain final/pre-slot file. A missing file is simply
@@ -509,7 +539,7 @@ impl Campaign {
             if !candidate.exists() {
                 return;
             }
-            let fault = campaign.io_fault(Seam::CheckpointRead);
+            let fault = campaign.dice.fault(Seam::CheckpointRead);
             let parsed = chaos::fs::read(candidate, fault)
                 .map_err(|e| e.to_string())
                 .and_then(|bytes| {
@@ -667,7 +697,7 @@ impl Campaign {
             }
         }
         let mut campaign = Campaign::new(config)?.with_checkpoint(path.to_path_buf());
-        campaign.chaos = chaos;
+        campaign.dice = ChaosDice::new(chaos);
         Ok(campaign)
     }
 
@@ -686,7 +716,7 @@ impl Campaign {
     /// the clean run (see `tests/chaos_soak.rs`).
     #[must_use]
     pub fn with_chaos(mut self, schedule: ChaosSchedule) -> Campaign {
-        self.chaos = Some(schedule);
+        self.dice = ChaosDice::new(Some(schedule));
         self
     }
 
@@ -696,42 +726,6 @@ impl Campaign {
     pub fn with_write_retries(mut self, retries: u32) -> Campaign {
         self.write_retries = retries;
         self
-    }
-
-    /// Rolls the chaos schedule (if any) for the next operation on an
-    /// I/O seam, advancing that seam's operation index. An injected
-    /// fault is announced as a `chaos_fault` obs event, so chaos runs
-    /// are self-documenting.
-    fn io_fault(&mut self, seam: Seam) -> Option<IoFault> {
-        let schedule = self.chaos?;
-        let slot = match seam {
-            Seam::CheckpointWrite => 0,
-            Seam::CheckpointRead => 1,
-            Seam::FinalWrite => 2,
-            Seam::EventWrite => 3,
-            // The serve and grid seams roll their own counters (see
-            // `serve::Shared::seam_fault` / `grid::lease`); a campaign
-            // never touches them.
-            Seam::SocketAccept
-            | Seam::SocketRead
-            | Seam::SocketWrite
-            | Seam::EngineSwap
-            | Seam::ProcessSpawn
-            | Seam::LeaseWrite
-            | Seam::LeaseRead => return None,
-        };
-        let index = self.io_index[slot];
-        self.io_index[slot] += 1;
-        let fault = schedule.io_fault(seam, index);
-        if let Some(f) = &fault {
-            obs::events::emit(
-                obs::Event::new("chaos_fault")
-                    .str("seam", seam.label())
-                    .u64("index", index)
-                    .str("fault", f.label()),
-            );
-        }
-        fault
     }
 
     /// The campaign state accumulated so far.
@@ -809,7 +803,7 @@ impl Campaign {
             // envelope refusal (`analytic::supports`), not test
             // anything. The I/O seams (checkpoint, final, lease) stay
             // fully injected for analytic cells.
-            if let Some(schedule) = self.chaos {
+            if let Some(schedule) = self.dice.schedule() {
                 if matches!(config.shard_chaos, chaos::ShardChaos::Off)
                     && !matches!(self.config.error_model, ErrorModel::Analytic)
                 {
@@ -930,11 +924,11 @@ impl Campaign {
         let json = self.state.to_json()?;
         let generation = self.state.completed.len() as u64;
         let slot = slot_path(&path, generation);
-        let payload = render_slot(&json, generation);
+        let payload = SLOT_ENVELOPE.seal(Some(generation), json.as_bytes());
         self.ensure_parent_dir(&path)?;
         let mut last_err: Option<std::io::Error> = None;
         for _ in 0..=self.write_retries {
-            let fault = self.io_fault(Seam::CheckpointWrite);
+            let fault = self.dice.fault(Seam::CheckpointWrite);
             match chaos::fs::write_atomic(&slot, &payload, fault) {
                 Ok(()) => return Ok(()),
                 Err(e) => last_err = Some(e),
@@ -992,7 +986,7 @@ impl Campaign {
         self.ensure_parent_dir(&path)?;
         let mut last_err: Option<std::io::Error> = None;
         for _ in 0..=self.write_retries {
-            let fault = self.io_fault(Seam::FinalWrite);
+            let fault = self.dice.fault(Seam::FinalWrite);
             match chaos::fs::write_atomic(&path, json.as_bytes(), fault) {
                 // Read-back goes through the chaos read seam (no fault
                 // drawn: the FinalWrite draw above already decided this
@@ -1340,7 +1334,7 @@ mod tests {
         let config = small_campaign(ProtectionScheme::None, 4);
         let state = config.fresh_state();
         let json = state.to_json().expect("json");
-        let bytes = render_slot(&json, 3);
+        let bytes = SLOT_ENVELOPE.seal(Some(3), json.as_bytes());
 
         let (generation, back) = parse_slot(&bytes).expect("intact slot parses");
         assert_eq!(generation, 3);

@@ -426,10 +426,9 @@ impl MvmEngine for CrossbarEngine {
     /// leaving the programmed conductances (and their programming
     /// noise) untouched.
     ///
-    /// This makes a long-lived pooled engine's MVM output a pure
-    /// function of `(programmed state, seed, input)` instead of its
-    /// full service history — the serve loop reseeds per request so
-    /// retried and replayed requests are bit-identical.
+    /// This makes a long-lived engine's MVM output a pure function of
+    /// `(programmed state, seed, input)` instead of its full call
+    /// history.
     fn reseed(&mut self, seed: u64) {
         self.rng = ChaCha8Rng::seed_from_u64(seed);
     }

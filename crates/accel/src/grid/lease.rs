@@ -10,9 +10,9 @@
 //!
 //! # Protocol
 //!
-//! A lease is a CRC'd envelope (same shape as the campaign checkpoint
-//! slots) over a tiny JSON state: cell id, owner token, generation,
-//! status (`claimed` / `done` / `lost`). Claiming is
+//! A lease is a CRC'd envelope (sealed by the same code as the
+//! campaign checkpoint slots) over a tiny JSON state: cell id, owner
+//! token, generation, status (`claimed` / `done` / `lost`). Claiming is
 //! read → write(+1) → read-back:
 //!
 //! 1. read the current lease ([`Seam::LeaseRead`] under chaos). A
@@ -50,20 +50,17 @@ use chaos::Seam;
 use serde::{Deserialize, Serialize};
 
 use super::ChaosDice;
+use crate::envelope::Envelope;
 
 /// Lease envelope format version.
 pub const LEASE_VERSION: u64 = 1;
 
-/// Envelope header line preceding the lease state JSON.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-struct LeaseHeader {
-    /// Envelope format version (equals [`LEASE_VERSION`]).
-    lease: u64,
-    /// Byte length of the state payload after the header line.
-    len: u64,
-    /// CRC-32 (IEEE) of the state payload bytes.
-    crc32: u64,
-}
+/// The lease envelope: a `{"lease":1,"len":L,"crc32":C}` header line
+/// ahead of the compact [`LeaseState`] JSON.
+pub(crate) const LEASE_ENVELOPE: Envelope = Envelope {
+    tag: "lease",
+    version: LEASE_VERSION,
+};
 
 /// The recorded coordination state of one grid cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -120,52 +117,15 @@ pub enum ClaimOutcome {
     },
 }
 
-/// Renders a lease file: header line, newline, state JSON.
+/// Renders a lease file: envelope header, then the state JSON.
 fn render(state: &LeaseState) -> Result<Vec<u8>, String> {
     let body = serde_json::to_string(state).map_err(|e| format!("serialize lease: {e:?}"))?;
-    let body = body.as_bytes();
-    let mut out = format!(
-        "{{\"lease\":{LEASE_VERSION},\"len\":{},\"crc32\":{}}}\n",
-        body.len(),
-        chaos::crc::crc32(body)
-    )
-    .into_bytes();
-    out.extend_from_slice(body);
-    Ok(out)
+    Ok(LEASE_ENVELOPE.seal(None, body.as_bytes()))
 }
 
-/// Parses and verifies lease bytes: header shape, payload length,
-/// CRC-32, then the state JSON.
+/// Opens and verifies lease bytes: envelope, then the state JSON.
 fn parse(bytes: &[u8]) -> Result<LeaseState, String> {
-    let nl = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or("no envelope header line")?;
-    let header_text =
-        std::str::from_utf8(&bytes[..nl]).map_err(|_| "envelope header is not UTF-8")?;
-    let header: LeaseHeader =
-        serde_json::from_str(header_text).map_err(|e| format!("bad envelope header: {e:?}"))?;
-    if header.lease != LEASE_VERSION {
-        return Err(format!(
-            "lease version {} but this binary writes {LEASE_VERSION}",
-            header.lease
-        ));
-    }
-    let body = &bytes[nl + 1..];
-    if body.len() as u64 != header.len {
-        return Err(format!(
-            "payload is {} bytes but the header promises {} (torn write)",
-            body.len(),
-            header.len
-        ));
-    }
-    let crc = u64::from(chaos::crc::crc32(body));
-    if crc != header.crc32 {
-        return Err(format!(
-            "payload CRC-32 {crc:#010x} does not match header {:#010x} (corruption)",
-            header.crc32
-        ));
-    }
+    let (_, body) = LEASE_ENVELOPE.open(bytes)?;
     let text = std::str::from_utf8(body).map_err(|_| "payload is not UTF-8")?;
     serde_json::from_str(text).map_err(|e| format!("bad lease state: {e:?}"))
 }

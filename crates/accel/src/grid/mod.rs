@@ -40,11 +40,11 @@ pub mod worker;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 
-use chaos::{ChaosSchedule, IoFault, Seam};
+use chaos::{ChaosSchedule, Seam};
 use serde::{Deserialize, Serialize};
 
 use crate::analytic::ErrorModel;
-use crate::campaign::CampaignConfig;
+use crate::campaign::{CampaignConfig, ChaosDice};
 use crate::{AccelConfig, AccelError, ProtectionScheme};
 
 pub use lease::{ClaimOutcome, LeaseState, LeaseView};
@@ -56,72 +56,6 @@ pub const GRID_SPEC_VERSION: u64 = 1;
 
 /// Manifest format version.
 pub const GRID_MANIFEST_VERSION: u64 = 1;
-
-/// Rolls chaos faults for the grid's three driver-side seams, owning
-/// the per-seam operation counters (the same replayable-counter scheme
-/// as `Campaign::io_fault`). Injected faults are announced as
-/// `chaos_fault` obs events.
-#[derive(Debug)]
-pub struct ChaosDice {
-    chaos: Option<ChaosSchedule>,
-    // One counter per grid seam: ProcessSpawn, LeaseWrite, LeaseRead.
-    counters: [u64; 3],
-    #[cfg(test)]
-    script: Option<IoFault>,
-}
-
-impl ChaosDice {
-    /// Dice drawing from `chaos` (or never faulting when `None`).
-    pub fn new(chaos: Option<ChaosSchedule>) -> ChaosDice {
-        ChaosDice {
-            chaos,
-            counters: [0; 3],
-            #[cfg(test)]
-            script: None,
-        }
-    }
-
-    /// Test-only dice that inject `fault` on the first lease write and
-    /// roll clean afterwards — a deterministic one-shot for protocol
-    /// tests.
-    #[cfg(test)]
-    pub(crate) fn scripted(fault: Option<IoFault>) -> ChaosDice {
-        ChaosDice {
-            chaos: None,
-            counters: [0; 3],
-            script: fault,
-        }
-    }
-
-    /// The fault (if any) for the next operation at a grid seam.
-    pub fn fault(&mut self, seam: Seam) -> Option<IoFault> {
-        #[cfg(test)]
-        if seam == Seam::LeaseWrite {
-            if let Some(f) = self.script.take() {
-                return Some(f);
-            }
-        }
-        let schedule = self.chaos?;
-        let slot = match seam {
-            Seam::ProcessSpawn => 0,
-            Seam::LeaseWrite => 1,
-            Seam::LeaseRead => 2,
-            _ => return None,
-        };
-        let index = self.counters[slot];
-        self.counters[slot] += 1;
-        let fault = schedule.io_fault(seam, index);
-        if let Some(f) = &fault {
-            obs::events::emit(
-                obs::Event::new("chaos_fault")
-                    .str("seam", seam.label())
-                    .u64("index", index)
-                    .str("fault", f.label()),
-            );
-        }
-        fault
-    }
-}
 
 /// A grid sweep specification, parsed from JSON on disk.
 ///

@@ -78,13 +78,13 @@ pub mod analytic;
 pub mod campaign;
 pub mod cost;
 mod engine;
+mod envelope;
 mod error;
 pub mod grid;
 pub mod hierarchy;
 pub mod mapping;
 mod scheme;
 pub mod remap;
-pub mod serve;
 pub mod sim;
 
 pub use engine::{CrossbarEngine, CrossbarProvider, DecodeStats};

@@ -42,16 +42,6 @@ pub enum Seam {
     FinalWrite,
     /// JSONL event-log line writes in the obs sink.
     EventWrite,
-    /// Accepting a client connection in the serve loop.
-    SocketAccept,
-    /// Reading a request frame from a client socket.
-    SocketRead,
-    /// Writing a response frame to a client socket.
-    SocketWrite,
-    /// Programming + verifying a replacement engine set during a
-    /// wear-epoch swap (a fault here models failed verification and
-    /// costs a seed-stable re-program, never a wrong answer).
-    EngineSwap,
     /// Spawning a grid worker process (a fault here models fork/exec
     /// failure: the attempt is charged, the cell stays claimable).
     ProcessSpawn,
@@ -71,29 +61,24 @@ impl Seam {
             Seam::CheckpointRead => "checkpoint_read",
             Seam::FinalWrite => "final_write",
             Seam::EventWrite => "event_write",
-            Seam::SocketAccept => "socket_accept",
-            Seam::SocketRead => "socket_read",
-            Seam::SocketWrite => "socket_write",
-            Seam::EngineSwap => "engine_swap",
             Seam::ProcessSpawn => "process_spawn",
             Seam::LeaseWrite => "lease_write",
             Seam::LeaseRead => "lease_read",
         }
     }
 
-    // Seam ids feed the per-seam roll keys, so they are append-only:
-    // adding ids 5–8 (serve) and 9–11 (grid) cannot perturb the fault
-    // sequence any existing seed produces at earlier seams.
+    // Seam ids feed the per-seam roll keys, so they are append-only
+    // and never reused or renumbered: adding ids 9–11 (grid) could not
+    // perturb the fault sequence any existing seed produces at earlier
+    // seams, and retiring ids 5–8 (a removed socket service) left the
+    // gap rather than shift the grid seams and every fault script
+    // keyed on them.
     fn id(self) -> u64 {
         match self {
             Seam::CheckpointWrite => 1,
             Seam::CheckpointRead => 2,
             Seam::FinalWrite => 3,
             Seam::EventWrite => 4,
-            Seam::SocketAccept => 5,
-            Seam::SocketRead => 6,
-            Seam::SocketWrite => 7,
-            Seam::EngineSwap => 8,
             Seam::ProcessSpawn => 9,
             Seam::LeaseWrite => 10,
             Seam::LeaseRead => 11,
@@ -266,21 +251,6 @@ pub struct ChaosConfig {
     pub shard_stall_permille: u32,
     /// Stall duration in milliseconds when a shard stall fires.
     pub stall_ms: u64,
-    /// Accepting a serve connection fails (the connection is dropped
-    /// before any frame is read).
-    pub accept_error_permille: u32,
-    /// Reading a request frame fails outright (connection closed).
-    pub socket_read_error_permille: u32,
-    /// Reading a request frame is torn: only a prefix of the line
-    /// arrives, which must parse as a malformed frame, never crash.
-    pub socket_read_torn_permille: u32,
-    /// Writing a response frame fails outright (response dropped).
-    pub socket_write_error_permille: u32,
-    /// Writing a response frame is torn mid-line.
-    pub socket_write_torn_permille: u32,
-    /// Programming a replacement engine set fails verification and
-    /// must be retried seed-stably.
-    pub swap_error_permille: u32,
     /// Spawning a grid worker process fails outright (the attempt is
     /// charged against the cell's retry budget).
     pub spawn_error_permille: u32,
@@ -313,12 +283,6 @@ impl ChaosConfig {
             shard_panic_permille: 100,
             shard_stall_permille: 0,
             stall_ms: 0,
-            accept_error_permille: 60,
-            socket_read_error_permille: 50,
-            socket_read_torn_permille: 80,
-            socket_write_error_permille: 50,
-            socket_write_torn_permille: 80,
-            swap_error_permille: 250,
             spawn_error_permille: 80,
             lease_write_error_permille: 100,
             lease_write_torn_permille: 80,
@@ -378,18 +342,6 @@ impl ChaosSchedule {
             ),
             Seam::CheckpointRead => (c.read_error_permille, 0, c.read_bitflip_permille),
             Seam::EventWrite => (c.event_error_permille, c.event_torn_permille, 0),
-            Seam::SocketAccept => (c.accept_error_permille, 0, 0),
-            Seam::SocketRead => (
-                c.socket_read_error_permille,
-                c.socket_read_torn_permille,
-                0,
-            ),
-            Seam::SocketWrite => (
-                c.socket_write_error_permille,
-                c.socket_write_torn_permille,
-                0,
-            ),
-            Seam::EngineSwap => (c.swap_error_permille, 0, 0),
             Seam::ProcessSpawn => (c.spawn_error_permille, 0, 0),
             Seam::LeaseWrite => (
                 c.lease_write_error_permille,
@@ -536,64 +488,11 @@ mod tests {
     }
 
     #[test]
-    fn serve_seams_fault_at_standard_rates_without_disturbing_old_seams() {
-        // The serve seams (ids 5–8) key their rolls on their own seam
-        // id, so introducing them must not change what any existing
-        // seed injects at the campaign seams — the chaos_soak golden
-        // (seed 7) depends on this.
-        let before = ChaosSchedule::new(
-            7,
-            ChaosConfig {
-                accept_error_permille: 0,
-                socket_read_error_permille: 0,
-                socket_read_torn_permille: 0,
-                socket_write_error_permille: 0,
-                socket_write_torn_permille: 0,
-                swap_error_permille: 0,
-                ..ChaosConfig::standard()
-            },
-        );
-        let after = ChaosSchedule::standard(7);
-        for seam in [
-            Seam::CheckpointWrite,
-            Seam::CheckpointRead,
-            Seam::FinalWrite,
-            Seam::EventWrite,
-        ] {
-            for index in 0..300 {
-                assert_eq!(before.io_fault(seam, index), after.io_fault(seam, index));
-            }
-        }
-        // And the serve seams do fire at their standard rates.
-        for seam in [
-            Seam::SocketAccept,
-            Seam::SocketRead,
-            Seam::SocketWrite,
-            Seam::EngineSwap,
-        ] {
-            let faults = (0..1000).filter(|&i| after.io_fault(seam, i).is_some()).count();
-            assert!(faults > 0, "{} never faulted in 1000 rolls", seam.label());
-            assert!(faults < 700, "{} faulted {faults}/1000 rolls", seam.label());
-        }
-        // Reads and writes on sockets are error-or-torn, never silent
-        // bitflips: a corrupted frame must be *visible* to the framing
-        // layer, matching real TCP (checksummed) semantics.
-        for index in 0..1000 {
-            for seam in [Seam::SocketAccept, Seam::SocketRead, Seam::SocketWrite] {
-                assert!(!matches!(
-                    after.io_fault(seam, index),
-                    Some(IoFault::BitFlip { .. })
-                ));
-            }
-        }
-    }
-
-    #[test]
     fn grid_seams_fault_at_standard_rates_without_disturbing_old_seams() {
         // The grid seams (ids 9–11) key their rolls on their own seam
         // id, so introducing them must not change what any existing
-        // seed injects at the campaign or serve seams — the chaos_soak
-        // and serve_soak goldens (seed 7) depend on this.
+        // seed injects at the campaign seams — the chaos_soak golden
+        // (seed 7) depends on this.
         let before = ChaosSchedule::new(
             7,
             ChaosConfig {
@@ -612,10 +511,6 @@ mod tests {
             Seam::CheckpointRead,
             Seam::FinalWrite,
             Seam::EventWrite,
-            Seam::SocketAccept,
-            Seam::SocketRead,
-            Seam::SocketWrite,
-            Seam::EngineSwap,
         ] {
             for index in 0..300 {
                 assert_eq!(before.io_fault(seam, index), after.io_fault(seam, index));
@@ -637,6 +532,24 @@ mod tests {
                 None | Some(IoFault::Error(_))
             ));
         }
+    }
+
+    #[test]
+    fn seam_ids_are_pinned() {
+        // Every roll key hashes the seam id, so an id change would
+        // re-script every chaos run and break the chaos_soak and
+        // grid_soak goldens. Ids 5–8 stay retired.
+        let seams = [
+            Seam::CheckpointWrite,
+            Seam::CheckpointRead,
+            Seam::FinalWrite,
+            Seam::EventWrite,
+            Seam::ProcessSpawn,
+            Seam::LeaseWrite,
+            Seam::LeaseRead,
+        ];
+        let ids: Vec<u64> = seams.iter().map(|s| s.id()).collect();
+        assert_eq!(ids, [1, 2, 3, 4, 9, 10, 11]);
     }
 
     #[test]

@@ -20,13 +20,6 @@
 //!   cells (models × schemes × cell-bits × fault-rates × seeds), fan
 //!   them across worker processes through the crash-safe lease/
 //!   checkpoint substrate, and merge a columnar `grid_summary.json`.
-//! - `serve [flags]` — resident inference service over line-delimited
-//!   JSON on a loopback socket (programmed-engine pool, bounded
-//!   queues, graceful wear-epoch swaps).
-//! - `serve-send <port>` — pipe stdin request lines to a running
-//!   service and print its response lines (smoke-test client).
-//! - `serve-bench [flags]` — measure serve latency/throughput and
-//!   write `BENCH_serve.json`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -53,9 +46,6 @@ fn main() -> ExitCode {
         Some("lifetime") => cmd_lifetime(&args[1..]),
         Some("campaign") => cmd_campaign(&args[1..]),
         Some("campaign-grid") => cmd_campaign_grid(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("serve-send") => cmd_serve_send(&args[1..]),
-        Some("serve-bench") => cmd_serve_bench(&args[1..]),
         _ => {
             eprint!("{USAGE}");
             return ExitCode::from(2);
@@ -144,21 +134,6 @@ campaign durability (see DESIGN.md, failure model & recovery):
                        deadline)
   --shard-retries N    seed-stable retries per failed shard (default 1)
   --retry-backoff-ms MS  backoff before retry k, doubling per attempt
-
-serving:
-  reram-ecc serve [--seed S] [--workers N] [--queue N] [--train N]
-             [--samples N] [--hidden N] [--linger-ms MS] [--retries N]
-             [--writes-per-epoch W] [--initial-writes W]
-             [--events PATH] [--chaos-seed S]
-  reram-ecc serve-send <port> [--idle-ms MS]
-  reram-ecc serve-bench [--seed S] [--requests N] [--out PATH]
-
-  serve prints {\"type\":\"ready\",\"port\":N} on stdout once listening,
-  then runs until {\"admin\":\"shutdown\"} arrives on the socket. One
-  request per line; see DESIGN.md (service architecture & overload
-  model) for the protocol and rejection semantics. serve-send pipes
-  stdin lines to a running service and echoes response lines until the
-  socket has been idle for --idle-ms (default 600).
 ";
 
 fn parse<T: std::str::FromStr>(args: &[String], i: usize, name: &str) -> Result<T, String> {
@@ -689,169 +664,6 @@ fn cmd_campaign_grid(args: &[String]) -> Result<(), String> {
         println!("lost: {id}");
     }
     println!("summary: {}", report.summary_path.display());
-    Ok(())
-}
-
-/// Starts the resident inference service and blocks until an admin
-/// shutdown frame (or the process is killed). Prints a one-line ready
-/// marker with the bound port on stdout so scripted callers can
-/// connect without racing the bind.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use std::io::Write as _;
-
-    let mut config = accel::serve::ServeConfig::default();
-    let mut chaos_seed: Option<u64> = None;
-    let mut events: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = |name: &str| -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("flag {name} needs a value"))
-        };
-        match flag {
-            "--seed" => config.seed = parsed(value("--seed")?, "seed")?,
-            "--workers" => config.workers = parsed(value("--workers")?, "workers")?,
-            "--queue" => config.queue_capacity = parsed(value("--queue")?, "queue")?,
-            "--train" => config.train_examples = parsed(value("--train")?, "train")?,
-            "--samples" => config.test_examples = parsed(value("--samples")?, "samples")?,
-            "--hidden" => config.hidden_units = parsed(value("--hidden")?, "hidden")?,
-            "--linger-ms" => config.linger_ms = parsed(value("--linger-ms")?, "linger-ms")?,
-            "--retries" => config.request_retries = parsed(value("--retries")?, "retries")?,
-            "--writes-per-epoch" => {
-                config.writes_per_epoch = parsed(value("--writes-per-epoch")?, "writes-per-epoch")?;
-            }
-            "--initial-writes" => {
-                config.initial_writes = parsed(value("--initial-writes")?, "initial-writes")?;
-            }
-            "--chaos-seed" => chaos_seed = Some(parsed(value("--chaos-seed")?, "chaos-seed")?),
-            "--events" => events = Some(value("--events")?.clone()),
-            other => return Err(format!("unknown flag {other}")),
-        }
-        i += 2;
-    }
-    config.chaos = chaos_seed.map(chaos::ChaosSchedule::standard);
-    if let Some(path) = &events {
-        obs::events::log_to_file(std::path::Path::new(path))
-            .map_err(|e| format!("cannot open event log {path}: {e}"))?;
-    }
-    let service = accel::serve::Service::start(config).map_err(|e| e.to_string())?;
-    println!("{{\"type\":\"ready\",\"port\":{}}}", service.port());
-    let _ = std::io::stdout().flush();
-    let report = service.join();
-    obs::events::stop_logging();
-    eprintln!(
-        "[serve] served {} ok, rejected {} overloaded / {} deadline / {} bad / {} internal, \
-         {} swaps, {} retries",
-        report.stats.served,
-        report.stats.rejected_overloaded,
-        report.stats.rejected_deadline,
-        report.stats.rejected_bad,
-        report.stats.rejected_internal,
-        report.stats.swaps,
-        report.stats.retries,
-    );
-    Ok(())
-}
-
-/// Pipes stdin lines to a running service and prints every response
-/// line the socket yields, exiting once it has been idle for
-/// `--idle-ms`. The smoke-test client behind `scripts/check.sh`.
-fn cmd_serve_send(args: &[String]) -> Result<(), String> {
-    use std::io::{BufRead as _, Write as _};
-
-    let port: u16 = parse(args, 0, "port")?;
-    let mut idle_ms = 600u64;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--idle-ms" => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| "flag --idle-ms needs a value".to_string())?;
-                idle_ms = parsed(v, "idle-ms")?;
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-        i += 2;
-    }
-    let stream = std::net::TcpStream::connect(("127.0.0.1", port))
-        .map_err(|e| format!("cannot connect to 127.0.0.1:{port}: {e}"))?;
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_millis(100)))
-        .map_err(|e| e.to_string())?;
-    let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-    let mut reader = std::io::BufReader::new(stream);
-
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| e.to_string())?;
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|_| writer.write_all(b"\n"))
-            .map_err(|e| format!("send failed: {e}"))?;
-    }
-    let _ = writer.flush();
-
-    // Drain responses until the socket stays quiet for idle_ms (there
-    // is no response-count contract under chaos: injected write faults
-    // legitimately drop lines).
-    let mut line = String::new();
-    let mut quiet = 0u64;
-    while quiet < idle_ms {
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                print!("{line}");
-                if !line.ends_with('\n') {
-                    println!();
-                }
-                line.clear();
-                quiet = 0;
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                quiet += 100;
-            }
-            Err(_) => break,
-        }
-    }
-    Ok(())
-}
-
-/// Runs the serve benchmark and writes `BENCH_serve.json` (cold vs
-/// pool-hit latency, p50/p99 and throughput at two load levels).
-fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
-    let mut seed = 7u64;
-    let mut requests = 120usize;
-    let mut out = "BENCH_serve.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = |name: &str| -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("flag {name} needs a value"))
-        };
-        match flag {
-            "--seed" => seed = parsed(value("--seed")?, "seed")?,
-            "--requests" => requests = parsed(value("--requests")?, "requests")?,
-            "--out" => out = value("--out")?.clone(),
-            other => return Err(format!("unknown flag {other}")),
-        }
-        i += 2;
-    }
-    let report = accel::serve::bench::run(seed, requests).map_err(|e| e.to_string())?;
-    accel::serve::bench::write_report(std::path::Path::new(&out), &report)
-        .map_err(|e| e.to_string())?;
-    print!("{}", accel::serve::bench::render_json(&report));
-    eprintln!(
-        "[serve-bench] cold {:.2} ms, warm p50 {:.3} ms, pool-hit speedup {:.1}x → {out}",
-        report.cold_ns as f64 / 1e6,
-        report.warm_p50_ns as f64 / 1e6,
-        report.pool_hit_speedup,
-    );
     Ok(())
 }
 

@@ -115,7 +115,7 @@ fn summary_bytes(dir: &Path) -> Vec<u8> {
 }
 
 /// Chaos-injection flags for the interrupted run and its resume: the
-/// golden seed 7 (shared with the campaign and serve soaks), enough
+/// golden seed 7 (shared with the campaign chaos soak), enough
 /// cell retries to absorb injected spawn/lease faults, and a
 /// zero-tolerance lost-cell budget — every cell must complete.
 const CHAOS: [&str; 6] = [

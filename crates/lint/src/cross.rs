@@ -39,10 +39,9 @@ use crate::parser::{PanicKind, ParsedFile};
 /// "typed errors out, never a panic". Everything transitively callable
 /// from here without a `catch_unwind` cut is in `panic_reachability`
 /// scope.
-pub const ENTRY_POINTS: [&str; 4] = [
+pub const ENTRY_POINTS: [&str; 3] = [
     "accel::sim::evaluate",
     "accel::campaign::Campaign::run",
-    "accel::serve::Service::start",
     "accel::grid::Grid::run",
 ];
 
@@ -110,12 +109,11 @@ fn panic_reachability(
 
 /// Files guarded by `chaos_seam_coverage`: everywhere the chaos soaks
 /// inject I/O faults — the campaign's checkpoint/final-write paths,
-/// the serve daemon, the grid driver's lease/manifest/merge I/O, and
+/// the grid driver's lease/manifest/merge I/O, and
 /// the obs event log (whose torn-write seam the durability tests
 /// drive).
 fn in_seam_scope(path: &str) -> bool {
     path == "crates/accel/src/campaign.rs"
-        || path.starts_with("crates/accel/src/serve/")
         || path.starts_with("crates/accel/src/grid/")
         || path == "crates/obs/src/events.rs"
 }
@@ -555,9 +553,9 @@ mod tests {
     fn seam_coverage_sockets_exempt_only_in_seam_aware_fns() {
         let hits = check(
             &[(
-                "crates/accel/src/serve/mod.rs",
+                "crates/accel/src/grid/mod.rs",
                 "fn aware(&self) {\n\
-                   let f = self.io_fault(Seam::SocketAccept);\n\
+                   let f = dice.fault(Seam::ProcessSpawn);\n\
                    let l = TcpListener::bind(addr);\n\
                  }\n\
                  fn naive() { let s = TcpStream::connect(addr); }",
@@ -569,9 +567,9 @@ mod tests {
         // A raw *file* call is flagged even in a seam-aware fn.
         let hits = check(
             &[(
-                "crates/accel/src/serve/mod.rs",
+                "crates/accel/src/grid/mod.rs",
                 "fn aware(&self) {\n\
-                   let f = self.io_fault(Seam::FinalWrite);\n\
+                   let f = dice.fault(Seam::LeaseWrite);\n\
                    std::fs::write(p, b);\n\
                  }",
             )],

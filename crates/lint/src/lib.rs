@@ -16,11 +16,11 @@
 //!
 //! | lint | guards | scope |
 //! |------|--------|-------|
-//! | `panic_reachability` | panicking constructs with no `catch_unwind` between them and a crash-safe entry point | call graph from `sim::evaluate`, `Campaign::run`, `Service::start` |
+//! | `panic_reachability` | panicking constructs with no `catch_unwind` between them and a crash-safe entry point | call graph from `sim::evaluate`, `Campaign::run`, `Grid::run` |
 //! | `lossy_cast` | narrowing / precision-losing `as` casts | `wideint`, `core` |
 //! | `nondeterminism` | `HashMap`/`HashSet`, `Instant`/`SystemTime` | `core`, `xbar`, `obs`, `chaos`, `accel::{sim,campaign}` |
 //! | `float_eq` | `==`/`!=` against float literals | whole workspace |
-//! | `chaos_seam_coverage` | raw `std::fs` / `std::net` calls that bypass the chaos fault seams | `accel::campaign`, `accel::serve`, `obs::events` |
+//! | `chaos_seam_coverage` | raw `std::fs` / `std::net` calls that bypass the chaos fault seams | `accel::campaign`, `accel::grid`, `obs::events` |
 //! | `schema_drift` | `Event::new(..)` builder chains vs `obs::schema::EVENTS` | every emit site |
 //!
 //! Test code (`#[cfg(test)]` regions, `tests/` directories) is exempt.

@@ -94,7 +94,7 @@ pub struct FnItem {
     /// Panicking constructs in the body, in source order.
     pub panics: Vec<PanicSite>,
     /// The body mentions a chaos-seam identifier (`Seam`, `IoFault`,
-    /// `WriteFault`, `seam_fault`, `io_fault`): the function threads
+    /// `WriteFault`, `io_fault`): the function threads
     /// fault injection, which exempts its raw socket calls from
     /// `chaos_seam_coverage` (fs calls are never exempt — they have a
     /// `chaos::fs` wrapper to use).
@@ -133,7 +133,7 @@ const NON_INDEX_KEYWORDS: [&str; 14] = [
     "yield", "await",
 ];
 
-const SEAM_IDENTS: [&str; 5] = ["Seam", "IoFault", "WriteFault", "seam_fault", "io_fault"];
+const SEAM_IDENTS: [&str; 4] = ["Seam", "IoFault", "WriteFault", "io_fault"];
 
 /// Library name of the crate owning `rel_path`. Directory names match
 /// library names throughout the workspace except `crates/core` (which
@@ -154,7 +154,7 @@ pub fn crate_name_of(rel_path: &str) -> String {
 }
 
 /// Module path derived from a workspace-relative file path:
-/// `crates/accel/src/serve/mod.rs` → `["serve"]`,
+/// `crates/accel/src/grid/mod.rs` → `["grid"]`,
 /// `crates/core/src/an.rs` → `["an"]`, `src/lib.rs`-style roots → `[]`.
 pub fn module_path_of(rel_path: &str) -> Vec<String> {
     let Some(pos) = rel_path.find("/src/") else {
@@ -686,7 +686,7 @@ mod tests {
     #[test]
     fn crate_names_follow_library_names() {
         assert_eq!(crate_name_of("crates/core/src/an.rs"), "ancode");
-        assert_eq!(crate_name_of("crates/accel/src/serve/mod.rs"), "accel");
+        assert_eq!(crate_name_of("crates/accel/src/grid/mod.rs"), "accel");
         assert_eq!(crate_name_of("crates/lint/src/lib.rs"), "repro_lint");
         assert_eq!(crate_name_of("integration/src/lib.rs"), "integration");
     }
@@ -695,8 +695,8 @@ mod tests {
     fn module_paths_from_file_layout() {
         assert_eq!(module_path_of("crates/accel/src/lib.rs"), Vec::<String>::new());
         assert_eq!(module_path_of("crates/cli/src/main.rs"), Vec::<String>::new());
-        assert_eq!(module_path_of("crates/accel/src/serve/mod.rs"), ["serve"]);
-        assert_eq!(module_path_of("crates/accel/src/serve/worker.rs"), ["serve", "worker"]);
+        assert_eq!(module_path_of("crates/accel/src/grid/mod.rs"), ["grid"]);
+        assert_eq!(module_path_of("crates/accel/src/grid/worker.rs"), ["grid", "worker"]);
         assert_eq!(module_path_of("crates/core/src/an.rs"), ["an"]);
     }
 

@@ -189,8 +189,7 @@ pub fn quantize_activations_into(activations: &[f32], q: &mut Vec<u16>) -> f32 {
 /// digital domain ([`QuantizedNetwork::run`]).
 ///
 /// Engines are `Send`: a built engine set can be handed from the
-/// thread that programmed it to the thread that serves with it (the
-/// serve loop's background re-programming relies on this).
+/// thread that programmed it to the thread that runs inference on it.
 pub trait MvmEngine: Send {
     /// Computes one matrix-vector product over quantized inputs, writing
     /// the per-row outputs into `out`.
@@ -211,11 +210,11 @@ pub trait MvmEngine: Send {
     /// Rewinds the engine's noise stream to a fresh deterministic
     /// state derived from `seed`.
     ///
-    /// Long-lived engines (the serve loop's pooled crossbars) call
-    /// this before each request so a response is a pure function of
-    /// the request and the engine's programmed state — not of how many
-    /// requests the engine served before. Deterministic engines have
-    /// no stream to rewind; the default is a no-op.
+    /// A caller that reuses one programmed engine across independent
+    /// inferences calls this before each one, so every result is a
+    /// pure function of its input and the engine's programmed state —
+    /// not of how many MVMs the engine ran before. Deterministic
+    /// engines have no stream to rewind; the default is a no-op.
     fn reseed(&mut self, seed: u64) {
         let _ = seed;
     }

@@ -218,9 +218,8 @@ impl Tensor {
     ///
     /// Total IEEE ordering, so a NaN activation (which ranks above
     /// every number) yields a deterministic index instead of a panic —
-    /// in the serving path a garbage classification is tallied as a
-    /// misclassification while the service lives on. An empty tensor
-    /// answers `0`.
+    /// a garbage classification is tallied as a misclassification while
+    /// the campaign lives on. An empty tensor answers `0`.
     pub fn argmax(&self) -> usize {
         self.data
             .iter()

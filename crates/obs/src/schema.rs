@@ -34,13 +34,14 @@
 /// integer window JSON numbers guarantee; a decimal string carries
 /// the exact value at any width.
 ///
-/// v3: the serve request lifecycle joins the schema (`request_done`,
-/// `request_rejected`, `engine_swap`) along with the one-time
-/// `obs_overflow` registry warning. Bumped — rather than riding the
-/// additive rule — because service logs are a new consumer surface:
-/// a v3 reader knows rejected requests are *logged*, so an absence of
-/// `request_rejected` lines means none happened, a conclusion a v2
-/// reader could not draw.
+/// v3: a resident socket service's request lifecycle joined the
+/// schema (three request and engine-swap events) along with the
+/// one-time `obs_overflow` registry warning. Bumped — rather than
+/// riding the additive rule — because service logs were a new
+/// consumer surface: a v3 reader knew rejected requests were *logged*,
+/// so their absence meant none happened. The three service events
+/// were later retired along with the service, their only producer;
+/// the version stays, since no surviving event changed shape.
 ///
 /// v4: the grid coordination lifecycle joins the schema
 /// (`grid_cell_done`, `grid_cell_lost`, `lease_takeover`). Bumped for
@@ -128,21 +129,6 @@ const fn field(name: &'static str, kind: FieldKind) -> FieldSpec {
 ///   I/O seam: where (`seam`), which operation (`index`), and what
 ///   (`fault`: `eio`/`enospc`/`torn`/`bitflip`). Emitted by the seam
 ///   owner so chaos runs are self-documenting.
-/// - `request_done` — one line per request the serve loop answered
-///   `ok`: the request id as the client sent it, the worker shard that
-///   served it, the scheme and wear epoch of the engine set used, how
-///   many input samples the request carried, and the wall time from
-///   dequeue to response (`service_ns`).
-/// - `request_rejected` — one line per request refused with a typed
-///   error response: the request id (`"?"` when the frame was too
-///   malformed to carry one), the rejection `reason` (`overloaded` /
-///   `deadline_exceeded` / `bad_request` / `internal_error`), and the
-///   bounded queue's depth at rejection time (meaningful for
-///   `overloaded`, 0 otherwise).
-/// - `engine_swap` — one line per completed wear-epoch engine swap: the
-///   scheme whose engine set was replaced, the epoch it advanced to,
-///   how many programming attempts the swap burned (1 = verified on
-///   the first try), and the programming wall time (`program_ns`).
 /// - `obs_overflow` — the one-time structured twin of the registry-cap
 ///   stderr warning: which registry overflowed (`what`: `counter` /
 ///   `series`), the first refused name, and the cap. At most one line
@@ -237,34 +223,6 @@ pub const EVENTS: &[EventSpec] = &[
             field("seam", STR),
             field("index", U64),
             field("fault", STR),
-        ],
-    },
-    EventSpec {
-        event_type: "request_done",
-        fields: &[
-            field("request_id", STR),
-            field("worker", U64),
-            field("scheme", STR),
-            field("epoch", U64),
-            field("samples", U64),
-            field("service_ns", U64),
-        ],
-    },
-    EventSpec {
-        event_type: "request_rejected",
-        fields: &[
-            field("request_id", STR),
-            field("reason", STR),
-            field("queue_depth", U64),
-        ],
-    },
-    EventSpec {
-        event_type: "engine_swap",
-        fields: &[
-            field("scheme", STR),
-            field("epoch", U64),
-            field("attempts", U64),
-            field("program_ns", U64),
         ],
     },
     EventSpec {

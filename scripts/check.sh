@@ -156,67 +156,6 @@ cmp "$chaos_dir/clean.json" "$chaos_dir/chaos.json" \
 rm -rf "$chaos_dir"
 echo "chaos smoke passed"
 
-echo "=== serve smoke (daemon, malformed frames, SIGKILL, restart replay) ==="
-# The serving determinism contract (DESIGN.md "Service architecture &
-# overload model"): every ok response is a pure function of (service
-# seed, scheme, wear epoch, sample list). A daemon that is SIGKILLed
-# mid-stream and restarted at the same seed must re-serve the same
-# request set byte-for-byte. Responses on one connection may interleave
-# across worker shards, so the comparison is order-insensitive (sorted).
-serve_dir="$(mktemp -d)"
-serve_bin="./target/release/reram-ecc"
-serve_requests() {
-  cat <<'EOF'
-{"id":"s1","scheme":"NoECC","samples":[0,1]}
-{"id":"s2","scheme":"ABN-9","samples":[2]}
-this line is not json
-{"id":"s3","scheme":"Static16","samples":[3,4,5]}
-{"id":"s4","scheme":"NoSuchScheme","samples":[0]}
-{"id":"s5","scheme":"NoECC","samples":[6,7]}
-EOF
-}
-serve_wait_port() {
-  for _ in $(seq 1 300); do
-    p="$(sed -n 's/.*"port":\([0-9][0-9]*\).*/\1/p' "$1" | head -n 1)"
-    if [ -n "$p" ]; then echo "$p"; return 0; fi
-    sleep 0.1
-  done
-  echo "FAIL: serve daemon never printed its ready line" >&2
-  return 1
-}
-# Run the binary directly (not via `cargo run`) so the daemon PID is
-# the PID we SIGKILL.
-"$serve_bin" serve --seed 7 --hidden 32 --train 60 --samples 16 \
-  > "$serve_dir/ready1" 2> /dev/null &
-serve_pid=$!
-port="$(serve_wait_port "$serve_dir/ready1")"
-serve_requests | "$serve_bin" serve-send "$port" > "$serve_dir/run1.raw"
-sort "$serve_dir/run1.raw" > "$serve_dir/run1.sorted"
-ok_count="$(grep -c '"ok":true' "$serve_dir/run1.sorted" || true)"
-bad_count="$(grep -c '"error":"bad_request"' "$serve_dir/run1.sorted" || true)"
-[ "$ok_count" -eq 4 ] || { echo "FAIL: expected 4 ok responses, got $ok_count" >&2; exit 1; }
-[ "$bad_count" -eq 2 ] || { echo "FAIL: expected 2 bad_request responses, got $bad_count" >&2; exit 1; }
-# SIGKILL the daemon while a second stream is in flight: the client
-# loses its connection (tolerated), and no state may leak into the
-# restart — the service is stateless by design.
-serve_requests | "$serve_bin" serve-send "$port" > /dev/null 2>&1 &
-sender_pid=$!
-kill -9 "$serve_pid"
-wait "$serve_pid" 2> /dev/null || true
-wait "$sender_pid" 2> /dev/null || true
-"$serve_bin" serve --seed 7 --hidden 32 --train 60 --samples 16 \
-  > "$serve_dir/ready2" 2> /dev/null &
-serve_pid=$!
-port="$(serve_wait_port "$serve_dir/ready2")"
-serve_requests | "$serve_bin" serve-send "$port" > "$serve_dir/run2.raw"
-printf '{"admin":"shutdown"}\n' | "$serve_bin" serve-send "$port" > /dev/null
-wait "$serve_pid" 2> /dev/null || true
-sort "$serve_dir/run2.raw" > "$serve_dir/run2.sorted"
-cmp "$serve_dir/run1.sorted" "$serve_dir/run2.sorted" \
-  || { echo "FAIL: restarted daemon served different bytes for the same requests" >&2; exit 1; }
-rm -rf "$serve_dir"
-echo "serve smoke passed"
-
 echo "=== grid smoke (campaign-grid, SIGKILL worker + driver, resume, byte-compare) ==="
 # The grid runner's kill-anything contract (DESIGN.md "Failure model &
 # recovery"): a sharded sweep whose worker AND driver are SIGKILLed
