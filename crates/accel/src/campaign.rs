@@ -33,14 +33,14 @@
 //!   that verifies (CRC + parse + version); every corrupt candidate is
 //!   surfaced as a `checkpoint_fallback` obs event. Only when *no*
 //!   artifact verifies does resume fail.
-//! - **Non-fatal periodic saves.** A periodic slot write that fails
-//!   every retry ([`Campaign::with_write_retries`]) emits
+//! - **Verified I/O.** Every slot and final write goes through
+//!   `accel::envelope`'s one verified write (atomic, read back and
+//!   compared, retried), and every resume read through its one
+//!   verified read (reread until two consecutive reads agree). A
+//!   periodic slot write that fails every retry emits
 //!   `checkpoint_write_failed` and the campaign continues — losing a
 //!   checkpoint costs re-computation, not results. Only the *final*
-//!   plain-JSON write on completion is load-bearing and fails the run;
-//!   because that file carries no CRC envelope, it is read back and
-//!   verified after every apparently-successful write (a silent bit
-//!   flip burns a retry instead of shipping corrupt results).
+//!   plain-JSON write on completion is load-bearing and fails the run.
 //! - **Deterministic chaos.** [`Campaign::with_chaos`] installs a
 //!   [`chaos::ChaosSchedule`] that injects seeded faults at every seam
 //!   (checkpoint writes/reads, the final write, worker shards), so the
@@ -66,15 +66,17 @@ use serde::{Deserialize, Serialize};
 use xbar::endurance::EnduranceParams;
 
 use crate::analytic::ErrorModel;
-use crate::envelope::Envelope;
+use crate::envelope::{self, Envelope, ReadError};
 use crate::sim::{evaluate_with_model, ShardGap, SimResult};
 use crate::{AccelConfig, AccelError, ProtectionScheme};
 
 /// Checkpoint format version, bumped on incompatible schema changes.
 /// Version 2 added graceful-degradation fields (`lost_samples`,
 /// `gaps`) to epoch records and moved periodic checkpoints into
-/// CRC-protected A/B generation slots.
-pub const CHECKPOINT_VERSION: u64 = 2;
+/// CRC-protected A/B generation slots. Version 3 records the resolved
+/// estimator (`error_model`), so analytic campaigns resume like
+/// Monte-Carlo ones.
+pub const CHECKPOINT_VERSION: u64 = 3;
 
 /// Per-epoch seed stride: the 64-bit golden-ratio constant also used
 /// for per-matrix seeds, so epoch streams never overlap worker streams.
@@ -112,11 +114,9 @@ pub struct CampaignConfig {
     /// are byte-compared across resumes, so a series must stay
     /// single-estimator: [`ErrorModel::Auto`] resolves to Monte-Carlo
     /// here (never per-epoch switching), and the analytic fast path
-    /// must be requested explicitly — in which case resuming a
-    /// checkpoint is refused, because the recorded epochs cannot be
-    /// proven to share the estimator. Not serialized into
-    /// [`CampaignState`]: the model is a run-time policy, like
-    /// `threads`.
+    /// must be requested explicitly. The resolved estimator is
+    /// recorded in [`CampaignState::error_model`], and resuming under a
+    /// different one is refused.
     pub error_model: ErrorModel,
 }
 
@@ -150,6 +150,15 @@ impl CampaignConfig {
         self.endurance.failure_probability(self.writes_at(epoch))
     }
 
+    /// The estimator every epoch runs: [`ErrorModel::Auto`] resolves
+    /// to Monte-Carlo (see [`CampaignConfig::error_model`]).
+    fn estimator(&self) -> ErrorModel {
+        match self.error_model {
+            ErrorModel::Analytic => ErrorModel::Analytic,
+            ErrorModel::Mc | ErrorModel::Auto => ErrorModel::Mc,
+        }
+    }
+
     /// The deterministic evaluation seed for one epoch.
     fn epoch_seed(&self, epoch: u64) -> u64 {
         self.seed.wrapping_add(epoch.wrapping_mul(EPOCH_SEED_STRIDE))
@@ -169,6 +178,7 @@ impl CampaignConfig {
             max_endurance_writes: self.endurance.max_writes,
             seed: self.seed,
             threads: self.threads as u64,
+            error_model: self.estimator().label().to_string(),
             samples: 0,
             completed: Vec::new(),
         }
@@ -265,6 +275,9 @@ pub struct CampaignState {
     pub seed: u64,
     /// Worker threads per evaluation.
     pub threads: u64,
+    /// Label of the estimator every epoch ran (`mc` or `analytic`;
+    /// `auto` is recorded as the `mc` it resolves to).
+    pub error_model: String,
     /// Test-set size (0 until the first epoch runs).
     pub samples: u64,
     /// Completed epochs, in order.
@@ -342,15 +355,13 @@ pub struct Campaign {
     /// every I/O seam and shard runs clean. Its counters are
     /// process-local, deliberately not part of the serialized state.
     dice: ChaosDice,
-    /// Retries after a failed checkpoint/final write (so a write gets
-    /// `write_retries + 1` attempts).
-    write_retries: u32,
 }
 
 /// Rolls a chaos schedule at the I/O seams, owning one operation
 /// counter per [`Seam`]. Shared by [`Campaign`] (checkpoint and final
 /// writes, checkpoint reads) and the [`grid`](crate::grid) driver
-/// (worker spawns, lease writes and reads).
+/// (worker spawns, manifest and marker writes, artifact reads), through
+/// the verified I/O of `accel::envelope`.
 ///
 /// Decisions replay from the schedule's seed and these counters, which
 /// start at 0 for every new dice — so each `Campaign` value and each
@@ -360,9 +371,9 @@ pub struct Campaign {
 #[derive(Debug, Clone)]
 pub struct ChaosDice {
     chaos: Option<ChaosSchedule>,
-    counters: [u64; 7],
+    counters: [u64; 5],
     #[cfg(test)]
-    script: Option<IoFault>,
+    script: Vec<(Seam, u64, IoFault)>,
 }
 
 impl ChaosDice {
@@ -370,19 +381,18 @@ impl ChaosDice {
     pub fn new(chaos: Option<ChaosSchedule>) -> ChaosDice {
         ChaosDice {
             chaos,
-            counters: [0; 7],
+            counters: [0; 5],
             #[cfg(test)]
-            script: None,
+            script: Vec::new(),
         }
     }
 
-    /// Test-only dice that inject `fault` on the first lease write and
-    /// roll clean afterwards — a deterministic one-shot for protocol
-    /// tests.
+    /// Test-only dice that inject exactly the listed faults, each at
+    /// one `(seam, operation index)` point, and roll clean elsewhere.
     #[cfg(test)]
-    pub(crate) fn scripted(fault: Option<IoFault>) -> ChaosDice {
+    pub(crate) fn scripted(script: Vec<(Seam, u64, IoFault)>) -> ChaosDice {
         ChaosDice {
-            script: fault,
+            script,
             ..ChaosDice::new(None)
         }
     }
@@ -395,22 +405,25 @@ impl ChaosDice {
     /// The fault (if any) for the next operation at `seam`, advancing
     /// that seam's counter. Without a schedule no counter moves.
     pub fn fault(&mut self, seam: Seam) -> Option<IoFault> {
-        #[cfg(test)]
-        if seam == Seam::LeaseWrite {
-            if let Some(f) = self.script.take() {
-                return Some(f);
-            }
-        }
-        let schedule = self.chaos?;
-        let counter = &mut self.counters[match seam {
+        let slot = match seam {
             Seam::CheckpointWrite => 0,
             Seam::CheckpointRead => 1,
             Seam::FinalWrite => 2,
             Seam::EventWrite => 3,
             Seam::ProcessSpawn => 4,
-            Seam::LeaseWrite => 5,
-            Seam::LeaseRead => 6,
-        }];
+        };
+        #[cfg(test)]
+        if !self.script.is_empty() {
+            let index = self.counters[slot];
+            self.counters[slot] += 1;
+            return self
+                .script
+                .iter()
+                .find(|(s, i, _)| *s == seam && *i == index)
+                .map(|&(_, _, fault)| fault);
+        }
+        let schedule = self.chaos?;
+        let counter = &mut self.counters[slot];
         let index = *counter;
         *counter += 1;
         let fault = schedule.io_fault(seam, index);
@@ -427,7 +440,7 @@ impl ChaosDice {
 }
 
 /// The checkpoint-slot envelope: a
-/// `{"ckpt":2,"generation":G,"len":L,"crc32":C}` header line ahead of
+/// `{"ckpt":3,"generation":G,"len":L,"crc32":C}` header line ahead of
 /// the pretty-printed [`CampaignState`]. The generation is the
 /// completed-epoch count at write time; resume picks the highest
 /// generation that verifies.
@@ -454,10 +467,20 @@ fn slot_path(path: &Path, generation: u64) -> PathBuf {
 /// events).
 fn parse_slot(bytes: &[u8]) -> Result<(u64, CampaignState), String> {
     let (generation, body) = SLOT_ENVELOPE.open(bytes)?;
-    let generation = generation.ok_or("bad envelope header: missing field `generation`")?;
-    let text = std::str::from_utf8(body).map_err(|_| "payload is not UTF-8")?;
-    let state = CampaignState::from_json(text).map_err(|e| e.to_string())?;
-    Ok((generation, state))
+    Ok((generation, parse_state(body)?))
+}
+
+/// Opens the plain final file, which has no envelope: its generation
+/// is its completed-epoch count.
+fn parse_final(bytes: &[u8]) -> Result<(u64, CampaignState), String> {
+    let state = parse_state(bytes)?;
+    Ok((state.completed.len() as u64, state))
+}
+
+/// Parses a plain (unenveloped) state file.
+pub(crate) fn parse_state(bytes: &[u8]) -> Result<CampaignState, String> {
+    let text = std::str::from_utf8(bytes).map_err(|_| "payload is not UTF-8")?;
+    CampaignState::from_json(text).map_err(|e| e.to_string())
 }
 
 impl Campaign {
@@ -490,7 +513,6 @@ impl Campaign {
             state,
             checkpoint: None,
             dice: ChaosDice::new(None),
-            write_retries: 2,
         })
     }
 
@@ -498,9 +520,10 @@ impl Campaign {
     /// checkpoint was recorded under `config`.
     ///
     /// Recovery examines up to three artifacts — the `.a` and `.b`
-    /// generation slots and the plain final file at `path` — and
-    /// proceeds from the newest one that verifies (envelope, CRC-32,
-    /// parse). Each corrupt or torn candidate is reported as a
+    /// generation slots and the plain final file at `path` — each
+    /// through the verified read of `accel::envelope`, and proceeds
+    /// from the newest one that verifies (envelope, CRC-32, parse).
+    /// Each corrupt or torn candidate is reported as a
     /// `checkpoint_fallback` obs event rather than failing the resume;
     /// only when no artifact verifies is the error surfaced.
     ///
@@ -509,7 +532,8 @@ impl Campaign {
     /// Returns [`AccelError::Checkpoint`] when no artifact can be read
     /// and verified, and [`AccelError::ResumeMismatch`] when any
     /// campaign parameter (scheme, cell bits, remap, epoch schedule,
-    /// endurance range, seed, threads) differs from the checkpoint's.
+    /// endurance range, seed, threads, estimator) differs from the
+    /// checkpoint's.
     pub fn resume(config: CampaignConfig, path: &Path) -> Result<Campaign, AccelError> {
         Self::resume_with_chaos(config, path, None)
     }
@@ -522,11 +546,6 @@ impl Campaign {
         path: &Path,
         chaos: Option<ChaosSchedule>,
     ) -> Result<Campaign, AccelError> {
-        if config.error_model == ErrorModel::Analytic {
-            return Err(AccelError::AnalyticResume {
-                path: path.display().to_string(),
-            });
-        }
         let mut campaign = Campaign::new(config)?;
         campaign.dice = ChaosDice::new(chaos);
 
@@ -535,38 +554,23 @@ impl Campaign {
         // not a candidate; a present-but-invalid one is a fallback.
         let mut best: Option<(u64, CampaignState)> = None;
         let mut failures: Vec<(String, String)> = Vec::new();
-        let mut consider = |campaign: &mut Campaign, candidate: &Path, slotted: bool| {
-            if !candidate.exists() {
-                return;
-            }
-            let fault = campaign.dice.fault(Seam::CheckpointRead);
-            let parsed = chaos::fs::read(candidate, fault)
-                .map_err(|e| e.to_string())
-                .and_then(|bytes| {
-                    if slotted {
-                        parse_slot(&bytes)
-                    } else {
-                        // The plain file has no envelope; its
-                        // generation is its completed-epoch count.
-                        let text = std::str::from_utf8(&bytes)
-                            .map_err(|_| "payload is not UTF-8".to_string())?;
-                        let state =
-                            CampaignState::from_json(text).map_err(|e| e.to_string())?;
-                        Ok((state.completed.len() as u64, state))
-                    }
-                });
-            match parsed {
+        type Parse = fn(&[u8]) -> Result<(u64, CampaignState), String>;
+        let candidates: [(PathBuf, Parse); 3] = [
+            (slot_path(path, 0), parse_slot),
+            (slot_path(path, 1), parse_slot),
+            (path.to_path_buf(), parse_final),
+        ];
+        for (candidate, parse) in &candidates {
+            match envelope::read(candidate, &mut campaign.dice, parse) {
                 Ok((generation, state)) => {
                     if best.as_ref().map_or(true, |(g, _)| generation > *g) {
                         best = Some((generation, state));
                     }
                 }
-                Err(reason) => failures.push((candidate.display().to_string(), reason)),
+                Err(ReadError::Missing) => {}
+                Err(e) => failures.push((candidate.display().to_string(), e.to_string())),
             }
-        };
-        consider(&mut campaign, &slot_path(path, 0), true);
-        consider(&mut campaign, &slot_path(path, 1), true);
-        consider(&mut campaign, path, false);
+        }
 
         let Some((generation, state)) = best else {
             let message = if failures.is_empty() {
@@ -642,6 +646,9 @@ impl Campaign {
         if state.threads != expected.threads {
             return mismatch("threads", &expected.threads, &state.threads);
         }
+        if state.error_model != expected.error_model {
+            return mismatch("error_model", &expected.error_model, &state.error_model);
+        }
         if state.completed.len() as u64 > state.epochs {
             return Err(AccelError::ResumeMismatch(format!(
                 "checkpoint claims {} completed epochs of {}",
@@ -667,9 +674,7 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Returns [`AccelError::AnalyticResume`] when artifacts exist and
-    /// the config forces the analytic model, and propagates
-    /// [`AccelError::ResumeMismatch`] — both mean the artifacts belong
+    /// Propagates [`AccelError::ResumeMismatch`]: the artifacts belong
     /// to a *different* campaign and recomputing would silently
     /// overwrite it. Only [`AccelError::Checkpoint`] (nothing
     /// readable) falls back to fresh.
@@ -691,7 +696,7 @@ impl Campaign {
             match Self::resume_with_chaos(config.clone(), path, chaos) {
                 Ok(campaign) => return Ok(campaign),
                 // Nothing verified: every epoch is recomputable, so
-                // start over. Mismatch/analytic errors still propagate.
+                // start over. A mismatch still propagates.
                 Err(AccelError::Checkpoint { .. }) => {}
                 Err(other) => return Err(other),
             }
@@ -717,14 +722,6 @@ impl Campaign {
     #[must_use]
     pub fn with_chaos(mut self, schedule: ChaosSchedule) -> Campaign {
         self.dice = ChaosDice::new(Some(schedule));
-        self
-    }
-
-    /// Sets how many times a failed checkpoint/final write is retried
-    /// (default 2, i.e. three attempts per write).
-    #[must_use]
-    pub fn with_write_retries(mut self, retries: u32) -> Campaign {
-        self.write_retries = retries;
         self
     }
 
@@ -801,8 +798,8 @@ impl Campaign {
             // scheduler's panic/retry machinery, which the analytic
             // path does not have — drawing it would only force an
             // envelope refusal (`analytic::supports`), not test
-            // anything. The I/O seams (checkpoint, final, lease) stay
-            // fully injected for analytic cells.
+            // anything. The I/O seams (checkpoint, final) stay fully
+            // injected for analytic cells.
             if let Some(schedule) = self.dice.schedule() {
                 if matches!(config.shard_chaos, chaos::ShardChaos::Off)
                     && !matches!(self.config.error_model, ErrorModel::Analytic)
@@ -821,10 +818,6 @@ impl Campaign {
             // `Auto` resolved to Monte-Carlo at campaign level (see
             // `CampaignConfig::error_model`): per-epoch switching would
             // mix estimators inside one byte-compared series.
-            let model = match self.config.error_model {
-                ErrorModel::Analytic => ErrorModel::Analytic,
-                ErrorModel::Mc | ErrorModel::Auto => ErrorModel::Mc,
-            };
             let result = evaluate_with_model(
                 qnet,
                 images,
@@ -832,7 +825,7 @@ impl Campaign {
                 &config,
                 self.config.epoch_seed(epoch),
                 self.config.threads,
-                model,
+                self.config.estimator(),
             )?;
             let eval_ns = obs::now_ns().saturating_sub(eval_start_ns);
             let program_ns = obs::span_total_ns("program").saturating_sub(program_ns_before);
@@ -859,7 +852,7 @@ impl Campaign {
                                     .map(|p| p.display().to_string())
                                     .unwrap_or_default(),
                             )
-                            .u64("attempts", u64::from(self.write_retries) + 1)
+                            .u64("attempts", u64::from(envelope::IO_RETRIES) + 1)
                             .str("error", &e.to_string()),
                     );
                 }
@@ -906,17 +899,15 @@ impl Campaign {
     }
 
     /// Writes the current state into its generation slot (a no-op if
-    /// no checkpoint path is set), atomically: the envelope + JSON go
-    /// to a temporary sibling file which is then renamed over the
-    /// slot. Generations alternate between the `.a` and `.b` slots, so
-    /// the previous checkpoint survives any failure here.
+    /// no checkpoint path is set) through the verified write of
+    /// `accel::envelope`. Generations alternate between the `.a` and
+    /// `.b` slots, so the previous checkpoint survives any failure here.
     ///
     /// # Errors
     ///
-    /// Returns [`AccelError::Checkpoint`] when every attempt
-    /// (`1 + write_retries`) fails. Callers inside the epoch loop
-    /// treat that as non-fatal; the CLI's partial-result dump path
-    /// propagates it.
+    /// Returns [`AccelError::Checkpoint`] when every attempt fails.
+    /// Callers inside the epoch loop treat that as non-fatal; the CLI's
+    /// partial-result dump path propagates it.
     pub fn save_checkpoint(&mut self) -> Result<(), AccelError> {
         let Some(path) = self.checkpoint.clone() else {
             return Ok(());
@@ -924,21 +915,13 @@ impl Campaign {
         let json = self.state.to_json()?;
         let generation = self.state.completed.len() as u64;
         let slot = slot_path(&path, generation);
-        let payload = SLOT_ENVELOPE.seal(Some(generation), json.as_bytes());
+        let payload = SLOT_ENVELOPE.seal(generation, json.as_bytes());
         self.ensure_parent_dir(&path)?;
-        let mut last_err: Option<std::io::Error> = None;
-        for _ in 0..=self.write_retries {
-            let fault = self.dice.fault(Seam::CheckpointWrite);
-            match chaos::fs::write_atomic(&slot, &payload, fault) {
-                Ok(()) => return Ok(()),
-                Err(e) => last_err = Some(e),
+        envelope::write(&slot, &payload, &mut self.dice, Seam::CheckpointWrite).map_err(|message| {
+            AccelError::Checkpoint {
+                path: slot.display().to_string(),
+                message,
             }
-        }
-        Err(AccelError::Checkpoint {
-            path: slot.display().to_string(),
-            message: last_err
-                .map(|e| e.to_string())
-                .unwrap_or_else(|| "write failed".into()),
         })
     }
 
@@ -968,50 +951,20 @@ impl Campaign {
     }
 
     /// Writes the plain final-results JSON to the checkpoint path
-    /// itself (no envelope — the stable format every consumer reads),
-    /// atomically and with retries. A no-op without a checkpoint path.
-    ///
-    /// Unlike the slots, the final file carries no CRC envelope, so a
-    /// silently corrupted write (one flipped bit, `Ok` returned) would
-    /// ship bad results to every consumer. Each apparently-successful
-    /// write is therefore **read back and compared** against the
-    /// payload; a mismatch burns a retry like any hard failure. One
-    /// extra read per campaign buys end-to-end integrity for the one
-    /// artifact nothing downstream re-verifies.
+    /// itself (no envelope — the stable format every consumer reads)
+    /// through the verified write of `accel::envelope`. A no-op
+    /// without a checkpoint path.
     fn write_final(&mut self) -> Result<(), AccelError> {
         let Some(path) = self.checkpoint.clone() else {
             return Ok(());
         };
         let json = self.state.to_json()?;
         self.ensure_parent_dir(&path)?;
-        let mut last_err: Option<std::io::Error> = None;
-        for _ in 0..=self.write_retries {
-            let fault = self.dice.fault(Seam::FinalWrite);
-            match chaos::fs::write_atomic(&path, json.as_bytes(), fault) {
-                // Read-back goes through the chaos read seam (no fault
-                // drawn: the FinalWrite draw above already decided this
-                // attempt's fate, and a second draw would shift the
-                // seed-pinned schedule) so the verification path stays
-                // injectable alongside every other durable read.
-                Ok(()) => match chaos::fs::read(&path, None) {
-                    Ok(bytes) if bytes == json.as_bytes() => return Ok(()),
-                    Ok(_) => {
-                        last_err = Some(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            "read-back verification found corrupted bytes",
-                        ));
-                    }
-                    Err(e) => last_err = Some(e),
-                },
-                Err(e) => last_err = Some(e),
+        envelope::write(&path, json.as_bytes(), &mut self.dice, Seam::FinalWrite).map_err(|e| {
+            AccelError::Checkpoint {
+                path: path.display().to_string(),
+                message: format!("final results write failed: {e}"),
             }
-        }
-        Err(AccelError::Checkpoint {
-            path: path.display().to_string(),
-            message: format!(
-                "final results write failed every attempt: {}",
-                last_err.map(|e| e.to_string()).unwrap_or_default()
-            ),
         })
     }
 
@@ -1222,13 +1175,21 @@ mod tests {
         );
     }
 
-    /// Checkpoints never record which estimator produced an epoch, so
-    /// resuming under the analytic model could silently mix estimators.
-    /// Resume must refuse it outright.
+    /// Checkpoints record the resolved estimator, so an analytic
+    /// campaign resumes like a Monte-Carlo one — but only under the
+    /// estimator that produced its epochs: anything else would mix
+    /// estimators inside one series.
     #[test]
     fn analytic_campaign_refuses_resume() {
         let (qnet, images, labels) = tiny_problem();
-        let config = small_campaign(ProtectionScheme::None, 4);
+        let mut config = small_campaign(ProtectionScheme::None, 4);
+        config.error_model = ErrorModel::Analytic;
+
+        let mut reference = Campaign::new(config.clone()).expect("campaign");
+        reference.run(&qnet, &images, &labels).expect("run");
+        let reference_json = reference.state().to_json().expect("json");
+        assert_eq!(reference.state().error_model, "analytic");
+
         let path = temp_path("analytic-resume");
         let mut campaign = Campaign::new(config.clone())
             .expect("campaign")
@@ -1238,28 +1199,31 @@ mod tests {
             .expect("partial run");
         drop(campaign);
 
-        let mut analytic = config.clone();
-        analytic.error_model = ErrorModel::Analytic;
-        match Campaign::resume(analytic.clone(), &path) {
-            Err(err @ AccelError::AnalyticResume { .. }) => {
-                // The message must name both flags so the operator can
-                // see exactly which combination was refused and how to
-                // proceed.
-                let msg = err.to_string();
-                assert!(msg.contains("--error-model analytic"), "message: {msg}");
-                assert!(msg.contains("--resume"), "message: {msg}");
-                assert!(msg.contains(&path.display().to_string()), "message: {msg}");
+        // A different estimator is a mismatch, from both entry points;
+        // `auto` resolves to `mc`, so it is refused too.
+        for model in [ErrorModel::Mc, ErrorModel::Auto] {
+            let mut other = config.clone();
+            other.error_model = model;
+            match Campaign::resume(other.clone(), &path) {
+                Err(AccelError::ResumeMismatch(msg)) => {
+                    assert!(msg.contains("error_model"), "message: {msg}");
+                }
+                other => panic!("expected ResumeMismatch, got {other:?}"),
             }
-            other => panic!("expected AnalyticResume, got {other:?}"),
+            assert!(matches!(
+                Campaign::new_or_resume(other, &path),
+                Err(AccelError::ResumeMismatch(_))
+            ));
         }
-        // The claim hook refuses identically: an existing artifact plus
-        // a forced analytic model must not silently restart fresh.
-        match Campaign::new_or_resume(analytic, &path) {
-            Err(AccelError::AnalyticResume { .. }) => {}
-            other => panic!("expected AnalyticResume from new_or_resume, got {other:?}"),
-        }
-        // The same checkpoint resumes fine under the recorded model.
-        assert!(Campaign::resume(config, &path).is_ok());
+        // The same estimator resumes and finishes byte-identically.
+        let mut resumed = Campaign::resume(config, &path).expect("resume");
+        assert_eq!(resumed.completed_epochs(), 2);
+        resumed.run(&qnet, &images, &labels).expect("resumed run");
+        assert_eq!(resumed.state().to_json().expect("json"), reference_json);
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("final"),
+            reference_json
+        );
         for slot in 0..2 {
             let _ = std::fs::remove_file(slot_path(&path, slot));
         }
@@ -1334,7 +1298,7 @@ mod tests {
         let config = small_campaign(ProtectionScheme::None, 4);
         let state = config.fresh_state();
         let json = state.to_json().expect("json");
-        let bytes = SLOT_ENVELOPE.seal(Some(3), json.as_bytes());
+        let bytes = SLOT_ENVELOPE.seal(3, json.as_bytes());
 
         let (generation, back) = parse_slot(&bytes).expect("intact slot parses");
         assert_eq!(generation, 3);
@@ -1353,9 +1317,11 @@ mod tests {
 
         // A foreign envelope version is refused before the payload is
         // trusted.
-        let old = String::from_utf8(bytes.clone())
-            .expect("utf8")
-            .replacen("\"ckpt\":2", "\"ckpt\":1", 1);
+        let old = String::from_utf8(bytes.clone()).expect("utf8").replacen(
+            &format!("\"ckpt\":{CHECKPOINT_VERSION}"),
+            "\"ckpt\":1",
+            1,
+        );
         let version = parse_slot(old.as_bytes()).expect_err("version");
         assert!(version.contains("envelope version 1"), "reason: {version}");
 
@@ -1454,8 +1420,7 @@ mod tests {
         let mut campaign = Campaign::new(config)
             .expect("campaign")
             .with_checkpoint(path.clone())
-            .with_chaos(always_fail)
-            .with_write_retries(0);
+            .with_chaos(always_fail);
         let result = campaign.run(&qnet, &images, &labels);
         // Every write (periodic and final) fails: periodic failures
         // are swallowed, the final write's failure is the one error.
@@ -1539,6 +1504,7 @@ mod tests {
                 max_endurance_writes: 1e12,
                 seed,
                 threads,
+                error_model: "analytic".into(),
                 samples: 20,
                 completed: records,
             };

@@ -67,19 +67,11 @@ pub enum AccelError {
     /// `--resume` pointed at a checkpoint recorded under different
     /// campaign parameters than the ones requested.
     ResumeMismatch(String),
-    /// `--resume` was combined with a forced `--error-model analytic`:
-    /// recorded epochs cannot be proven to share the estimator, so the
-    /// combination is refused outright rather than risking a mixed
-    /// lifetime curve.
-    AnalyticResume {
-        /// Path of the checkpoint that was offered for resumption.
-        path: String,
-    },
     /// The grid driver failed at a coordination step (spec parsing,
-    /// manifest validation, lease claim, worker spawn, merge).
+    /// manifest validation, worker spawn, cell bookkeeping, merge).
     Grid {
-        /// What the driver was doing (e.g. `"spec"`, `"lease"`,
-        /// `"spawn"`, `"merge"`).
+        /// What the driver was doing (e.g. `"spec"`, `"manifest"`,
+        /// `"cells"`, `"merge"`).
         stage: String,
         /// Underlying failure.
         message: String,
@@ -124,13 +116,6 @@ impl std::fmt::Display for AccelError {
             AccelError::ResumeMismatch(detail) => {
                 write!(f, "checkpoint does not match requested campaign: {detail}")
             }
-            AccelError::AnalyticResume { path } => write!(
-                f,
-                "--resume {path} cannot be combined with --error-model analytic: \
-                 recorded epochs cannot be proven to share the analytic estimator. \
-                 Re-run from scratch, or resume with --error-model mc (or auto, \
-                 which keeps the recorded model)"
-            ),
             AccelError::Grid { stage, message } => {
                 write!(f, "grid {stage}: {message}")
             }

@@ -1,15 +1,16 @@
 //! Columnar aggregation of a finished grid into `grid_summary.json`.
 //!
-//! The merge is deliberately a **pure function** of (spec, cell
-//! artifacts, statuses): it holds no state of its own, reads only
-//! CRC-verifiable inputs, and writes its one output atomically with
-//! read-back. That purity is what makes it resumable by construction —
-//! kill the merging driver at any instant and re-running produces the
-//! identical bytes, because there is no partial progress to corrupt
-//! and no wall-clock or randomness in the output. Everything
-//! non-deterministic (attempt counts, event-log line counts) goes to a
-//! best-effort `grid_telemetry.json` sidecar that is explicitly
-//! excluded from byte comparison.
+//! The merge is deliberately a **pure function** of (spec, verified
+//! cell artifacts): it holds no state of its own, reads no result the
+//! driver has not already verified, and writes its one output
+//! atomically with read-back. That purity is what makes it resumable
+//! by construction — kill the merging driver at any instant and
+//! re-running produces the identical bytes, because there is no
+//! partial progress to corrupt and no wall-clock or randomness in the
+//! output. Everything non-deterministic (driver token, attempt
+//! counts, event-log line counts) goes to a best-effort
+//! `grid_telemetry.json` sidecar that is explicitly excluded from byte
+//! comparison.
 
 use std::path::{Path, PathBuf};
 
@@ -18,20 +19,10 @@ use serde::{Deserialize, Serialize};
 
 use super::{ChaosDice, GridCell, GridSpec};
 use crate::campaign::CampaignState;
-use crate::AccelError;
+use crate::{envelope, AccelError};
 
 /// Summary format version.
 pub const GRID_SUMMARY_VERSION: u64 = 1;
-
-/// A cell's terminal disposition, as the driver resolved it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CellStatus {
-    /// Final artifact verified complete.
-    Done,
-    /// Dropped under the `max_lost_cells` budget; its rows are absent
-    /// and its id is listed in [`GridSummary::lost_cells`].
-    Lost,
-}
 
 /// Per-cell metadata, struct-of-arrays: element `i` of every column
 /// describes cell `i` in spec-expansion order.
@@ -124,6 +115,9 @@ pub struct CellTelemetry {
 /// byte-comparison must not see.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GridTelemetry {
+    /// Token of the driver that wrote this merge
+    /// ([`GridOptions::owner`](super::GridOptions::owner)).
+    pub driver: String,
     /// Per-cell operational numbers.
     pub cells: Vec<CellTelemetry>,
 }
@@ -131,24 +125,23 @@ pub struct GridTelemetry {
 /// Merges a finished grid into `<dir>/grid_summary.json` (returned
 /// path), plus the telemetry sidecar.
 ///
-/// Artifact reads roll [`Seam::LeaseRead`] with `retries` extra
-/// attempts each; the summary write is atomic with read-back, so a
-/// concurrent kill leaves either the previous summary or none, never a
-/// torn one.
+/// `states[i]` is cell `i`'s verified final artifact, or `None` for a
+/// cell dropped under the `max_lost_cells` budget (its rows are absent
+/// and its id is listed in [`GridSummary::lost_cells`]). The summary
+/// write is atomic with read-back and unfaulted, so a concurrent kill
+/// leaves either the previous summary or none, never a torn one.
 ///
 /// # Errors
 ///
-/// Returns [`AccelError::Grid`] (stage `merge`) when a done cell's
-/// artifact cannot be read or does not match its cell, or when the
-/// summary cannot be durably written.
+/// Returns [`AccelError::Grid`] (stage `merge`) when the summary cannot
+/// be durably written.
 pub fn merge(
     dir: &Path,
     spec: &GridSpec,
     cells: &[GridCell],
-    statuses: &[CellStatus],
+    states: &[Option<CampaignState>],
     attempts: &[u64],
-    dice: &mut ChaosDice,
-    retries: u32,
+    driver: &str,
 ) -> Result<PathBuf, AccelError> {
     let mut summary = GridSummary {
         version: GRID_SUMMARY_VERSION,
@@ -183,10 +176,13 @@ pub fn merge(
         },
         lost_cells: Vec::new(),
     };
-    let mut telemetry = GridTelemetry { cells: Vec::new() };
+    let mut telemetry = GridTelemetry {
+        driver: driver.to_string(),
+        cells: Vec::new(),
+    };
 
     for (i, cell) in cells.iter().enumerate() {
-        let status = statuses[i];
+        let state = states.get(i).and_then(Option::as_ref);
         summary.cells.index.push(cell.index);
         summary.cells.id.push(cell.id.clone());
         summary.cells.model.push(cell.model.clone());
@@ -194,13 +190,10 @@ pub fn merge(
         summary.cells.cell_bits.push(cell.cell_bits);
         summary.cells.writes_per_epoch.push(cell.writes_per_epoch);
         summary.cells.seed.push(cell.seed);
-        summary.cells.status.push(
-            match status {
-                CellStatus::Done => "done",
-                CellStatus::Lost => "lost",
-            }
-            .to_string(),
-        );
+        summary
+            .cells
+            .status
+            .push(if state.is_some() { "done" } else { "lost" }.to_string());
         let events_path = dir.join("cells").join(format!("{}.events.jsonl", cell.id));
         let event_lines = chaos::fs::read(&events_path, None)
             .map(|bytes| bytes.iter().filter(|&&b| b == b'\n').count() as u64)
@@ -210,10 +203,9 @@ pub fn merge(
             attempts: attempts.get(i).copied().unwrap_or(0),
             event_lines,
         });
-        match status {
-            CellStatus::Lost => summary.lost_cells.push(cell.id.clone()),
-            CellStatus::Done => {
-                let state = read_artifact(dir, cell, dice, retries)?;
+        match state {
+            None => summary.lost_cells.push(cell.id.clone()),
+            Some(state) => {
                 for record in &state.completed {
                     summary.rows.cell_index.push(cell.index);
                     summary.rows.epoch.push(record.epoch);
@@ -247,80 +239,20 @@ pub fn merge(
         stage: "merge".into(),
         message: format!("serialize summary: {e:?}"),
     })?;
-    write_verified(&summary_path, json.as_bytes(), retries)?;
+    envelope::write(
+        &summary_path,
+        json.as_bytes(),
+        &mut ChaosDice::new(None),
+        Seam::FinalWrite,
+    )
+    .map_err(|message| AccelError::Grid {
+        stage: "merge".into(),
+        message: format!("summary write failed: {message}"),
+    })?;
 
     // Telemetry is best-effort: losing it loses nothing reproducible.
     if let Ok(json) = serde_json::to_string_pretty(&telemetry) {
         let _ = chaos::fs::write_atomic(&dir.join("grid_telemetry.json"), json.as_bytes(), None);
     }
     Ok(summary_path)
-}
-
-/// Reads and validates one done cell's final artifact.
-fn read_artifact(
-    dir: &Path,
-    cell: &GridCell,
-    dice: &mut ChaosDice,
-    retries: u32,
-) -> Result<CampaignState, AccelError> {
-    let path = dir.join("cells").join(format!("{}.json", cell.id));
-    let mut last = String::new();
-    for _ in 0..=retries {
-        let fault = dice.fault(Seam::LeaseRead);
-        let bytes = match chaos::fs::read(&path, fault) {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                last = format!("read failed: {e}");
-                continue;
-            }
-        };
-        let Ok(text) = std::str::from_utf8(&bytes) else {
-            last = "artifact is not UTF-8".into();
-            continue;
-        };
-        let state = match CampaignState::from_json(text) {
-            Ok(state) => state,
-            Err(e) => {
-                last = e.to_string();
-                continue;
-            }
-        };
-        if state.scheme != cell.scheme || state.seed != cell.seed {
-            return Err(AccelError::Grid {
-                stage: "merge".into(),
-                message: format!(
-                    "artifact {} records scheme {} seed {}, cell expects {} / {}",
-                    path.display(),
-                    state.scheme,
-                    state.seed,
-                    cell.scheme,
-                    cell.seed
-                ),
-            });
-        }
-        return Ok(state);
-    }
-    Err(AccelError::Grid {
-        stage: "merge".into(),
-        message: format!("artifact {} unreadable every attempt: {last}", path.display()),
-    })
-}
-
-/// Writes `payload` atomically with read-back verification, retrying.
-fn write_verified(path: &Path, payload: &[u8], retries: u32) -> Result<(), AccelError> {
-    let mut last = String::new();
-    for _ in 0..=retries {
-        match chaos::fs::write_atomic(path, payload, None) {
-            Ok(()) => match chaos::fs::read(path, None) {
-                Ok(bytes) if bytes == payload => return Ok(()),
-                Ok(_) => last = "read-back found corrupted bytes".into(),
-                Err(e) => last = format!("read-back failed: {e}"),
-            },
-            Err(e) => last = e.to_string(),
-        }
-    }
-    Err(AccelError::Grid {
-        stage: "merge".into(),
-        message: format!("summary write failed every attempt: {last}"),
-    })
 }

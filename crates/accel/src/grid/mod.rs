@@ -2,53 +2,54 @@
 //!
 //! Expands a JSON grid spec — (models × schemes × cell-bits ×
 //! fault-rates × seeds) — into cells, fans the cells across worker
-//! processes (or in-process worker threads), and coordinates entirely
-//! through crash-safe substrates: each cell is an ordinary
-//! [`crate::campaign`] with CRC'd A/B checkpoint slots, and the
-//! driver's only state is a directory of atomically-written
-//! [`lease`] files plus a derivable manifest. There is nothing to
-//! lose: SIGKILL any worker, or the driver itself, at any moment, and
-//! re-running the driver resumes to a merged `grid_summary.json` that
-//! is byte-identical to the fault-free run (`tests/grid_soak.rs`
-//! proves exactly that under seeded chaos injection).
+//! processes (or in-process worker threads), and keeps no coordination
+//! state beyond the cells' own artifacts: each cell is an ordinary
+//! [`crate::campaign`] with CRC'd A/B checkpoint slots, and a cell is
+//! done if and only if its final artifact verifies. There is nothing
+//! to lose: SIGKILL any worker, or the driver itself, at any moment,
+//! and re-running the driver resumes to a merged `grid_summary.json`
+//! that is byte-identical to the fault-free run (`tests/grid_soak.rs`
+//! proves exactly that under seeded chaos injection). The operator
+//! contract is one live driver per grid directory.
 //!
 //! The division of trust, bottom to top:
 //!
 //! - **cell artifacts** (final JSON + checkpoint slots) are the truth;
-//!   a worker re-claiming a cell resumes them via
+//!   a retried cell resumes its own slots via
 //!   [`Campaign::new_or_resume`](crate::campaign::Campaign::new_or_resume);
-//! - **leases** ([`lease`]) are coordination acceleration: they let a
-//!   restarted driver skip verified-done cells and record lost cells,
-//!   but every lease operation may fail without endangering results;
+//! - **lost-cell markers** (`cells/<id>.lost`) record the cells
+//!   dropped under the `max_lost_cells` budget, so a later
+//!   [`Grid::merge_only`] can tell a deliberate gap from unfinished
+//!   work;
 //! - **the manifest** pins the spec digest so two different sweeps
 //!   cannot interleave in one directory; it is derivable and is
 //!   rewritten if corrupt;
-//! - **the merge** ([`merge`]) is a pure function of spec + artifacts,
-//!   written atomically with read-back — killing it mid-write and
-//!   re-running lands the identical bytes.
+//! - **the merge** ([`merge`]) is a pure function of spec + verified
+//!   artifacts, written atomically with read-back — killing it
+//!   mid-write and re-running lands the identical bytes.
 //!
-//! Chaos seams [`Seam::ProcessSpawn`], [`Seam::LeaseWrite`] and
-//! [`Seam::LeaseRead`] put every driver-side I/O decision under the
-//! same deterministic injection the campaign substrate already
-//! absorbs. DESIGN.md "Failure model & recovery" carries the recovery
-//! matrix.
+//! Every durable read and write goes through the verified I/O of
+//! `accel::envelope`, under the same deterministic chaos injection
+//! the campaign substrate absorbs: artifact and manifest reads roll
+//! [`Seam::CheckpointRead`], manifest and marker writes roll
+//! [`Seam::FinalWrite`], and worker spawns roll [`Seam::ProcessSpawn`].
+//! DESIGN.md "Failure model & recovery" carries the recovery matrix.
 
-pub mod lease;
 pub mod merge;
 pub mod worker;
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use chaos::{ChaosSchedule, Seam};
 use serde::{Deserialize, Serialize};
 
 use crate::analytic::ErrorModel;
-use crate::campaign::{CampaignConfig, ChaosDice};
+use crate::campaign::{self, CampaignConfig, CampaignState, ChaosDice};
+use crate::envelope::{self, ReadError};
 use crate::{AccelConfig, AccelError, ProtectionScheme};
 
-pub use lease::{ClaimOutcome, LeaseState, LeaseView};
-pub use merge::{CellStatus, GridSummary};
+pub use merge::GridSummary;
 pub use worker::Launcher;
 
 /// Grid spec format version.
@@ -264,6 +265,40 @@ impl GridSpec {
         config.error_model = error_model;
         Ok(config)
     }
+
+    /// Accepts `state` only as `cell`'s complete record: the scheme,
+    /// seed, cell bits, wear schedule and epoch count it records must
+    /// all be the cell's, and every epoch must be present. The one
+    /// identity check behind "a cell is done".
+    fn check_artifact(&self, cell: &GridCell, state: &CampaignState) -> Result<(), String> {
+        let differs = |field: &str, want: &dyn std::fmt::Debug, got: &dyn std::fmt::Debug| {
+            Err(format!("{field}: cell {} wants {want:?}, artifact records {got:?}", cell.id))
+        };
+        if state.scheme != cell.scheme {
+            return differs("scheme", &cell.scheme, &state.scheme);
+        }
+        if state.seed != cell.seed {
+            return differs("seed", &cell.seed, &state.seed);
+        }
+        if state.cell_bits != cell.cell_bits {
+            return differs("cell_bits", &cell.cell_bits, &state.cell_bits);
+        }
+        if state.writes_per_epoch != cell.writes_per_epoch {
+            return differs(
+                "writes_per_epoch",
+                &cell.writes_per_epoch,
+                &state.writes_per_epoch,
+            );
+        }
+        if state.epochs != self.epochs || state.completed.len() as u64 != self.epochs {
+            return differs(
+                "epochs (planned, completed)",
+                &(self.epochs, self.epochs),
+                &(state.epochs, state.completed.len()),
+            );
+        }
+        Ok(())
+    }
 }
 
 /// One expanded grid cell: a point on every axis plus its stable id.
@@ -312,13 +347,11 @@ pub struct GridOptions {
     /// launchers kill and retry a worker past its deadline; in-process
     /// launchers cannot kill a thread and ignore it.
     pub watchdog_ms: u64,
-    /// Extra retries for each lease/manifest read or write.
-    pub lease_retries: u32,
     /// Driver-side chaos schedule; also seeds each worker's derived
     /// chaos stream.
     pub chaos: Option<ChaosSchedule>,
-    /// Owner token recorded in leases (e.g. `driver-<pid>`). Never
-    /// enters byte-compared artifacts.
+    /// Driver token (e.g. `driver-<pid>`), recorded as `driver` in
+    /// `grid_telemetry.json`. Never enters byte-compared artifacts.
     pub owner: String,
 }
 
@@ -329,7 +362,6 @@ impl Default for GridOptions {
             cell_retries: 2,
             max_lost_cells: 0,
             watchdog_ms: 0,
-            lease_retries: 3,
             chaos: None,
             owner: "driver".into(),
         }
@@ -350,23 +382,39 @@ pub struct GridReport {
     pub summary_path: PathBuf,
 }
 
-/// Per-cell driver bookkeeping.
-#[derive(Debug, Clone, PartialEq)]
-enum CellProgress {
-    Pending,
-    Running,
-    Done,
-    Lost,
+/// The `cells/<id>.lost` marker: a cell that exhausted its retries
+/// under the loss budget.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct LostMarker {
+    /// Id of the lost cell (defense against a misplaced file).
+    cell: String,
+    /// Worker attempts burned on it.
+    attempts: u64,
+    /// The last attempt's failure (`spawn`/`exit`/`watchdog`/`verify`).
+    reason: String,
 }
 
 /// One occupied worker slot.
 struct RunningCell {
     idx: usize,
     attempt: u32,
-    generation: u64,
     started_ns: u64,
     deadline: Option<std::time::Instant>,
     handle: worker::Handle,
+}
+
+/// The dispatch loop's bookkeeping.
+struct Dispatch {
+    /// Per cell: its verified artifact once done; `None` until then
+    /// (and for lost cells).
+    states: Vec<Option<CampaignState>>,
+    /// Per cell: worker attempts spent this run.
+    attempts: Vec<u64>,
+    /// `(cell, attempt)` pairs waiting for a worker slot.
+    queue: VecDeque<(usize, u32)>,
+    running: Vec<RunningCell>,
+    lost: Vec<String>,
+    skipped: usize,
 }
 
 /// The grid driver: spec + directory + launcher + options.
@@ -375,6 +423,10 @@ pub struct Grid {
     dir: PathBuf,
     launcher: Launcher,
     options: GridOptions,
+    /// The driver's dice before any roll: every [`Grid::run`] and
+    /// [`Grid::merge_only`] rolls a fresh copy, so each sees the same
+    /// fault script.
+    dice: ChaosDice,
 }
 
 /// Derives the chaos seed a worker runs under: a splitmix-style hash
@@ -389,6 +441,11 @@ fn worker_chaos_seed(grid_seed: u64, cell_index: u64, attempt: u32) -> u64 {
         z ^ (z >> 31)
     }
     mix(mix(grid_seed ^ cell_index.wrapping_mul(0x632B_E59B_D9B4_E019)) ^ (u64::from(attempt) + 1))
+}
+
+/// Path of a cell's final artifact inside the grid directory.
+fn artifact_path(dir: &Path, cell: &GridCell) -> PathBuf {
+    dir.join("cells").join(format!("{}.json", cell.id))
 }
 
 impl Grid {
@@ -408,6 +465,7 @@ impl Grid {
             spec,
             dir,
             launcher,
+            dice: ChaosDice::new(options.chaos),
             options,
         })
     }
@@ -416,246 +474,163 @@ impl Grid {
     fn cells_dir(&self) -> PathBuf {
         self.dir.join("cells")
     }
-    fn leases_dir(&self) -> PathBuf {
-        self.dir.join("leases")
-    }
     fn manifest_path(&self) -> PathBuf {
         self.dir.join("manifest.json")
-    }
-    fn artifact_path(&self, cell: &GridCell) -> PathBuf {
-        self.cells_dir().join(format!("{}.json", cell.id))
     }
     fn events_path(&self, cell: &GridCell) -> PathBuf {
         self.cells_dir().join(format!("{}.events.jsonl", cell.id))
     }
-    fn lease_path(&self, cell: &GridCell) -> PathBuf {
-        self.leases_dir().join(format!("{}.lease", cell.id))
+    fn lost_path(&self, cell: &GridCell) -> PathBuf {
+        self.cells_dir().join(format!("{}.lost", cell.id))
     }
 
     /// Validates (or writes) the manifest: a digest mismatch means the
     /// directory belongs to a different sweep and the run is refused;
-    /// a corrupt or missing manifest is rewritten, because it is
+    /// a missing or corrupt manifest is rewritten, because it is
     /// derivable from the spec.
     fn ensure_manifest(&self, dice: &mut ChaosDice) -> Result<(), AccelError> {
         let path = self.manifest_path();
         let digest = self.spec.digest()?;
+        let fail = |message: String| AccelError::Grid {
+            stage: "manifest".into(),
+            message,
+        };
+        match envelope::read(&path, dice, envelope::parse_json::<Manifest>) {
+            Ok(existing) if existing.spec_digest == digest => return Ok(()),
+            Ok(existing) => {
+                return Err(fail(format!(
+                    "{} pins spec digest {:#010x}, but this spec digests to {:#010x}: \
+                     refusing to mix two sweeps in one directory",
+                    path.display(),
+                    existing.spec_digest,
+                    digest
+                )))
+            }
+            Err(ReadError::Missing | ReadError::Corrupt(_)) => {}
+            // Unreadable: the directory's identity is unknown, and
+            // overwriting could pin a foreign sweep's cells to this spec.
+            Err(e) => return Err(fail(format!("{}: {e}", path.display()))),
+        }
         let manifest = Manifest {
             version: GRID_MANIFEST_VERSION,
             spec_digest: digest,
             cells: self.spec.cells().len() as u64,
         };
-        if path.exists() {
-            let mut parsed: Option<Manifest> = None;
-            for _ in 0..=self.options.lease_retries {
-                let fault = dice.fault(Seam::LeaseRead);
-                if let Ok(bytes) = chaos::fs::read(&path, fault) {
-                    if let Ok(text) = std::str::from_utf8(&bytes) {
-                        if let Ok(m) = serde_json::from_str::<Manifest>(text) {
-                            parsed = Some(m);
-                            break;
-                        }
-                    }
-                }
-            }
-            if let Some(existing) = parsed {
-                if existing.spec_digest != digest {
-                    return Err(AccelError::Grid {
-                        stage: "manifest".into(),
-                        message: format!(
-                            "{} pins spec digest {:#010x}, but this spec digests to \
-                             {:#010x}: refusing to mix two sweeps in one directory",
-                            path.display(),
-                            existing.spec_digest,
-                            digest
-                        ),
-                    });
-                }
-                return Ok(());
-            }
-            // Present but unreadable/corrupt: derivable, so rewrite.
-        }
-        let json = serde_json::to_string_pretty(&manifest).map_err(|e| AccelError::Grid {
-            stage: "manifest".into(),
-            message: format!("serialize: {e:?}"),
-        })?;
-        let mut last = String::new();
-        for _ in 0..=self.options.lease_retries {
-            let fault = dice.fault(Seam::LeaseWrite);
-            match chaos::fs::write_atomic(&path, json.as_bytes(), fault) {
-                Ok(()) => return Ok(()),
-                Err(e) => last = e.to_string(),
-            }
-        }
-        Err(AccelError::Grid {
-            stage: "manifest".into(),
-            message: format!("manifest write failed every attempt: {last}"),
+        let json = serde_json::to_string_pretty(&manifest)
+            .map_err(|e| fail(format!("serialize: {e:?}")))?;
+        envelope::write(&path, json.as_bytes(), dice, Seam::FinalWrite).map_err(fail)
+    }
+
+    /// The cell's final artifact, when it verifies as the cell's
+    /// complete record (see [`GridSpec::check_artifact`]).
+    fn verified_artifact(&self, cell: &GridCell, dice: &mut ChaosDice) -> Option<CampaignState> {
+        envelope::read(&artifact_path(&self.dir, cell), dice, |bytes| {
+            let state = campaign::parse_state(bytes)?;
+            self.spec.check_artifact(cell, &state)?;
+            Ok(state)
         })
+        .ok()
     }
 
-    /// Whether a cell's final artifact exists, parses, matches the
-    /// cell, and covers every epoch. Reads roll the [`Seam::LeaseRead`]
-    /// seam (the driver's verification-read seam) with retries.
-    fn artifact_complete(&self, cell: &GridCell, dice: &mut ChaosDice) -> bool {
-        let path = self.artifact_path(cell);
-        if !path.exists() {
-            return false;
-        }
-        for _ in 0..=self.options.lease_retries {
-            let fault = dice.fault(Seam::LeaseRead);
-            let Ok(bytes) = chaos::fs::read(&path, fault) else {
-                continue;
-            };
-            let Ok(text) = std::str::from_utf8(&bytes) else {
-                continue;
-            };
-            let Ok(state) = crate::campaign::CampaignState::from_json(text) else {
-                // Parse failures are not transient; a corrupt final
-                // artifact means the cell must re-run.
-                return false;
-            };
-            return state.scheme == cell.scheme
-                && state.seed == cell.seed
-                && state.epochs == self.spec.epochs
-                && state.completed.len() as u64 == self.spec.epochs;
-        }
-        false
-    }
-
-    /// Removes a cell's stale checkpoint slots. Analytic cells cannot
-    /// resume (the estimator cannot be proven shared — see
-    /// [`AccelError::AnalyticResume`]), so each attempt must start
-    /// from a clean slate; analytic epochs are cheap enough that the
-    /// recomputation is the safe trade.
-    fn clear_cell_slots(&self, cell: &GridCell) {
-        let artifact = self.artifact_path(cell);
-        let name = artifact
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        for suffix in ["a", "b"] {
-            let slot = artifact.with_file_name(format!("{name}.{suffix}"));
-            if slot.exists() {
-                // lint: allow(chaos_seam_coverage, idempotent removal of a stale slot; a failed removal only costs the next attempt an AnalyticResume refusal, which retries)
-                let _ = std::fs::remove_file(&slot);
-            }
-        }
-    }
-
-    /// Runs the whole grid: claim, dispatch, retry, degrade, merge.
-    /// Safe to re-run at any time; completed cells are skipped after
-    /// artifact verification.
+    /// Runs the whole grid: dispatch, retry, degrade, merge. Safe to
+    /// re-run at any time; completed cells are skipped after artifact
+    /// verification.
     ///
     /// # Errors
     ///
     /// Returns [`AccelError::Grid`] when a cell exhausts its retries
     /// past the `max_lost_cells` budget, the directory belongs to a
-    /// different spec, or the merge cannot complete.
+    /// different spec, or a manifest, marker or summary write cannot
+    /// complete.
     pub fn run(&mut self) -> Result<GridReport, AccelError> {
         let cells = self.spec.cells();
         self.ensure_dirs()?;
-        let mut dice = ChaosDice::new(self.options.chaos);
+        let mut dice = self.dice.clone();
         self.ensure_manifest(&mut dice)?;
 
-        let analytic = self.spec.error_model == "analytic";
         let n = cells.len();
-        let mut progress = vec![CellProgress::Pending; n];
-        let mut attempts = vec![0u64; n];
-        let mut floors = vec![0u64; n];
-        let mut queue: VecDeque<(usize, u32)> = (0..n).map(|i| (i, 0)).collect();
-        let mut running: Vec<RunningCell> = Vec::new();
-        let mut lost: Vec<String> = Vec::new();
-        let mut skipped = 0usize;
-
-        let outcome = self.drive(
-            &cells,
-            &mut dice,
-            analytic,
-            &mut progress,
-            &mut attempts,
-            &mut floors,
-            &mut queue,
-            &mut running,
-            &mut lost,
-            &mut skipped,
-        );
+        let mut d = Dispatch {
+            states: vec![None; n],
+            attempts: vec![0; n],
+            queue: (0..n).map(|i| (i, 0)).collect(),
+            running: Vec::new(),
+            lost: Vec::new(),
+            skipped: 0,
+        };
+        let outcome = self.drive(&cells, &mut dice, &mut d);
         // Whatever happened, never leak live workers past the driver.
-        for slot in &mut running {
+        for slot in &mut d.running {
             slot.handle.kill();
         }
         outcome?;
 
-        let statuses: Vec<CellStatus> = progress
-            .iter()
-            .map(|p| match p {
-                CellProgress::Done => CellStatus::Done,
-                _ => CellStatus::Lost,
-            })
-            .collect();
         let summary_path = merge::merge(
             &self.dir,
             &self.spec,
             &cells,
-            &statuses,
-            &attempts,
-            &mut dice,
-            self.options.lease_retries,
+            &d.states,
+            &d.attempts,
+            &self.options.owner,
         )?;
         Ok(GridReport {
-            done: progress.iter().filter(|p| **p == CellProgress::Done).count(),
-            lost,
-            skipped,
+            done: d.states.iter().filter(|s| s.is_some()).count(),
+            lost: d.lost,
+            skipped: d.skipped,
             summary_path,
         })
     }
 
     /// Merges without running any cells: every cell must already be
-    /// complete (valid artifact) or recorded lost in its lease.
+    /// complete (a verified artifact) or marked lost.
     ///
     /// # Errors
     ///
     /// Returns [`AccelError::Grid`] (stage `merge`) naming the first
-    /// incomplete cell.
+    /// cell that is neither.
     pub fn merge_only(&mut self) -> Result<GridReport, AccelError> {
         let cells = self.spec.cells();
         self.ensure_dirs()?;
-        let mut dice = ChaosDice::new(self.options.chaos);
+        let mut dice = self.dice.clone();
         self.ensure_manifest(&mut dice)?;
-        let mut statuses = Vec::with_capacity(cells.len());
+        let mut states = Vec::with_capacity(cells.len());
         let mut lost = Vec::new();
         for cell in &cells {
-            if self.artifact_complete(cell, &mut dice) {
-                statuses.push(CellStatus::Done);
+            if let Some(state) = self.verified_artifact(cell, &mut dice) {
+                states.push(Some(state));
                 continue;
             }
-            match lease::read(&self.lease_path(cell), &mut dice, self.options.lease_retries) {
-                LeaseView::Valid(state) if state.status == "lost" => {
-                    lost.push(cell.id.clone());
-                    statuses.push(CellStatus::Lost);
+            let marked = envelope::read(&self.lost_path(cell), &mut dice, |bytes| {
+                let marker: LostMarker = envelope::parse_json(bytes)?;
+                if marker.cell == cell.id {
+                    Ok(())
+                } else {
+                    Err(format!("marker names cell {}", marker.cell))
                 }
-                _ => {
-                    return Err(AccelError::Grid {
-                        stage: "merge".into(),
-                        message: format!(
-                            "cell {} is neither complete nor recorded lost; run the \
-                             grid (not --merge-only) to finish it",
-                            cell.id
-                        ),
-                    });
-                }
+            });
+            if marked.is_err() {
+                return Err(AccelError::Grid {
+                    stage: "merge".into(),
+                    message: format!(
+                        "cell {} is neither complete nor recorded lost; run the \
+                         grid (not --merge-only) to finish it",
+                        cell.id
+                    ),
+                });
             }
+            lost.push(cell.id.clone());
+            states.push(None);
         }
         let attempts = vec![0u64; cells.len()];
         let summary_path = merge::merge(
             &self.dir,
             &self.spec,
             &cells,
-            &statuses,
+            &states,
             &attempts,
-            &mut dice,
-            self.options.lease_retries,
+            &self.options.owner,
         )?;
         Ok(GridReport {
-            done: statuses.iter().filter(|s| **s == CellStatus::Done).count(),
+            done: states.iter().filter(|s| s.is_some()).count(),
             lost,
             skipped: 0,
             summary_path,
@@ -664,104 +639,37 @@ impl Grid {
 
     /// The dispatch loop, extracted so [`Grid::run`] can kill leftover
     /// workers on any error path.
-    #[allow(clippy::too_many_arguments)]
     fn drive(
-        &mut self,
+        &self,
         cells: &[GridCell],
         dice: &mut ChaosDice,
-        analytic: bool,
-        progress: &mut [CellProgress],
-        attempts: &mut [u64],
-        floors: &mut [u64],
-        queue: &mut VecDeque<(usize, u32)>,
-        running: &mut Vec<RunningCell>,
-        lost: &mut Vec<String>,
-        skipped: &mut usize,
+        d: &mut Dispatch,
     ) -> Result<(), AccelError> {
-        let retries = self.options.lease_retries;
-        while !queue.is_empty() || !running.is_empty() {
+        while !d.queue.is_empty() || !d.running.is_empty() {
             // Fill free slots from the queue.
-            while running.len() < self.options.workers.max(1) {
-                let Some((idx, attempt)) = queue.pop_front() else {
+            while d.running.len() < self.options.workers.max(1) {
+                let Some((idx, attempt)) = d.queue.pop_front() else {
                     break;
                 };
                 let cell = &cells[idx];
                 let started_ns = obs::now_ns();
 
-                // Fast path: the artifact is already complete (this
-                // run finished it, or a previous driver died between
-                // the final write and the lease seal).
-                if self.artifact_complete(cell, dice) {
-                    let generation = self.seal_done(cell, floors[idx].max(1), dice);
+                // Fast path: the artifact is already complete (a
+                // previous driver finished the cell, or this run did
+                // before a failed verification requeued it).
+                if let Some(state) = self.verified_artifact(cell, dice) {
                     if attempt == 0 {
-                        *skipped += 1;
+                        d.skipped += 1;
                     }
-                    progress[idx] = CellProgress::Done;
-                    obs::events::emit(
-                        obs::Event::new("grid_cell_done")
-                            .str("cell", &cell.id)
-                            .u64("index", cell.index)
-                            .u64("generation", generation)
-                            .u64("attempts", attempts[idx])
-                            .u64("epochs", self.spec.epochs)
-                            .u64("duration_ns", obs::now_ns().saturating_sub(started_ns)),
-                    );
+                    self.cell_done(cell, idx, state, started_ns, d);
                     continue;
-                }
-
-                // Claim the lease. `force = true` past a `done` lease
-                // whose artifact failed verification above — the lease
-                // lied (or the artifact rotted) and the work must
-                // re-run. Claim failure never blocks the cell: work is
-                // idempotent and artifacts are the truth.
-                let generation = match lease::claim(
-                    &self.lease_path(cell),
-                    &cell.id,
-                    &self.options.owner,
-                    floors[idx],
-                    true,
-                    dice,
-                    retries,
-                ) {
-                    ClaimOutcome::Won {
-                        generation,
-                        takeover_from,
-                    } => {
-                        if let Some(prev) = takeover_from {
-                            obs::events::emit(
-                                obs::Event::new("lease_takeover")
-                                    .str("cell", &cell.id)
-                                    .u64("from_generation", prev.generation)
-                                    .u64("to_generation", generation)
-                                    .str("owner", &self.options.owner),
-                            );
-                        }
-                        floors[idx] = generation;
-                        generation
-                    }
-                    ClaimOutcome::AlreadyDone { generation } => generation,
-                    ClaimOutcome::Lost { observed } => {
-                        // Another live claimant — outside the one-
-                        // driver contract. Back off and retry rather
-                        // than fight.
-                        floors[idx] = floors[idx].max(observed.generation);
-                        queue.push_back((idx, attempt));
-                        continue;
-                    }
-                    ClaimOutcome::Unrecorded { .. } => floors[idx].max(1),
-                };
-
-                if analytic {
-                    self.clear_cell_slots(cell);
                 }
 
                 // Worker spawn, under the ProcessSpawn seam: a fault
                 // here is a failed attempt that never launched.
-                attempts[idx] += 1;
+                d.attempts[idx] += 1;
                 if dice.fault(Seam::ProcessSpawn).is_some() {
-                    self.attempt_failed(
-                        cells, idx, attempt, "spawn", progress, queue, lost, dice,
-                    )?;
+                    self.attempt_failed(cell, idx, attempt, "spawn", d, dice)?;
                     continue;
                 }
                 let chaos_seed = self
@@ -771,45 +679,34 @@ impl Grid {
                 match self.launcher.launch(
                     &self.spec,
                     cell,
-                    &self.artifact_path(cell),
+                    &artifact_path(&self.dir, cell),
                     &self.events_path(cell),
                     chaos_seed,
                 ) {
                     Ok(handle) => {
-                        progress[idx] = CellProgress::Running;
                         let deadline = (self.options.watchdog_ms > 0
                             && matches!(self.launcher, Launcher::Process { .. }))
                         .then(|| {
                             std::time::Instant::now()
                                 + std::time::Duration::from_millis(self.options.watchdog_ms)
                         });
-                        running.push(RunningCell {
+                        d.running.push(RunningCell {
                             idx,
                             attempt,
-                            generation,
                             started_ns,
                             deadline,
                             handle,
                         });
                     }
                     Err(e) => {
-                        self.attempt_failed(
-                            cells,
-                            idx,
-                            attempt,
-                            &format!("spawn: {e}"),
-                            progress,
-                            queue,
-                            lost,
-                            dice,
-                        )?;
+                        self.attempt_failed(cell, idx, attempt, &format!("spawn: {e}"), d, dice)?;
                     }
                 }
             }
 
             // Poll the running slots.
             let mut finished: Vec<usize> = Vec::new();
-            for (slot_i, slot) in running.iter_mut().enumerate() {
+            for (slot_i, slot) in d.running.iter_mut().enumerate() {
                 match slot.handle.poll() {
                     worker::Poll::Running => {
                         if let Some(deadline) = slot.deadline {
@@ -826,28 +723,23 @@ impl Grid {
             // does not shift the rest.
             finished.sort_unstable_by(|a, b| b.cmp(a));
             for slot_i in finished {
-                let mut slot = running.remove(slot_i);
+                let mut slot = d.running.remove(slot_i);
                 let cell = &cells[slot.idx];
                 let timed_out = slot
                     .deadline
-                    .map(|d| std::time::Instant::now() >= d)
+                    .map(|t| std::time::Instant::now() >= t)
                     .unwrap_or(false);
                 let (ok, detail) = match slot.handle.poll() {
                     worker::Poll::Exited { ok, detail } => (ok, detail),
                     worker::Poll::Running => (false, "killed by watchdog".into()),
                 };
-                if ok && self.artifact_complete(cell, dice) {
-                    let generation = self.seal_done(cell, slot.generation, dice);
-                    progress[slot.idx] = CellProgress::Done;
-                    obs::events::emit(
-                        obs::Event::new("grid_cell_done")
-                            .str("cell", &cell.id)
-                            .u64("index", cell.index)
-                            .u64("generation", generation)
-                            .u64("attempts", attempts[slot.idx])
-                            .u64("epochs", self.spec.epochs)
-                            .u64("duration_ns", obs::now_ns().saturating_sub(slot.started_ns)),
-                    );
+                let verified = if ok {
+                    self.verified_artifact(cell, dice)
+                } else {
+                    None
+                };
+                if let Some(state) = verified {
+                    self.cell_done(cell, slot.idx, state, slot.started_ns, d);
                 } else {
                     let reason = if timed_out {
                         "watchdog".to_string()
@@ -856,102 +748,92 @@ impl Grid {
                     } else {
                         format!("exit: {detail}")
                     };
-                    self.attempt_failed(
-                        cells,
-                        slot.idx,
-                        slot.attempt,
-                        &reason,
-                        progress,
-                        queue,
-                        lost,
-                        dice,
-                    )?;
+                    self.attempt_failed(cell, slot.idx, slot.attempt, &reason, d, dice)?;
                 }
             }
-            if !running.is_empty() {
+            if !d.running.is_empty() {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         }
         Ok(())
     }
 
-    /// Seals a cell's lease `done` (best effort) and returns the
-    /// sealed generation.
-    fn seal_done(&self, cell: &GridCell, generation: u64, dice: &mut ChaosDice) -> u64 {
-        let _ = lease::mark(
-            &self.lease_path(cell),
-            &cell.id,
-            &self.options.owner,
-            generation,
-            "done",
-            dice,
-            self.options.lease_retries,
+    /// Records a verified cell and announces it.
+    fn cell_done(
+        &self,
+        cell: &GridCell,
+        idx: usize,
+        state: CampaignState,
+        started_ns: u64,
+        d: &mut Dispatch,
+    ) {
+        obs::events::emit(
+            obs::Event::new("grid_cell_done")
+                .str("cell", &cell.id)
+                .u64("index", cell.index)
+                .u64("attempts", d.attempts[idx])
+                .u64("epochs", state.completed.len() as u64)
+                .u64("duration_ns", obs::now_ns().saturating_sub(started_ns)),
         );
-        generation
+        d.states[idx] = Some(state);
     }
 
     /// Books one failed attempt: requeue while retries remain, then
-    /// spend the `max_lost_cells` budget, then fail the grid.
-    #[allow(clippy::too_many_arguments)]
+    /// spend the `max_lost_cells` budget (writing the cell's lost
+    /// marker), then fail the grid.
     fn attempt_failed(
         &self,
-        cells: &[GridCell],
+        cell: &GridCell,
         idx: usize,
         attempt: u32,
         reason: &str,
-        progress: &mut [CellProgress],
-        queue: &mut VecDeque<(usize, u32)>,
-        lost: &mut Vec<String>,
+        d: &mut Dispatch,
         dice: &mut ChaosDice,
     ) -> Result<(), AccelError> {
-        let cell = &cells[idx];
         if attempt < self.options.cell_retries {
-            progress[idx] = CellProgress::Pending;
-            queue.push_back((idx, attempt + 1));
+            d.queue.push_back((idx, attempt + 1));
             return Ok(());
         }
         let attempts = u64::from(attempt) + 1;
-        if lost.len() < self.options.max_lost_cells {
-            progress[idx] = CellProgress::Lost;
-            lost.push(cell.id.clone());
-            let _ = lease::mark(
-                &self.lease_path(cell),
-                &cell.id,
-                &self.options.owner,
-                attempts,
-                "lost",
-                dice,
-                self.options.lease_retries,
-            );
-            obs::events::emit(
-                obs::Event::new("grid_cell_lost")
-                    .str("cell", &cell.id)
-                    .u64("index", cell.index)
-                    .u64("attempts", attempts)
-                    .str("reason", reason),
-            );
-            return Ok(());
-        }
-        Err(AccelError::Grid {
+        let fail = |message: String| AccelError::Grid {
             stage: "cells".into(),
-            message: format!(
+            message,
+        };
+        if d.lost.len() >= self.options.max_lost_cells {
+            return Err(fail(format!(
                 "cell {} failed after {attempts} attempt(s) ({reason}) and the \
                  --max-lost-cells budget is exhausted",
                 cell.id
-            ),
-        })
+            )));
+        }
+        let marker = LostMarker {
+            cell: cell.id.clone(),
+            attempts,
+            reason: reason.to_string(),
+        };
+        let json = serde_json::to_string_pretty(&marker)
+            .map_err(|e| fail(format!("serialize lost marker: {e:?}")))?;
+        envelope::write(&self.lost_path(cell), json.as_bytes(), dice, Seam::FinalWrite)
+            .map_err(fail)?;
+        d.lost.push(cell.id.clone());
+        obs::events::emit(
+            obs::Event::new("grid_cell_lost")
+                .str("cell", &cell.id)
+                .u64("index", cell.index)
+                .u64("attempts", attempts)
+                .str("reason", reason),
+        );
+        Ok(())
     }
 
-    /// Creates the cells/ and leases/ directories.
+    /// Creates the cells/ directory.
     fn ensure_dirs(&self) -> Result<(), AccelError> {
-        for dir in [self.cells_dir(), self.leases_dir()] {
-            // lint: allow(chaos_seam_coverage, idempotent mkdir -p of the grid layout; it leaves no partial artifact to tear and its failures surface as typed Grid errors)
-            std::fs::create_dir_all(&dir).map_err(|e| AccelError::Grid {
-                stage: "layout".into(),
-                message: format!("create {}: {e}", dir.display()),
-            })?;
-        }
-        Ok(())
+        let dir = self.cells_dir();
+        // lint: allow(chaos_seam_coverage, idempotent mkdir -p of the grid layout; it leaves no partial artifact to tear and its failures surface as typed Grid errors)
+        std::fs::create_dir_all(&dir).map_err(|e| AccelError::Grid {
+            stage: "layout".into(),
+            message: format!("create {}: {e}", dir.display()),
+        })
     }
 }
 
@@ -977,8 +859,8 @@ mod tests {
             threads: 2,
             checkpoint_every: 0,
             initial_writes: 0.0,
-            // Analytic: fast enough for unit tests, and exercises the
-            // clear-stale-slots path (analytic cells cannot resume).
+            // Analytic: fast enough for unit tests, and resumable like
+            // any other campaign (the checkpoint records the estimator).
             error_model: "analytic".into(),
         }
     }
@@ -1003,6 +885,54 @@ mod tests {
 
     fn temp_grid_dir(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("grid-{}-{name}", std::process::id()))
+    }
+
+    fn in_process(
+        spec: &GridSpec,
+        dir: &Path,
+        problems: &HashMap<String, Arc<worker::Problem>>,
+        options: GridOptions,
+    ) -> Grid {
+        let launcher = Launcher::InProcess {
+            problems: problems.clone(),
+        };
+        Grid::new(spec.clone(), dir.to_path_buf(), launcher, options).expect("grid")
+    }
+
+    /// Runs `spec` fault-free into a fresh directory; returns the
+    /// directory and its summary bytes.
+    fn clean_run(
+        spec: &GridSpec,
+        problems: &HashMap<String, Arc<worker::Problem>>,
+        name: &str,
+    ) -> (PathBuf, Vec<u8>) {
+        let dir = temp_grid_dir(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        let report = in_process(spec, &dir, problems, GridOptions::default())
+            .run()
+            .expect("clean run");
+        let summary = std::fs::read(&report.summary_path).expect("summary");
+        (dir, summary)
+    }
+
+    /// Dice that flip bit `roll` of the first of every three reads.
+    /// Wherever a verified read starts in that cycle, two consecutive
+    /// clean reads follow within four, so every read still converges;
+    /// most see the flipped bytes first.
+    fn every_third_read_flipped(roll: u64) -> ChaosDice {
+        let flip = chaos::IoFault::BitFlip { roll };
+        ChaosDice::scripted(
+            (0..600)
+                .step_by(3)
+                .map(|index| (Seam::CheckpointRead, index, flip))
+                .collect(),
+        )
+    }
+
+    fn attempts_in_telemetry(dir: &Path) -> Vec<u64> {
+        let text = std::fs::read_to_string(dir.join("grid_telemetry.json")).expect("telemetry");
+        let telemetry: merge::GridTelemetry = serde_json::from_str(&text).expect("parse");
+        telemetry.cells.iter().map(|c| c.attempts).collect()
     }
 
     #[test]
@@ -1120,7 +1050,7 @@ mod tests {
             other => panic!("expected manifest refusal, got {other:?}"),
         }
 
-        // The same grid under seeded chaos injection — lease faults,
+        // The same grid under seeded chaos injection — read faults,
         // spawn faults, worker-side write faults, retries — must land
         // byte-identical results.
         let dir_b = temp_grid_dir("chaos");
@@ -1200,6 +1130,13 @@ mod tests {
         assert_eq!(parsed.lost_cells.len(), 2);
         assert!(parsed.rows.cell_index.is_empty());
         assert_eq!(parsed.cells.status, vec!["lost", "lost"]);
+        // The lost markers let a merge-only pass accept the gaps.
+        let merged = grid.merge_only().expect("merge only over lost cells");
+        assert_eq!(merged.lost.len(), 2);
+        assert_eq!(
+            std::fs::read_to_string(&merged.summary_path).expect("summary"),
+            summary
+        );
         let _ = std::fs::remove_dir_all(&dir);
 
         let dir2 = temp_grid_dir("lost-over");
@@ -1225,6 +1162,143 @@ mod tests {
             other => panic!("expected budget exhaustion, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir2);
+    }
+
+    /// The byte-identity contract under the standard fault mix, over
+    /// 32 chaos seeds: a run, a rerun of the finished directory, and a
+    /// merge-only pass must each land the fault-free summary. The I/O
+    /// paths do not depend on the scheme, so one scheme over two seeds
+    /// keeps the sweep cheap.
+    #[test]
+    fn chaos_seeds_keep_run_rerun_and_merge_only_byte_identical() {
+        let problems = tiny_problems();
+        let mut spec = spec_2x1();
+        spec.schemes = vec!["NoECC".into()];
+        spec.seeds = vec![41, 42];
+        let (clean_dir, reference) = clean_run(&spec, &problems, "prop-clean");
+        let _ = std::fs::remove_dir_all(&clean_dir);
+
+        type Step = fn(&mut Grid) -> Result<GridReport, AccelError>;
+        let steps: [(&str, Step); 3] = [
+            ("run", Grid::run),
+            ("rerun", Grid::run),
+            ("merge_only", Grid::merge_only),
+        ];
+        let mut failures = Vec::new();
+        for seed in 0..32u64 {
+            let dir = temp_grid_dir(&format!("prop-{seed}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let options = GridOptions {
+                chaos: Some(ChaosSchedule::standard(seed)),
+                cell_retries: 6,
+                ..GridOptions::default()
+            };
+            let mut grid = in_process(&spec, &dir, &problems, options);
+            for (step, apply) in steps {
+                match apply(&mut grid) {
+                    Ok(report) => {
+                        if std::fs::read(&report.summary_path).ok().as_ref() != Some(&reference) {
+                            failures.push(format!("seed {seed}: {step} summary diverged"));
+                        }
+                    }
+                    Err(e) => failures.push(format!("seed {seed}: {step}: {e}")),
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        assert!(failures.is_empty(), "{failures:#?}");
+    }
+
+    /// A read bit flip that still parses — a digit of a count turned
+    /// into another digit — must never reach the summary: only bytes
+    /// two consecutive reads agree on are trusted.
+    #[test]
+    fn read_flip_that_still_parses_never_reaches_the_summary() {
+        let problems = tiny_problems();
+        let spec = spec_2x1();
+        let (dir, reference) = clean_run(&spec, &problems, "flip-parses");
+        let cells = spec.cells();
+        let artifact = std::fs::read(artifact_path(&dir, &cells[0])).expect("artifact");
+        let key = b"\"clean\": ";
+        let digit = artifact
+            .windows(key.len())
+            .position(|w| w == key)
+            .expect("clean count")
+            + key.len();
+        let roll = digit as u64 * 8;
+        // The hazard is real: flipping that bit still parses, and
+        // changes a count.
+        let mut flipped = artifact.clone();
+        flipped[digit] ^= 1;
+        let parsed = campaign::parse_state(&flipped).expect("flipped artifact still parses");
+        assert!(spec.check_artifact(&cells[0], &parsed).is_ok());
+        assert_ne!(flipped, artifact);
+
+        for step in ["merge_only", "rerun"] {
+            let mut grid = in_process(&spec, &dir, &problems, GridOptions::default());
+            grid.dice = every_third_read_flipped(roll);
+            let report = match step {
+                "merge_only" => grid.merge_only(),
+                _ => grid.run(),
+            }
+            .expect(step);
+            assert_eq!(report.done, 2, "{step}");
+            assert_eq!(
+                std::fs::read(&report.summary_path).expect("summary"),
+                reference,
+                "{step} let a flipped read into the summary"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A read flip that breaks parsing on a done cell (`{` becomes
+    /// `z`) is a transient fault, not a verdict: the cell must not
+    /// re-run, and a merge-only pass must not refuse it.
+    #[test]
+    fn read_flip_that_breaks_parsing_neither_reruns_nor_refuses_a_done_cell() {
+        let problems = tiny_problems();
+        let spec = spec_2x1();
+        let (dir, reference) = clean_run(&spec, &problems, "flip-breaks");
+
+        let mut grid = in_process(&spec, &dir, &problems, GridOptions::default());
+        grid.dice = every_third_read_flipped(0);
+        let rerun = grid.run().expect("rerun");
+        assert_eq!(rerun.skipped, 2, "a done cell was re-run");
+        assert_eq!(attempts_in_telemetry(&dir), [0, 0]);
+        assert_eq!(std::fs::read(&rerun.summary_path).expect("summary"), reference);
+        let merged = grid.merge_only().expect("merge only");
+        assert_eq!(merged.done, 2);
+        assert_eq!(std::fs::read(&merged.summary_path).expect("summary"), reference);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A torn final write leaves a strict prefix at the artifact path
+    /// of an analytic cell. The cell is not done, and its retry resumes
+    /// from the checkpoint slot to the same bytes.
+    #[test]
+    fn torn_final_write_on_an_analytic_cell_is_retried_to_success() {
+        let problems = tiny_problems();
+        let spec = spec_2x1();
+        let (dir, reference) = clean_run(&spec, &problems, "torn-final");
+        let cells = spec.cells();
+        let path = artifact_path(&dir, &cells[0]);
+        let bytes = std::fs::read(&path).expect("artifact");
+        chaos::fs::write_atomic(&path, &bytes, Some(chaos::IoFault::Torn { roll: 977 }))
+            .expect_err("a torn write reports failure");
+        assert!(std::fs::read(&path).expect("torn").len() < bytes.len());
+
+        let mut grid = in_process(&spec, &dir, &problems, GridOptions::default());
+        match grid.merge_only() {
+            Err(AccelError::Grid { stage, .. }) => assert_eq!(stage, "merge"),
+            other => panic!("a torn artifact counted as done: {other:?}"),
+        }
+        let report = grid.run().expect("retry");
+        assert_eq!((report.done, report.skipped), (2, 1));
+        assert_eq!(attempts_in_telemetry(&dir), [1, 0]);
+        assert_eq!(std::fs::read(&path).expect("artifact"), bytes);
+        assert_eq!(std::fs::read(&report.summary_path).expect("summary"), reference);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::AccelError;
 /// network, test images, test labels.
 pub type Problem = (QuantizedNetwork, Tensor, Vec<usize>);
 
-/// How the driver turns a claimed cell into running work.
+/// How the driver turns a queued cell into running work.
 pub enum Launcher {
     /// Spawn `<program> campaign …` per attempt (the production mode;
     /// killable, crash-isolated).

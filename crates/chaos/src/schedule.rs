@@ -43,14 +43,8 @@ pub enum Seam {
     /// JSONL event-log line writes in the obs sink.
     EventWrite,
     /// Spawning a grid worker process (a fault here models fork/exec
-    /// failure: the attempt is charged, the cell stays claimable).
+    /// failure: the attempt is charged and the cell retried).
     ProcessSpawn,
-    /// Writing a grid cell lease file (the atomically-claimed
-    /// coordination record of `accel::grid`).
-    LeaseWrite,
-    /// Reading a grid cell lease file back (claim verification and
-    /// stale-lease inspection).
-    LeaseRead,
 }
 
 impl Seam {
@@ -62,17 +56,15 @@ impl Seam {
             Seam::FinalWrite => "final_write",
             Seam::EventWrite => "event_write",
             Seam::ProcessSpawn => "process_spawn",
-            Seam::LeaseWrite => "lease_write",
-            Seam::LeaseRead => "lease_read",
         }
     }
 
     // Seam ids feed the per-seam roll keys, so they are append-only
-    // and never reused or renumbered: adding ids 9–11 (grid) could not
-    // perturb the fault sequence any existing seed produces at earlier
-    // seams, and retiring ids 5–8 (a removed socket service) left the
-    // gap rather than shift the grid seams and every fault script
-    // keyed on them.
+    // and never reused or renumbered: adding id 9 (grid spawns) could
+    // not perturb the fault sequence any existing seed produces at
+    // earlier seams. Retired ids stay reserved rather than shift a
+    // surviving seam and every fault script keyed on it: 5–8 (a
+    // removed socket service) and 10–11 (removed grid lease files).
     fn id(self) -> u64 {
         match self {
             Seam::CheckpointWrite => 1,
@@ -80,8 +72,6 @@ impl Seam {
             Seam::FinalWrite => 3,
             Seam::EventWrite => 4,
             Seam::ProcessSpawn => 9,
-            Seam::LeaseWrite => 10,
-            Seam::LeaseRead => 11,
         }
     }
 }
@@ -231,15 +221,17 @@ impl ShardChaos {
 /// nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ChaosConfig {
-    /// Checkpoint/final write fails outright (`EIO`/`ENOSPC`).
+    /// Checkpoint/final write (and the grid's manifest and lost-cell
+    /// marker writes) fails outright (`EIO`/`ENOSPC`).
     pub write_error_permille: u32,
     /// Checkpoint/final write is torn (prefix lands, caller errors).
     pub write_torn_permille: u32,
     /// Checkpoint/final write silently flips one bit.
     pub write_bitflip_permille: u32,
-    /// Checkpoint read fails outright.
+    /// Checkpoint or grid-artifact read fails outright.
     pub read_error_permille: u32,
-    /// Checkpoint read returns silently corrupted bytes.
+    /// Checkpoint or grid-artifact read returns silently corrupted
+    /// bytes.
     pub read_bitflip_permille: u32,
     /// Event-log line write fails outright.
     pub event_error_permille: u32,
@@ -254,17 +246,6 @@ pub struct ChaosConfig {
     /// Spawning a grid worker process fails outright (the attempt is
     /// charged against the cell's retry budget).
     pub spawn_error_permille: u32,
-    /// Grid lease write fails outright (`EIO`/`ENOSPC`).
-    pub lease_write_error_permille: u32,
-    /// Grid lease write is torn (prefix lands at the final path; the
-    /// CRC envelope must catch it on read-back).
-    pub lease_write_torn_permille: u32,
-    /// Grid lease write silently flips one bit (CRC-visible only).
-    pub lease_write_bitflip_permille: u32,
-    /// Grid lease read fails outright.
-    pub lease_read_error_permille: u32,
-    /// Grid lease read returns silently corrupted bytes.
-    pub lease_read_bitflip_permille: u32,
 }
 
 impl ChaosConfig {
@@ -284,11 +265,6 @@ impl ChaosConfig {
             shard_stall_permille: 0,
             stall_ms: 0,
             spawn_error_permille: 80,
-            lease_write_error_permille: 100,
-            lease_write_torn_permille: 80,
-            lease_write_bitflip_permille: 60,
-            lease_read_error_permille: 60,
-            lease_read_bitflip_permille: 60,
         }
     }
 }
@@ -343,12 +319,6 @@ impl ChaosSchedule {
             Seam::CheckpointRead => (c.read_error_permille, 0, c.read_bitflip_permille),
             Seam::EventWrite => (c.event_error_permille, c.event_torn_permille, 0),
             Seam::ProcessSpawn => (c.spawn_error_permille, 0, 0),
-            Seam::LeaseWrite => (
-                c.lease_write_error_permille,
-                c.lease_write_torn_permille,
-                c.lease_write_bitflip_permille,
-            ),
-            Seam::LeaseRead => (c.lease_read_error_permille, 0, c.lease_read_bitflip_permille),
         };
         let r = (roll(&[self.seed, seam.id(), index, 0]) % 1000) as u32;
         if r < error_p {
@@ -489,19 +459,14 @@ mod tests {
 
     #[test]
     fn grid_seams_fault_at_standard_rates_without_disturbing_old_seams() {
-        // The grid seams (ids 9–11) key their rolls on their own seam
-        // id, so introducing them must not change what any existing
-        // seed injects at the campaign seams — the chaos_soak golden
-        // (seed 7) depends on this.
+        // The grid's spawn seam (id 9) keys its rolls on its own seam
+        // id, so its rate must not change what any seed injects at the
+        // campaign seams — the chaos_soak golden (seed 7) depends on
+        // this.
         let before = ChaosSchedule::new(
             7,
             ChaosConfig {
                 spawn_error_permille: 0,
-                lease_write_error_permille: 0,
-                lease_write_torn_permille: 0,
-                lease_write_bitflip_permille: 0,
-                lease_read_error_permille: 0,
-                lease_read_bitflip_permille: 0,
                 ..ChaosConfig::standard()
             },
         );
@@ -516,16 +481,14 @@ mod tests {
                 assert_eq!(before.io_fault(seam, index), after.io_fault(seam, index));
             }
         }
-        // And the grid seams fire at their standard rates: often enough
-        // to exercise every recovery path, rarely enough that bounded
-        // retries converge.
-        for seam in [Seam::ProcessSpawn, Seam::LeaseWrite, Seam::LeaseRead] {
-            let faults = (0..1000).filter(|&i| after.io_fault(seam, i).is_some()).count();
-            assert!(faults > 0, "{} never faulted in 1000 rolls", seam.label());
-            assert!(faults < 700, "{} faulted {faults}/1000 rolls", seam.label());
-        }
-        // Spawn failures are hard errors only: there is no meaningful
-        // torn or silently-corrupt fork/exec.
+        // And spawns fail at their standard rate: often enough to
+        // exercise cell retries, rarely enough that bounded retries
+        // converge. Spawn failures are hard errors only: there is no
+        // meaningful torn or silently-corrupt fork/exec.
+        let faults = (0..1000)
+            .filter(|&i| after.io_fault(Seam::ProcessSpawn, i).is_some())
+            .count();
+        assert!((1..700).contains(&faults), "spawn faulted {faults}/1000 rolls");
         for index in 0..1000 {
             assert!(matches!(
                 after.io_fault(Seam::ProcessSpawn, index),
@@ -538,18 +501,16 @@ mod tests {
     fn seam_ids_are_pinned() {
         // Every roll key hashes the seam id, so an id change would
         // re-script every chaos run and break the chaos_soak and
-        // grid_soak goldens. Ids 5–8 stay retired.
+        // grid_soak goldens. Ids 5–8 and 10–11 stay retired.
         let seams = [
             Seam::CheckpointWrite,
             Seam::CheckpointRead,
             Seam::FinalWrite,
             Seam::EventWrite,
             Seam::ProcessSpawn,
-            Seam::LeaseWrite,
-            Seam::LeaseRead,
         ];
         let ids: Vec<u64> = seams.iter().map(|s| s.id()).collect();
-        assert_eq!(ids, [1, 2, 3, 4, 9, 10, 11]);
+        assert_eq!(ids, [1, 2, 3, 4, 9]);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   accumulate, with JSON checkpoints and `--resume`.
 //! - `campaign-grid <spec.json> [flags]` — expand a JSON grid spec into
 //!   cells (models × schemes × cell-bits × fault-rates × seeds), fan
-//!   them across worker processes through the crash-safe lease/
-//!   checkpoint substrate, and merge a columnar `grid_summary.json`.
+//!   them across worker processes through the crash-safe checkpoint
+//!   substrate, and merge a columnar `grid_summary.json`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -82,31 +82,32 @@ usage:
              [--shard-retries N] [--retry-backoff-ms MS]
   reram-ecc campaign-grid <spec.json> [--dir D] [--workers N]
              [--in-process] [--merge-only] [--chaos-seed S]
-             [--max-lost-cells N] [--cell-retries N] [--lease-retries N]
+             [--max-lost-cells N] [--cell-retries N]
              [--watchdog-ms MS] [--events PATH]
 
-grid campaigns (see DESIGN.md, grid lease protocol; README, Grid
+grid campaigns (see DESIGN.md, grid campaigns; README, Grid
 campaigns):
   The spec JSON lists every axis explicitly: models, schemes,
   cell_bits, writes_per_epoch, seeds, plus scalar epochs/samples/
   train/threads/checkpoint_every/initial_writes/error_model. Each
   cell is one `campaign` run; the driver spawns `reram-ecc campaign …
-  --resume-or-new` workers (or threads with --in-process), coordinates
-  through CRC'd lease files + checkpoint slots, and merges
+  --resume-or-new` workers (or threads with --in-process); a cell is
+  done when its final artifact verifies, and the driver merges
   `<dir>/grid_summary.json`. SIGKILL workers or the driver at will:
   re-running the same command resumes and the merged summary is
-  byte-identical to an uninterrupted run. --max-lost-cells N drops at
-  most N unrecoverable cells (recorded in lost_cells); --merge-only
+  byte-identical to an uninterrupted run. Run one driver per
+  directory. --max-lost-cells N drops at most N unrecoverable cells
+  (marked cells/<id>.lost, recorded in lost_cells); --merge-only
   aggregates an already-finished directory without running anything
 
 campaign error model (see DESIGN.md, analytic error model):
   --error-model M  mc (default): Monte-Carlo sampling, the ground
                    truth for final numbers. analytic: closed-form
                    moment propagation — milliseconds per epoch, valid
-                   only without retries/remap/chaos, and incompatible
-                   with --resume (a checkpoint series must stay
-                   single-estimator). auto: resolves to mc inside
-                   campaigns so recorded series stay byte-identical
+                   only without retries/remap/chaos. auto: resolves to
+                   mc inside campaigns so recorded series stay
+                   byte-identical. The checkpoint records the resolved
+                   estimator, and --resume under another is refused
 
 campaign throughput:
   --batch N       input vectors per MVM pass (default 1). Batching
@@ -540,8 +541,8 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
 }
 
 /// Runs (or merges) a sharded campaign grid: expand the spec, fan the
-/// cells across workers through the crash-safe lease + checkpoint
-/// substrate, and merge the columnar summary. Killing this driver —
+/// cells across workers through the crash-safe checkpoint substrate,
+/// and merge the columnar summary. Killing this driver —
 /// or any of its workers — at any point is recoverable by re-running
 /// the same command.
 fn cmd_campaign_grid(args: &[String]) -> Result<(), String> {
@@ -555,7 +556,6 @@ fn cmd_campaign_grid(args: &[String]) -> Result<(), String> {
     let mut chaos_seed: Option<u64> = None;
     let mut max_lost_cells = 0usize;
     let mut cell_retries = 2u32;
-    let mut lease_retries = 3u32;
     let mut watchdog_ms = 0u64;
     let mut events: Option<String> = None;
 
@@ -574,9 +574,6 @@ fn cmd_campaign_grid(args: &[String]) -> Result<(), String> {
                 max_lost_cells = parsed(value("--max-lost-cells")?, "max-lost-cells")?;
             }
             "--cell-retries" => cell_retries = parsed(value("--cell-retries")?, "cell-retries")?,
-            "--lease-retries" => {
-                lease_retries = parsed(value("--lease-retries")?, "lease-retries")?;
-            }
             "--watchdog-ms" => watchdog_ms = parsed(value("--watchdog-ms")?, "watchdog-ms")?,
             "--events" => events = Some(value("--events")?.clone()),
             "--in-process" => {
@@ -616,7 +613,7 @@ fn cmd_campaign_grid(args: &[String]) -> Result<(), String> {
 
     if let Some(path) = &events {
         // The driver's own event log (grid_cell_done / grid_cell_lost /
-        // lease_takeover / chaos_fault). Always resume-opened: a
+        // chaos_fault). Always resume-opened: a
         // restarted driver appends to the history it is recovering.
         obs::events::log_to_file_resume(std::path::Path::new(path))
             .map_err(|e| format!("cannot open event log {path}: {e}"))?;
@@ -642,7 +639,6 @@ fn cmd_campaign_grid(args: &[String]) -> Result<(), String> {
         cell_retries,
         max_lost_cells,
         watchdog_ms,
-        lease_retries,
         chaos: chaos_seed.map(chaos::ChaosSchedule::standard),
         owner: format!("driver-{}", std::process::id()),
     };

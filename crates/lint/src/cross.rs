@@ -108,12 +108,13 @@ fn panic_reachability(
 }
 
 /// Files guarded by `chaos_seam_coverage`: everywhere the chaos soaks
-/// inject I/O faults — the campaign's checkpoint/final-write paths,
-/// the grid driver's lease/manifest/merge I/O, and
-/// the obs event log (whose torn-write seam the durability tests
-/// drive).
+/// inject I/O faults — the verified durable I/O both campaigns and
+/// the grid route through, the campaign's checkpoint/final-write
+/// paths, the grid driver's manifest/marker/merge I/O, and the obs
+/// event log (whose torn-write seam the durability tests drive).
 fn in_seam_scope(path: &str) -> bool {
-    path == "crates/accel/src/campaign.rs"
+    path == "crates/accel/src/envelope.rs"
+        || path == "crates/accel/src/campaign.rs"
         || path.starts_with("crates/accel/src/grid/")
         || path == "crates/obs/src/events.rs"
 }
@@ -569,7 +570,7 @@ mod tests {
             &[(
                 "crates/accel/src/grid/mod.rs",
                 "fn aware(&self) {\n\
-                   let f = dice.fault(Seam::LeaseWrite);\n\
+                   let f = dice.fault(Seam::FinalWrite);\n\
                    std::fs::write(p, b);\n\
                  }",
             )],

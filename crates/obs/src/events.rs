@@ -12,7 +12,7 @@
 //! Each line is a flat JSON object:
 //!
 //! ```json
-//! {"v":4,"ts_ns":123456,"type":"shard_retry","shard":2,"seed":"13","attempt":1,"reason":"panic"}
+//! {"v":5,"ts_ns":123456,"type":"shard_retry","shard":2,"seed":"13","attempt":1,"reason":"panic"}
 //! ```
 //!
 //! - `v` — schema version, [`crate::schema::VERSION`];

@@ -44,12 +44,17 @@
 /// the version stays, since no surviving event changed shape.
 ///
 /// v4: the grid coordination lifecycle joins the schema
-/// (`grid_cell_done`, `grid_cell_lost`, `lease_takeover`). Bumped for
-/// the same reason as v3: grid driver logs are a new consumer surface
-/// — a v4 reader knows lost cells and lease takeovers are *logged*,
-/// so their absence in a driver log proves a clean run, which a v3
-/// reader could not conclude.
-pub const VERSION: u64 = 4;
+/// (`grid_cell_done`, `grid_cell_lost`, and a lease-takeover event).
+/// Bumped for the same reason as v3: grid driver logs are a new
+/// consumer surface — a v4 reader knows lost cells and takeovers are
+/// *logged*, so their absence in a driver log proves a clean run,
+/// which a v3 reader could not conclude.
+///
+/// v5: the grid dropped its lease files, and with them
+/// `lease_takeover` and the `generation` field of `grid_cell_done`.
+/// Bumped because a field was removed: a v4 reader would expect
+/// `generation` on every done cell.
+pub const VERSION: u64 = 5;
 
 /// JSON type of one event field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,19 +140,15 @@ const fn field(name: &'static str, kind: FieldKind) -> FieldSpec {
 ///   per process; the `obs_dropped_registrations` counter carries the
 ///   running total.
 /// - `grid_cell_done` — one line per grid cell the driver verified
-///   complete: the cell id and its index in spec-expansion order, the
-///   lease generation that sealed it, how many worker attempts it
-///   took (1 = first try), the epochs in the cell's final artifact,
-///   and the cell's wall time from first claim to verification.
+///   complete: the cell id and its index in spec-expansion order, how
+///   many worker attempts this run spent on it (0 = already complete,
+///   1 = first try), the epochs in the cell's final artifact, and the
+///   cell's wall time from dispatch to verification.
 /// - `grid_cell_lost` — one line per cell dropped under
 ///   `--max-lost-cells` graceful degradation: the cell, how many
 ///   attempts were burned, and the final failure reason
 ///   (`spawn`/`exit`/`watchdog`/`verify`). The merged summary records
-///   the same cell as an explicit gap.
-/// - `lease_takeover` — the driver claimed a cell whose lease named a
-///   different live-looking owner (a stale lease from a killed driver
-///   or worker): the generations crossed and the new owner token.
-///   Absence of these lines in a v4 log proves no takeover happened.
+///   the same cell as an explicit gap, and `cells/<id>.lost` marks it.
 pub const EVENTS: &[EventSpec] = &[
     EventSpec {
         event_type: "campaign_epoch",
@@ -238,7 +239,6 @@ pub const EVENTS: &[EventSpec] = &[
         fields: &[
             field("cell", STR),
             field("index", U64),
-            field("generation", U64),
             field("attempts", U64),
             field("epochs", U64),
             field("duration_ns", U64),
@@ -251,15 +251,6 @@ pub const EVENTS: &[EventSpec] = &[
             field("index", U64),
             field("attempts", U64),
             field("reason", STR),
-        ],
-    },
-    EventSpec {
-        event_type: "lease_takeover",
-        fields: &[
-            field("cell", STR),
-            field("from_generation", U64),
-            field("to_generation", U64),
-            field("owner", STR),
         ],
     },
 ];

@@ -179,7 +179,7 @@ mod enabled {
         let lines = obs::events::take_memory();
         obs::events::stop_logging();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"v\":4,\"ts_ns\":"));
+        assert!(lines[0].starts_with("{\"v\":5,\"ts_ns\":"));
         assert!(lines[0].ends_with(
             "\"type\":\"shard_retry\",\"shard\":2,\"seed\":\"13\",\"attempt\":1}"
         ));
@@ -214,7 +214,7 @@ mod enabled {
 
 #[test]
 fn schema_spec_lookup() {
-    assert_eq!(obs::schema::VERSION, 4);
+    assert_eq!(obs::schema::VERSION, 5);
     let spec = obs::schema::spec_for("campaign_epoch").expect("campaign_epoch in schema");
     assert!(spec.fields.iter().any(|f| f.name == "flip_rate"));
     assert!(spec

@@ -66,6 +66,19 @@ done
 [ "$stale" -eq 0 ] || exit 1
 echo "doc identifiers all resolve"
 
+echo "=== stale doc flags (README flag tables must match the CLI) ==="
+# Every backticked `--flag` in a README.md table row must still be a
+# "--flag" literal the CLI parses, so a removed option cannot linger in
+# the docs.
+for flag in $(grep -E '^\|' README.md | grep -oE '`--[a-z0-9-]+' | tr -d '`' | sort -u); do
+  if ! grep -qF -- "\"$flag\"" crates/cli/src/main.rs; then
+    echo "FAIL: README table documents $flag, which crates/cli/src/main.rs does not parse" >&2
+    stale=1
+  fi
+done
+[ "$stale" -eq 0 ] || exit 1
+echo "doc flags all resolve"
+
 echo "=== batch equivalence smoke (batch-of-1 delegation, batch-of-8 vs sequential) ==="
 # The batched-kernel contract of DESIGN.md §2: batch-of-1 delegates to
 # the scalar kernel bit-for-bit, and with noise off a batch of N equals
@@ -186,7 +199,7 @@ EOF
   --workers 2 > /dev/null 2>&1
 # Interrupted run: SIGKILL the first worker that appears (a worker's
 # argv carries `--out <dir>/cells/...`; the driver's does not), then
-# SIGKILL the driver while its leases are still claimed.
+# SIGKILL the driver while cells are still in flight.
 "$grid_bin" campaign-grid "$grid_dir/spec.json" --dir "$grid_dir/chaos" \
   --workers 2 --chaos-seed 7 --cell-retries 6 --max-lost-cells 0 \
   > /dev/null 2>&1 &
@@ -209,8 +222,8 @@ kill -9 "$worker_pid" 2> /dev/null || true
 sleep 0.2
 kill -9 "$grid_pid" 2> /dev/null || true
 wait "$grid_pid" 2> /dev/null || true
-# Resume with the same command line: stale leases from the dead driver
-# are taken over, the killed cell resumes from its checkpoint slots.
+# Resume with the same command line: cells whose final artifact
+# verifies are skipped, the killed cell resumes from its checkpoint slots.
 "$grid_bin" campaign-grid "$grid_dir/spec.json" --dir "$grid_dir/chaos" \
   --workers 2 --chaos-seed 7 --cell-retries 6 --max-lost-cells 0 \
   > /dev/null 2>&1
