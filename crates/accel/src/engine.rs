@@ -907,9 +907,9 @@ mod tests {
 
         let pinned: [(u32, u64, u64, u64); 3] = [
             // (max_retries, retries, uncorrectable, miscorrected)
-            (0, 0, 0, 11),
-            (1, 13, 0, 11),
-            (2, 19, 0, 9),
+            (0, 0, 0, 13),
+            (1, 13, 0, 13),
+            (2, 30, 0, 8),
         ];
         let mut prev_retries = 0u64;
         for (budget, want_retries, want_uncorrectable, want_miscorrected) in pinned {
@@ -925,15 +925,19 @@ mod tests {
         }
     }
 
-    /// Golden outputs captured from the original per-call-allocating
-    /// kernel under realistic noise, before the scratch-buffer refactor.
+    /// Full-noise golden outputs of the scalar kernel, pinned: two
+    /// consecutive calls per scheme on one engine.
     ///
-    /// These pin the engine bit-for-bit: the exact RNG draw order (RTN
-    /// snapshot per stack, then one Gaussian per row per nonzero input
-    /// bit, then retry re-reads) and the ascending-column `f64`
-    /// conductance summation. Any hot-path change that perturbs either
-    /// — reordering reads, skipping a noise draw, resuming sums in a
-    /// different order — shifts these values and fails here.
+    /// These pin the engine bit-for-bit: the exact RNG draw order (per
+    /// stack a bit-sliced RTN snapshot, then per nonzero input bit the
+    /// rows in ascending order, each taking a Gaussian only when its
+    /// `±Z_MAX` bracket straddles a code boundary, then retry re-reads)
+    /// and the ascending-column `f64` conductance summation. Any
+    /// hot-path change that perturbs either — reordering reads, taking
+    /// or skipping a different set of draws, resuming sums in a
+    /// different order — shifts these values and fails here. (The name
+    /// dates from the scratch-buffer refactor, which these values
+    /// pinned until the draw-on-demand kernel re-pinned them.)
     #[test]
     fn golden_outputs_unchanged_by_scratch_refactor() {
         let m = quantized(12, 128, 42);
@@ -942,40 +946,40 @@ mod tests {
             (
                 ProtectionScheme::data_aware(9),
                 [
-                    127397597052, 140241618919, 150974916455, 145492177304, 133099277965,
-                    126332541367, 134383126773, 150414158966, 147950505676, 140002851557,
-                    128593188469, 127480541949,
+                    127397603279, 140241619458, 150974912812, 145492125453, 133099251744,
+                    126332549767, 134383179095, 150715964861, 147950485816, 140002857951,
+                    128593169529, 127480533081,
                 ],
                 [
-                    127397601545, 140241636558, 150974888091, 145492128764, 133099254922,
-                    126332573932, 134383126681, 150916898434, 147950460950, 140002864238,
-                    128593188258, 127480527989,
+                    127397610780, 140241588655, 150974913748, 145492158079, 133099263318,
+                    126332578635, 134383169178, 150829869865, 147950506388, 140002874146,
+                    128593212724, 127480507359,
                 ],
             ),
             (
                 ProtectionScheme::Static16,
                 [
-                    127404771727, 140241605476, 150961553906, 145492156284, 133098954247,
-                    126307776518, 134367588908, 149486490128, 148026913398, 140002572170,
-                    128565811183, 127480509554,
+                    127389275343, 140241129490, 151462260712, 145492156284, 132124499495,
+                    126230658418, 134374784184, 149486857778, 147945627630, 140002869386,
+                    128642250145, 127480509554,
                 ],
                 [
-                    127404712207, 140241620348, 150974768008, 145505606713, 133099249191,
-                    126155465074, 134365731807, 149486630176, 147898453846, 140004833930,
-                    128627255809, 127480538226,
+                    127398199407, 140241618556, 150965237014, 145491687772, 133099249191,
+                    126381568781, 134379946284, 149486537370, 147939835302, 140002869642,
+                    128594930925, 127484303346,
                 ],
             ),
             (
                 ProtectionScheme::None,
                 [
-                    127435332491, 140251212166, 150975424201, 145492500511, 133109080359,
-                    126338021914, 134380924592, 149478094112, 147943280384, 140200175530,
-                    128609911615, 127480575090,
+                    127341113111, 140241652038, 150975411176, 145493550784, 133097118719,
+                    126363227694, 134386429868, 149493947168, 147810732668, 139981619592,
+                    128585334591, 127514521938,
                 ],
                 [
-                    127403988755, 140242231108, 150974458836, 145505153088, 132965023495,
-                    126339611694, 134538373040, 149409963192, 147943510540, 139980005786,
-                    128587553855, 127479684194,
+                    127397635091, 139968423167, 150983798760, 145492018240, 133132784679,
+                    126340080510, 134382960304, 149501199730, 147943327488, 139983070618,
+                    128552565903, 128084751474,
                 ],
             ),
         ];
@@ -1085,8 +1089,9 @@ mod tests {
     ///
     /// These lock the batched draw discipline bit-for-bit: per (chunk,
     /// stack) one RTN snapshot shared by the whole batch, then per
-    /// vector per nonzero input bit one paired Gaussian per row
-    /// (ascending) plus retry re-reads, with the single-sqrt sigma and
+    /// vector per nonzero input bit the rows in ascending order, each
+    /// taking a paired Gaussian only when its `±Z_MAX` bracket
+    /// straddles, plus retry re-reads, with the single-sqrt sigma and
     /// reciprocal quantize. Any reordering of the amortized reads — or
     /// a change to the paired-normal stream — shifts these values.
     #[test]
@@ -1205,15 +1210,15 @@ mod tests {
         [
             (
                 ProtectionScheme::data_aware(9),
-                [127397575190, 140241646929, 150974865833, 145492184111, 133099240553, 126332549207, 134383159081, 150413890607, 147950469896, 140002856454, 128593214805, 127480493187, 136577066644, 144575316153, 148474804519, 134514159062, 125202537747, 130106911921, 141901532001, 150742257042, 140157169800, 130995915469, 126962332590, 138183178400, 143785137316, 142642757853, 139708460841, 125859664760, 128219121453, 140499601985, 143153667064, 144826183730, 126097629960, 124312373968, 136244596636, 142619826154],
+                [127397613401, 140241623513, 150974893452, 145492176081, 133099234345, 126332532632, 134383177134, 149614365628, 147950512434, 140002895501, 128593173074, 127480480891, 136577065875, 144575300764, 148474753110, 134514142764, 125202522581, 130106897541, 141901532053, 151191399323, 140157134948, 130995887123, 126962341212, 138183160748, 143785116701, 142642750140, 139708418145, 125859684502, 128219119360, 140499659146, 143153705781, 145015663490, 126097589476, 124312365663, 136244597395, 142619861026],
             ),
             (
                 ProtectionScheme::Static16,
-                [127404741983, 140237559868, 150974885840, 145492161916, 133099190257, 126324844914, 134410813100, 149486466656, 147949325042, 140002869642, 128618510433, 127480509554, 136658553999, 144540996028, 148478533840, 134513778300, 125202479729, 130106301298, 141878680108, 150433862496, 140133384114, 130995947626, 127065301217, 138183187442, 143855485071, 142138416828, 139710811208, 125859691900, 128219086065, 140495556978, 143136903212, 144688304224, 126081954482, 124312354442, 136500393313, 142619837298],
+                [127402659951, 140240191612, 150974885864, 145492148092, 133102350119, 126324885259, 134364740640, 149488451360, 147626251146, 140040946058, 128761338271, 127480509554, 136638331727, 144575308924, 148474306792, 134514134652, 125247687591, 130152057099, 141851246528, 150179669024, 140005054186, 130995888138, 127068929695, 138186996146, 143855128175, 142642772860, 139692251624, 125859691900, 127609445927, 140494130955, 143135783872, 145086272800, 126013784682, 124312354442, 136502788983, 142619771762],
             ),
             (
                 ProtectionScheme::None,
-                [127368223499, 140369299782, 150975178216, 145492502592, 133363490343, 126334596078, 134391812015, 149489233696, 147943308028, 140049076106, 128594338239, 127480501074, 136611292555, 145112656326, 148609290088, 134497582400, 125294813351, 130036609646, 141903643303, 150162721696, 140152159868, 130756378634, 127029795775, 138165361618, 143790129139, 143177435718, 139712800744, 125927428672, 128210764583, 140553068782, 143153698223, 144305924256, 126095513084, 124105858698, 136243168575, 142618788690],
+                [127416618775, 140260206902, 151188729896, 145492502592, 133169876519, 126340144302, 134387262892, 149486511392, 147909454428, 139982351754, 128593139455, 127480509554, 136182766999, 144589497782, 148643729960, 134531136832, 125190742823, 130171743022, 141918632620, 150134399520, 140148730877, 131066874122, 126962305279, 138187516914, 143254724631, 142643874358, 139721033288, 125860844096, 128365139879, 140553615790, 143188775340, 144589397792, 126095460957, 124106378890, 136244329279, 142620098418],
             ),
         ]
     }

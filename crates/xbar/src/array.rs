@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use crate::stats::{sample_binomial, sample_normal, Deferred, NormalSource};
+use crate::stats::{sample_binomial, sample_normal, Deferred, NormalSource, Z_MAX};
 use crate::{Adc, DeviceParams, InputMask};
 
 /// A programming request the crossbar fabric cannot satisfy.
@@ -338,6 +338,9 @@ impl CrossbarArray {
     /// 16 bit-serial cycles of one inference), use
     /// [`sample_rtn`](CrossbarArray::sample_rtn) +
     /// [`read_row_frozen`](CrossbarArray::read_row_frozen) instead.
+    ///
+    /// The Gaussian is drawn only when the code depends on it, as in
+    /// [`read_rows_into`](CrossbarArray::read_rows_into).
     pub fn read_row<R: Rng + ?Sized>(&self, row: usize, mask: &InputMask, rng: &mut R) -> i64 {
         let (current, sigma) = self.sample_rtn_current(row, mask, rng);
         i64::from(self.quantize_noisy(current, sigma, mask.count_ones(), rng))
@@ -359,44 +362,34 @@ impl CrossbarArray {
     /// Like [`CrossbarArray::sample_rtn`], but refills a caller-provided
     /// snapshot in place, reusing its trap buffer.
     ///
-    /// Draws exactly the same random-number sequence as `sample_rtn`
-    /// (row-major, one `u64` per cell when the trap probability is
-    /// nonzero, none otherwise), so the two are interchangeable under a
-    /// fixed seed.
-    ///
-    /// Each row's words come from one [`fill_bytes`](rand::RngCore::fill_bytes)
-    /// call and are compared against an integer threshold without a
-    /// branch. The comparison is exactly `rng.gen::<f64>() < p`: that
-    /// uniform is `(u >> 11) · 2⁻⁵³`, computed without rounding, and
-    /// for an integer `k`, `k · 2⁻⁵³ < p` holds exactly when
-    /// `k < ⌈p · 2⁵³⌉` (`p · 2⁵³` is itself exact).
+    /// Each cell is trapped iff its 53-bit uniform `K` is below
+    /// `T = ⌈p · 2⁵³⌉`, exactly as `rng.gen::<f64>() < p` would decide
+    /// (that uniform is `K · 2⁻⁵³`, and `p · 2⁵³` is exact), but the
+    /// uniforms are never materialised. A row's cells compare their
+    /// `K` against `T` together, most significant bit first: every
+    /// round draws one random word whose bit `j` is the next bit of
+    /// cell `j`'s `K` — one `u64` for rows up to 64 cells wide, two for
+    /// wider rows — and the row stops as soon as no cell is undecided
+    /// or `T` has no set bit left. So the
+    /// trap distribution is the per-cell Bernoulli(`T · 2⁻⁵³`) it always
+    /// was, at a cost set by `T`'s bit pattern rather than the width:
+    /// `p = 0.25` costs two rounds per row, `p ≤ 0` or `p ≥ 1` none,
+    /// and no row ever takes more than 53. Rows are sampled in order.
     pub fn sample_rtn_into<R: Rng + ?Sized>(&self, rng: &mut R, snapshot: &mut RtnSnapshot) {
         obs::counter!(xbar_rtn_snapshots).incr();
-        let p = self.params.rtn_state_probability;
+        let threshold = trap_threshold(self.params.rtn_state_probability);
         snapshot.traps.clear();
-        if p > 0.0 {
-            // Every `k` is below 2⁵³, so p ≥ 1 traps every cell; the
-            // cast saturates rather than wraps for p ≥ 2¹¹.
-            let threshold = (p * (1u64 << 53) as f64).ceil() as u64;
-            let mut bytes = [0u8; 8 * InputMask::MAX_WIDTH as usize];
-            snapshot.traps.extend(self.rows.iter().map(|row| {
-                let row_bytes = &mut bytes[..8 * row.width() as usize];
-                rng.fill_bytes(row_bytes);
-                let (words, _) = row_bytes.as_chunks::<8>();
-                let mut bits = 0u128;
-                for (j, word) in words.iter().enumerate() {
-                    let trapped = (u64::from_le_bytes(*word) >> 11) < threshold;
-                    bits |= u128::from(trapped) << j;
-                }
-                bits
-            }));
-        } else {
-            snapshot.traps.resize(self.rows.len(), 0);
-        }
+        snapshot.traps.extend(
+            self.rows
+                .iter()
+                .map(|row| sample_row_traps(row.width(), threshold, rng)),
+        );
     }
 
     /// Reads row `row` under `mask` with the RTN occupancy frozen to
-    /// `snapshot`; thermal and shot noise are still drawn fresh.
+    /// `snapshot`; thermal and shot noise are still drawn fresh, when
+    /// the code depends on them
+    /// ([`read_rows_into`](CrossbarArray::read_rows_into)).
     ///
     /// # Panics
     ///
@@ -430,8 +423,17 @@ impl CrossbarArray {
     ///
     /// `out` is cleared and refilled with one entry per physical row; a
     /// buffer with sufficient capacity is reused without allocating.
-    /// Rows are read in ascending order and each read draws the same
-    /// noise sequence as [`CrossbarArray::read_row_frozen`], so under a
+    ///
+    /// A row draws its Gaussian only when the code depends on it: when
+    /// the noisy current at both ends of `±`[`Z_MAX`]`·σ` quantizes to
+    /// one code, every admissible draw would give that code, and the
+    /// read takes nothing from `rng`. Otherwise it takes one Box–Muller
+    /// uniform pair and quantizes the drawn value. So a read takes zero
+    /// or one draw, and the codes have the distribution of an eager
+    /// read that always draws.
+    ///
+    /// Rows are read in ascending order and each read consumes `rng`
+    /// exactly as [`CrossbarArray::read_row_frozen`] does, so under a
     /// fixed seed the bulk read is bit-identical to `row_count`
     /// individual frozen reads. The driven conductance sums of up to 8
     /// rows are accumulated in one pass over the driven columns, each
@@ -505,10 +507,10 @@ impl CrossbarArray {
         self.quantize_noisy(current, sigma, active, rng)
     }
 
-    /// Draws one Gaussian and quantizes `current + sigma·z` exactly as
-    /// `adc.quantize(sample_normal(rng, current, sigma), mask)` would,
-    /// evaluating `z` only when the code depends on it
-    /// ([`quantize_deferred`]).
+    /// Quantizes `current + sigma·z` for a standard normal `z` with the
+    /// distribution of `adc.quantize(sample_normal(rng, current, sigma),
+    /// mask)`, drawing `z` only when the code depends on it
+    /// ([`quantize_on_demand`]).
     #[inline]
     fn quantize_noisy<R: Rng + ?Sized>(
         &self,
@@ -517,9 +519,12 @@ impl CrossbarArray {
         active: u32,
         rng: &mut R,
     ) -> u32 {
-        quantize_deferred(current, sigma, Deferred::sample(rng), |i| {
-            self.adc.quantize_active(i, active)
-        })
+        quantize_on_demand(
+            current,
+            sigma,
+            || Deferred::sample(rng),
+            |i| self.adc.quantize_active(i, active),
+        )
     }
 
     /// Computes, for every row and every input-bit plane, the driven
@@ -624,19 +629,20 @@ impl CrossbarArray {
     ///
     /// - Gaussian noise comes from the paired [`NormalSource`] (a
     ///   different — equally valid — stream than the single-draw
-    ///   sampler; one draw per row, ascending, as before);
+    ///   sampler; rows take their draws in ascending order);
     /// - the noise variance is assembled as
     ///   `thermal_factor·g + 2·q·|I|·BW` under a single square root
     ///   instead of squaring two separately rooted sigmas;
     /// - quantization divides by precomputed reciprocal
     ///   (`Adc::quantize_fast`).
     ///
-    /// Like the scalar reads, each row's draw is taken as a
-    /// [`Deferred`] normal ([`NormalSource::next_deferred`]) and only
-    /// evaluated when the ADC code depends on it: almost every read
-    /// lands the same code at both ends of the draw's
-    /// [`bound`](Deferred::bound), and then no `ln`/`sqrt`/`sin`/`cos`
-    /// runs. The draw order and every output bit are unchanged.
+    /// Like the scalar reads, a row takes a normal from `normals` only
+    /// when its code differs at the two ends of `±`[`Z_MAX`]`·σ`. The
+    /// normal is taken as a [`Deferred`] draw
+    /// ([`NormalSource::next_deferred`]) and evaluated only when the
+    /// code also differs at the ends of the draw's own
+    /// [`bound`](Deferred::bound); otherwise no `ln`/`sqrt`/`sin`/`cos`
+    /// runs.
     ///
     /// With noise off, every difference collapses: `σ = 0` exactly,
     /// and the current equals the scalar path's bitwise, so outputs
@@ -675,9 +681,12 @@ impl CrossbarArray {
                 current -= trapped as f64 * delta_i;
             }
             let sigma = (thermal_factor * g + shot_factor * current.abs()).sqrt();
-            let code = quantize_deferred(current, sigma, normals.next_deferred(rng), |i| {
-                self.adc.quantize_fast(i, active)
-            });
+            let code = quantize_on_demand(
+                current,
+                sigma,
+                || normals.next_deferred(rng),
+                |i| self.adc.quantize_fast(i, active),
+            );
             out.push(u64::from(code));
         }
     }
@@ -767,8 +776,87 @@ fn quantize_deferred(current: f64, sigma: f64, z: Deferred, quantize: impl Fn(f6
     if lo == quantize(current + sigma * r) {
         return lo;
     }
-    obs::counter!(xbar_noise_evaluated).incr();
     quantize(current + sigma * z.value())
+}
+
+/// Quantizes `current + sigma·z` for a standard normal `z` that is
+/// drawn only when the code depends on it.
+///
+/// Every normal the crate draws lies within `±`[`Z_MAX`], so when both
+/// ends of that worst-case bracket quantize to the same code, so does
+/// every draw `draw` could return (the monotonicity argument of
+/// [`quantize_deferred`]), and the read takes nothing from the stream.
+/// Otherwise it takes one draw and brackets it again at the draw's own
+/// bound. Either way the code has exactly the distribution of
+/// `quantize(current + sigma·z)` with `z` always drawn; only which
+/// stream words later reads see changes.
+#[inline]
+fn quantize_on_demand(
+    current: f64,
+    sigma: f64,
+    draw: impl FnOnce() -> Deferred,
+    quantize: impl Fn(f64) -> u32,
+) -> u32 {
+    let lo = quantize(current + sigma * -Z_MAX);
+    if lo == quantize(current + sigma * Z_MAX) {
+        return lo;
+    }
+    obs::counter!(xbar_noise_evaluated).incr();
+    quantize_deferred(current, sigma, draw(), quantize)
+}
+
+/// The integer trap threshold `⌈p · 2⁵³⌉` of trap probability `p`: a
+/// cell whose 53-bit uniform is below it is trapped. `p · 2⁵³` is
+/// exact, so the cell is trapped with probability exactly
+/// `threshold · 2⁻⁵³`; `p ≤ 0` (or NaN) gives 0 and `p ≥ 1` gives
+/// `2⁵³`, which every uniform is below.
+fn trap_threshold(p: f64) -> u64 {
+    if p > 0.0 {
+        // The cast saturates rather than wraps for p ≥ 2¹¹.
+        ((p * (1u64 << 53) as f64).ceil() as u64).min(1 << 53)
+    } else {
+        0
+    }
+}
+
+/// The trap bits of one row of `width` cells: bit `j` is set iff cell
+/// `j`'s 53-bit uniform `K_j` is below `threshold`.
+///
+/// The `K_j` are compared against `T = threshold` bit-sliced, most
+/// significant bit first. Round `b` draws one word whose bit `j` is bit
+/// `52 − b` of `K_j`; among the cells whose `K` prefix still equals
+/// `T`'s, a `0` where `T` has a `1` decides "trapped" and a `1` where
+/// `T` has a `0` decides "free". Sampling stops when no cell is
+/// undecided or `T` has no set bit left below the compared prefix (an
+/// undecided `K` is then `≥ T`), which is exactly when every cell's
+/// verdict is the same for all values of its undrawn bits — so each
+/// cell is an independent Bernoulli(`T · 2⁻⁵³`), and a row costs at
+/// most 53 rounds and none at `T = 0` or `T = 2⁵³`. A round is one
+/// `u64` for rows up to 64 cells wide and two (low half first) beyond.
+fn sample_row_traps<R: Rng + ?Sized>(width: u32, threshold: u64, rng: &mut R) -> u128 {
+    let cells = u128::MAX.checked_shr(u128::BITS - width).unwrap_or(0);
+    if threshold >= 1 << 53 {
+        return cells;
+    }
+    let (mut undecided, mut trapped) = (cells, 0u128);
+    let mut rest = threshold;
+    let mut bit = 1u64 << 52;
+    while undecided != 0 && rest != 0 {
+        let word = if width <= 64 {
+            u128::from(rng.next_u64())
+        } else {
+            u128::from(rng.next_u64()) | u128::from(rng.next_u64()) << 64
+        };
+        if rest & bit != 0 {
+            trapped |= undecided & !word;
+            undecided &= word;
+            rest ^= bit;
+        } else {
+            undecided &= !word;
+        }
+        bit >>= 1;
+    }
+    trapped
 }
 
 /// Rows whose conductance sums [`CrossbarArray::read_rows_into`]
@@ -965,7 +1053,7 @@ mod tests {
     }
 
     /// Replays a fixed list of words: every `next_u64` returns the next
-    /// entry, cycling. Uses the default `fill_bytes`.
+    /// entry, cycling.
     struct Scripted {
         words: Vec<u64>,
         next: usize,
@@ -982,21 +1070,58 @@ mod tests {
         }
     }
 
-    /// The historical one-uniform-per-cell trap sampler.
-    fn reference_traps<R: Rng>(array: &CrossbarArray, p: f64, rng: &mut R) -> Vec<u128> {
+    /// `⌈p · 2⁵³⌉`, clamped to `[0, 2⁵³]`, computed independently of
+    /// [`trap_threshold`].
+    fn reference_threshold(p: f64) -> u64 {
+        if p <= 0.0 {
+            0
+        } else {
+            (p * 2f64.powi(53)).ceil().min(2f64.powi(53)) as u64
+        }
+    }
+
+    /// The per-cell reference for the bit-sliced sampler. Per row it
+    /// draws round words one at a time (one `u64` per round up to 64
+    /// cells, two beyond, low half first), appends each word's bit `j`
+    /// to cell `j`'s `K`, and stops at the first round after which every
+    /// cell's verdict `K < T` is the same whether its undrawn bits are
+    /// all zeros or all ones. Returns each row's trap bits and rounds.
+    fn reference_traps(
+        array: &CrossbarArray,
+        threshold: u64,
+        rng: &mut dyn rand::RngCore,
+    ) -> Vec<(u128, u32)> {
         array
             .rows()
             .iter()
             .map(|row| {
-                let mut bits = 0u128;
-                if p > 0.0 {
-                    for j in 0..row.width() {
-                        if rng.gen::<f64>() < p {
-                            bits |= 1 << j;
-                        }
+                let width = row.width() as usize;
+                let mut prefixes = vec![0u64; width];
+                let mut rounds = 0u32;
+                loop {
+                    let undrawn = 53 - rounds;
+                    let low = |k: u64| k << undrawn;
+                    let high = |k: u64| (k << undrawn) | ((1 << undrawn) - 1);
+                    if prefixes
+                        .iter()
+                        .all(|&k| (low(k) < threshold) == (high(k) < threshold))
+                    {
+                        let traps = prefixes
+                            .iter()
+                            .enumerate()
+                            .filter(|&(_, &k)| low(k) < threshold)
+                            .fold(0u128, |bits, (j, _)| bits | 1 << j);
+                        return (traps, rounds);
                     }
+                    let mut word = u128::from(rng.next_u64());
+                    if width > 64 {
+                        word |= u128::from(rng.next_u64()) << 64;
+                    }
+                    for (j, k) in prefixes.iter_mut().enumerate() {
+                        *k = *k << 1 | (word >> j & 1) as u64;
+                    }
+                    rounds += 1;
                 }
-                bits
             })
             .collect()
     }
@@ -1006,53 +1131,94 @@ mod tests {
         let probabilities = [
             2f64.powi(-60),
             1e-9,
+            0.1,
             0.25,
+            0.4,
             0.5,
             1.0 - 2f64.powi(-53),
             1.0,
             0.0,
         ];
+        let scripts: [Vec<u64>; 3] = [
+            // All-zero K, all-one K, and a mix of both with ordinary
+            // words.
+            vec![0],
+            vec![u64::MAX],
+            vec![
+                0x9E37_79B9_7F4A_7C15,
+                0,
+                u64::MAX,
+                0x5555_5555_5555_5555,
+                1 << 63,
+                1,
+            ],
+        ];
         for p in probabilities {
+            let threshold = reference_threshold(p);
+            assert_eq!(trap_threshold(p), threshold, "p {p:e}");
             let params = DeviceParams {
                 rtn_state_probability: p,
                 ..DeviceParams::default()
             };
-            // Words whose 53-bit uniform sits on either side of the
-            // integer threshold, plus both ends of the range; the low
-            // 11 bits (discarded by the uniform) vary.
-            let t = (p * 2f64.powi(53)).ceil() as u64;
-            let ks = [0, 1, t.saturating_sub(1), t, t + 1, (1 << 53) - 1];
-            let words: Vec<u64> = ks
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| (k.min((1 << 53) - 1) << 11) | (i as u64 * 0x2AB))
-                .collect();
-            for width in [1usize, 7, 64, 128] {
+            for width in [1usize, 7, 64, 65, 128] {
                 let levels: Vec<Vec<u32>> = (0..5)
                     .map(|r| (0..width).map(|j| ((r + j) % 4) as u32).collect())
                     .collect();
                 let array = CrossbarArray::program(&levels, &params, &mut rng());
-
-                let mut seeded = ChaCha8Rng::seed_from_u64(width as u64);
-                let mut reference_rng = seeded.clone();
+                let words_per_round = if width > 64 { 2 } else { 1 };
                 let mut snapshot = RtnSnapshot::with_row_capacity(5);
-                array.sample_rtn_into(&mut seeded, &mut snapshot);
-                let want = reference_traps(&array, p, &mut reference_rng);
-                assert_eq!(snapshot.traps, want, "p {p:e}, width {width}, ChaCha8");
-                assert_eq!(seeded, reference_rng, "p {p:e}, width {width}: draw count");
+                let mut check = |kernel: &mut dyn rand::RngCore,
+                                 reference: &mut dyn rand::RngCore,
+                                 stream: &str|
+                 -> Vec<u32> {
+                    array.sample_rtn_into(kernel, &mut snapshot);
+                    let (traps, rounds): (Vec<u128>, Vec<u32>) =
+                        reference_traps(&array, threshold, reference)
+                            .into_iter()
+                            .unzip();
+                    assert_eq!(snapshot.traps, traps, "p {p:e}, width {width}, {stream}");
+                    assert!(rounds.iter().all(|&r| r <= 53), "p {p:e}, width {width}");
+                    if threshold == 0 || threshold == 1 << 53 {
+                        assert!(rounds.iter().all(|&r| r == 0), "p {p:e}: {rounds:?}");
+                    }
+                    if threshold == 1 << 51 {
+                        assert!(rounds.iter().all(|&r| r <= 2), "p {p:e}: {rounds:?}");
+                    }
+                    rounds
+                };
 
-                let mut scripted = Scripted {
-                    words: words.clone(),
-                    next: 0,
-                };
-                let mut reference_rng = Scripted {
-                    words: words.clone(),
-                    next: 0,
-                };
-                array.sample_rtn_into(&mut scripted, &mut snapshot);
-                let want = reference_traps(&array, p, &mut reference_rng);
-                assert_eq!(snapshot.traps, want, "p {p:e}, width {width}, scripted");
-                assert_eq!(scripted.next, reference_rng.next, "p {p:e}, width {width}");
+                let mut kernel = ChaCha8Rng::seed_from_u64(width as u64);
+                let mut reference = kernel.clone();
+                let rounds = check(&mut kernel, &mut reference, "ChaCha8");
+                assert_eq!(kernel, reference, "p {p:e}, width {width}: draw count");
+                if threshold == 1 << 51 && width >= 64 {
+                    assert_eq!(rounds, [2; 5], "width {width}");
+                }
+
+                for (i, words) in scripts.iter().enumerate() {
+                    let mut kernel = Scripted {
+                        words: words.clone(),
+                        next: 0,
+                    };
+                    let mut reference = Scripted {
+                        words: words.clone(),
+                        next: 0,
+                    };
+                    let rounds = check(&mut kernel, &mut reference, &format!("script {i}"));
+                    assert_eq!(
+                        kernel.next, reference.next,
+                        "p {p:e}, width {width}, script {i}"
+                    );
+                    let drawn: u32 = rounds.iter().sum::<u32>() * words_per_round;
+                    assert_eq!(kernel.next, drawn as usize, "p {p:e}, width {width}");
+                    if i == 0 && threshold != 0 && threshold != 1 << 53 {
+                        // All-zero K follows T's prefix down to T's
+                        // highest set bit, where every cell is trapped:
+                        // 53 rounds at T = 1, the most a row can take.
+                        let want = 53 - (63 - threshold.leading_zeros());
+                        assert_eq!(rounds, [want; 5], "p {p:e}, width {width}");
+                    }
+                }
             }
         }
     }
@@ -1107,45 +1273,60 @@ mod tests {
         }
     }
 
+    /// Currents on, and a few ulps either side of, the ±0.5 LSB
+    /// boundaries around the bottom, middle and top codes of a read with
+    /// `active` driven cells, plus currents clamped below 0 and above the
+    /// top code.
+    fn boundary_currents(adc: &Adc, active: u32, max_level: u32) -> Vec<f64> {
+        let lsb = adc.lsb();
+        let mask = InputMask::all_ones(active);
+        let max = active * max_level;
+        let mut currents = vec![
+            adc.ideal_current(0, &mask) - 5.0 * lsb,
+            adc.ideal_current(max, &mask) + 5.0 * lsb,
+        ];
+        for code in [0, 1, max / 2, max] {
+            for half_lsb in [-0.5, 0.0, 0.5] {
+                let c = adc.ideal_current(code, &mask) + half_lsb * lsb;
+                currents.extend([c.next_down().next_down(), c.next_down(), c, c.next_up()]);
+            }
+        }
+        currents
+    }
+
+    /// Noise scales from none through a millionth of an LSB to two LSBs.
+    fn sigmas(lsb: f64) -> [f64; 5] {
+        [0.0, 1e-6 * lsb, 0.05 * lsb, 0.3 * lsb, 2.0 * lsb]
+    }
+
+    /// The deferred draw with `u1 = 2^e` and the given `u2` word.
+    fn draw_at_exponent(e: i32, u2_word: u64) -> Deferred {
+        let mut scripted = Scripted {
+            words: vec![1 << (64 + e), u2_word],
+            next: 0,
+        };
+        Deferred::sample(&mut scripted)
+    }
+
     #[test]
     fn bracketed_quantize_equals_eager_quantize() {
         let params = DeviceParams::default();
         let adc = Adc::new(&params);
-        let lsb = adc.lsb();
         let mut rng = rng();
         // Ordinary draws, plus u1 = 2^-53 (the widest bound) at the
         // angles where the normal is ±8.57 or 0.
         let mut draws: Vec<Deferred> = (0..64).map(|_| Deferred::sample(&mut rng)).collect();
         for u2_word in [0u64, 1 << 62, 1 << 63, 3 << 62, 0x9E37_79B9_7F4A_7C15] {
-            let mut scripted = Scripted {
-                words: vec![1 << 11, u2_word],
-                next: 0,
-            };
-            draws.push(Deferred::sample(&mut scripted));
+            draws.push(draw_at_exponent(-53, u2_word));
         }
         let (mut elided, mut evaluated) = (0, 0);
         for active in [0u32, 1, 7, 64, 128] {
-            let mask = InputMask::all_ones(active);
-            let max = active * params.max_level();
-            // Currents on, and a few ulps either side of, the ±0.5 LSB
-            // boundaries around the bottom, middle and top codes, plus
-            // currents clamped below 0 and above `max`.
-            let mut currents = vec![
-                adc.ideal_current(0, &mask) - 5.0 * lsb,
-                adc.ideal_current(max, &mask) + 5.0 * lsb,
-            ];
-            for code in [0, 1, max / 2, max] {
-                for half_lsb in [-0.5, 0.0, 0.5] {
-                    let c = adc.ideal_current(code, &mask) + half_lsb * lsb;
-                    currents.extend([c.next_down().next_down(), c.next_down(), c, c.next_up()]);
-                }
-            }
             let exact = |i: f64| adc.quantize_active(i, active);
             let fast = |i: f64| adc.quantize_fast(i, active);
             let quantizers: [(&str, &dyn Fn(f64) -> u32); 2] =
                 [("quantize", &exact), ("quantize_fast", &fast)];
-            for &current in &currents {
-                for sigma in [0.0, 1e-6 * lsb, 0.05 * lsb, 0.3 * lsb, 2.0 * lsb] {
+            for current in boundary_currents(&adc, active, params.max_level()) {
+                for sigma in sigmas(adc.lsb()) {
                     for &z in &draws {
                         let r = z.bound();
                         let eager = current + sigma * z.value();
@@ -1172,12 +1353,73 @@ mod tests {
         );
     }
 
-    /// The eager frozen read: every row's normal evaluated, then
+    #[test]
+    fn z_max_bracket_agreement_fixes_the_code() {
+        let params = DeviceParams::default();
+        let adc = Adc::new(&params);
+        // ±Z_MAX, 0, and ± the bound of every u1 exponent the sampler
+        // can produce.
+        let mut zs = vec![-Z_MAX, 0.0, Z_MAX];
+        for e in -53..=-1 {
+            let bound = draw_at_exponent(e, 0).bound();
+            assert!(bound <= Z_MAX, "e {e}");
+            zs.extend([-bound, bound]);
+        }
+        let (mut skipped, mut drawn) = (0, 0);
+        for active in [0u32, 1, 7, 64, 128] {
+            let exact = |i: f64| adc.quantize_active(i, active);
+            let fast = |i: f64| adc.quantize_fast(i, active);
+            let quantizers: [(&str, &dyn Fn(f64) -> u32); 2] =
+                [("quantize", &exact), ("quantize_fast", &fast)];
+            for current in boundary_currents(&adc, active, params.max_level()) {
+                for sigma in sigmas(adc.lsb()) {
+                    for (name, q) in quantizers {
+                        let lo = q(current + sigma * -Z_MAX);
+                        if lo != q(current + sigma * Z_MAX) {
+                            drawn += 1;
+                            continue;
+                        }
+                        skipped += 1;
+                        for &z in &zs {
+                            assert_eq!(
+                                q(current + sigma * z),
+                                lo,
+                                "{name}: active {active} current {current:e} sigma {sigma:e} z {z}"
+                            );
+                        }
+                        // An agreeing bracket takes nothing from the stream.
+                        let code = quantize_on_demand(current, sigma, || panic!("drew"), q);
+                        assert_eq!(code, lo, "{name}");
+                    }
+                }
+            }
+        }
+        assert!(skipped > 0 && drawn > 0, "skipped {skipped}, drawn {drawn}");
+    }
+
+    /// The reference draw decision: `true` always draws; `false` draws
+    /// exactly when the `±Z_MAX` bracket straddles a code boundary.
+    fn eager_quantize(
+        current: f64,
+        sigma: f64,
+        always_draw: bool,
+        quantize: impl Fn(f64) -> u32,
+        draw: impl FnOnce() -> f64,
+    ) -> u64 {
+        let lo = quantize(current + sigma * -Z_MAX);
+        if !always_draw && lo == quantize(current + sigma * Z_MAX) {
+            return u64::from(lo);
+        }
+        u64::from(quantize(current + sigma * draw()))
+    }
+
+    /// The eager frozen read: every drawn normal evaluated, then
     /// quantized.
     fn eager_read_rows<R: Rng + ?Sized>(
         array: &CrossbarArray,
         mask: &InputMask,
         snapshot: &RtnSnapshot,
+        always_draw: bool,
         rng: &mut R,
     ) -> Vec<u64> {
         let thermal_factor =
@@ -1198,14 +1440,19 @@ mod tests {
                 let sigma_thermal = (thermal_factor * g_total).sqrt();
                 let sigma_shot = array.params.shot_sigma(current);
                 let sigma = (sigma_thermal * sigma_thermal + sigma_shot * sigma_shot).sqrt();
-                let noisy = current + sigma * crate::stats::sample_standard_normal(rng);
-                u64::from(array.adc.quantize(noisy, mask))
+                eager_quantize(
+                    current,
+                    sigma,
+                    always_draw,
+                    |i| array.adc.quantize(i, mask),
+                    || crate::stats::sample_standard_normal(rng),
+                )
             })
             .collect()
     }
 
-    /// The eager batched read, as `read_rows_amortized_into` was before
-    /// draws were deferred.
+    /// The eager batched read, drawing exactly when the worst-case
+    /// bracket straddles.
     fn eager_read_rows_amortized<R: Rng + ?Sized>(
         array: &CrossbarArray,
         mask: &InputMask,
@@ -1227,8 +1474,13 @@ mod tests {
                     current -= (m & mask.bits()).count_ones() as f64 * delta_i;
                 }
                 let sigma = (thermal_factor * g + shot_factor * current.abs()).sqrt();
-                let noisy = current + sigma * normals.next(rng);
-                u64::from(array.adc.quantize_fast(noisy, active))
+                eager_quantize(
+                    current,
+                    sigma,
+                    false,
+                    |i| array.adc.quantize_fast(i, active),
+                    || normals.next(&mut *rng),
+                )
             })
             .collect()
     }
@@ -1239,7 +1491,7 @@ mod tests {
         // reads are common, on both a seeded and a scripted stream.
         // The script starts with a rejected zero uniform and puts
         // u1 = 2^-53 (bound 8.57) on every other pair, so the
-        // evaluated path runs for most rows.
+        // evaluated path runs for most drawing rows.
         let params = DeviceParams {
             temperature: 300.0 * 40.0,
             ..DeviceParams::default()
@@ -1284,7 +1536,7 @@ mod tests {
                 array.read_rows_into(&mask, &snapshot, kernel_rng, &mut out);
                 assert_eq!(
                     out,
-                    eager_read_rows(&array, &mask, &snapshot, eager_rng),
+                    eager_read_rows(&array, &mask, &snapshot, false, eager_rng),
                     "bit {t}"
                 );
                 let g = &planes[t as usize * 21..(t as usize + 1) * 21];
@@ -1308,12 +1560,17 @@ mod tests {
                 );
                 assert_eq!(out, want, "bit {t}");
                 let row = t as usize % 21;
+                let (current, sigma) = array.sample_rtn_current(row, &mask, eager_rng);
+                let want = eager_quantize(
+                    current,
+                    sigma,
+                    false,
+                    |i| array.adc.quantize(i, &mask),
+                    || crate::stats::sample_standard_normal(eager_rng),
+                );
                 assert_eq!(
-                    array.read_row(row, &mask, kernel_rng),
-                    array
-                        .adc
-                        .quantize(array.sample_row_current(row, &mask, eager_rng), &mask)
-                        as i64,
+                    array.read_row(row, &mask, kernel_rng) as u64,
+                    want,
                     "bit {t}"
                 );
                 assert_eq!(
@@ -1323,6 +1580,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The row error rate of Fig 7's operating point (128 driven 2-bit
+    /// cells, equal state occupancy) over frozen reads, one fresh RTN
+    /// snapshot per read, must not tell the draw-on-demand kernel from
+    /// an always-draw reference that also samples its traps one uniform
+    /// per cell.
+    #[test]
+    fn on_demand_reads_keep_the_figure_7_error_rate() {
+        let levels = vec![(0..128).map(|i| i % 4).collect::<Vec<u32>>()];
+        let array = CrossbarArray::program(&levels, &clean_params(), &mut rng());
+        let mask = InputMask::all_ones(128);
+        let ideal = array.ideal_row_output(0, &mask) as u64;
+        let p = array.params.rtn_state_probability;
+        let reads = 20_000;
+        let (mut kernel_rng, mut reference_rng) =
+            (ChaCha8Rng::seed_from_u64(7), ChaCha8Rng::seed_from_u64(8));
+        let mut snapshot = RtnSnapshot::default();
+        let (mut kernel_errors, mut reference_errors) = (0u32, 0u32);
+        for _ in 0..reads {
+            array.sample_rtn_into(&mut kernel_rng, &mut snapshot);
+            let code = array.read_row_frozen(0, &mask, &snapshot, &mut kernel_rng) as u64;
+            kernel_errors += u32::from(code != ideal);
+
+            let traps = (0..128).fold(0u128, |bits, j| {
+                bits | u128::from(reference_rng.gen::<f64>() < p) << j
+            });
+            let reference = RtnSnapshot { traps: vec![traps] };
+            let code = eager_read_rows(&array, &mask, &reference, true, &mut reference_rng)[0];
+            reference_errors += u32::from(code != ideal);
+        }
+        let (a, b) = (
+            f64::from(kernel_errors) / f64::from(reads),
+            f64::from(reference_errors) / f64::from(reads),
+        );
+        let pooled = (a + b) / 2.0;
+        let sigma = (2.0 * pooled * (1.0 - pooled) / f64::from(reads)).sqrt();
+        assert!(
+            (0.05..0.40).contains(&b),
+            "reference error rate {b} is not Fig 7's regime"
+        );
+        assert!(
+            (a - b).abs() <= 4.0 * sigma,
+            "on-demand {a} vs always-draw {b} (4σ = {})",
+            4.0 * sigma
+        );
     }
 
     #[test]

@@ -106,6 +106,13 @@ pub fn sample_normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64
 /// `ln`, `sqrt` and the multiplies on both sides of the comparison.
 const BOUND_PAD: f64 = 1.0 + 1e-9;
 
+/// The largest [`Deferred::bound`] any draw can have: the bound at
+/// `u1 = 2⁻⁵³`, the smallest uniform the sampler returns
+/// (`sqrt(106·ln 2)`, padded). Every Box–Muller normal the crate draws
+/// lies in `[−Z_MAX, Z_MAX]`, so a consumer whose result is the same at
+/// both ends needs no draw at all.
+pub const Z_MAX: f64 = 8.57167435722458;
+
 /// Which trigonometric half of a Box–Muller pair a [`Deferred`] draw
 /// evaluates.
 #[derive(Debug, Clone, Copy)]
@@ -556,6 +563,27 @@ mod tests {
         for _ in 0..20_000 {
             let z = src.next_deferred(&mut rng);
             assert!(z.value().abs() <= z.bound());
+        }
+    }
+
+    #[test]
+    fn z_max_is_the_largest_bound() {
+        let bound = |u1: f64| {
+            Deferred {
+                u1,
+                u2: 0.0,
+                half: Half::Cosine,
+            }
+            .bound()
+        };
+        // u1 = 2⁻⁵³ is the smallest uniform the sampler returns: a
+        // nonzero multiple of 2⁻⁵³.
+        assert_eq!(bound(2f64.powi(-53)).to_bits(), Z_MAX.to_bits());
+        for e in -53..=-1 {
+            let lowest = 2f64.powi(e);
+            for u1 in [lowest, lowest.next_up(), 2.0 * lowest - 2f64.powi(-53)] {
+                assert!(bound(u1) <= Z_MAX, "u1 {u1:e}");
+            }
         }
     }
 

@@ -26,6 +26,21 @@ echo "=== vendored RNG crates (keystream known answers, fill_bytes) ==="
 cargo test -q --manifest-path third_party/rand_core/Cargo.toml --target-dir target/third_party
 cargo test -q --manifest-path third_party/rand_chacha/Cargo.toml --target-dir target/third_party
 
+echo "=== e2ebench (own tests + traced cnn1 smoke) ==="
+# The benchmark is its own Cargo package, not a workspace member, so
+# the tier-1 run above never builds it. It calls the public xbar and
+# accel kernel API directly (its stage replay must reproduce
+# sim::evaluate exactly), so an API or draw-order change that breaks
+# the benchmark or its replay checks fails here. The smoke's result is
+# the last line of stdout and must report no failed cell.
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+e2e_result="$(cargo run --release --quiet --offline --manifest-path e2ebench/Cargo.toml -- \
+  --workload fig10-cnn1-batched --seconds 1 --trace 1 | tail -n 1)"
+case "$e2e_result" in
+  *'"failed": 0,'*) echo "e2ebench cnn1 traced smoke: failed 0" ;;
+  *) echo "FAIL: e2ebench cnn1 traced smoke reported failed cells: $e2e_result" >&2; exit 1 ;;
+esac
+
 echo "=== repro-lint self-tests (lexer fixtures + CLI) ==="
 # The lint tool is itself load-bearing: exercise its lexer fixtures and
 # end-to-end CLI tests before trusting its verdict on the workspace.
