@@ -94,10 +94,10 @@ use neural::{
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use wideint::I256;
-use xbar::rowerr::{predict_composition, RowErrorRate};
+use xbar::rowerr::RowErrorRate;
 use xbar::InputMask;
 
-use crate::mapping::map_matrix;
+use crate::mapping::{map_matrix_with, RateMemo};
 use crate::sim::SimResult;
 use crate::{AccelConfig, AccelError, DecodeStats};
 
@@ -420,24 +420,22 @@ fn classify_event(
 fn build_layer_model(
     matrix: &QuantizedMatrix,
     config: &AccelConfig,
-    rate_memo: &mut HashMap<Vec<u32>, RowErrorRate>,
+    rate_memo: &mut RateMemo<'_>,
 ) -> Result<LayerModel, AccelError> {
     let mut rng = ChaCha8Rng::seed_from_u64(INSTANCE_SEED);
-    let mapped = map_matrix(matrix.rows(), config, &mut rng).map_err(AccelError::Code)?;
+    let mapped =
+        map_matrix_with(matrix.rows(), config, &mut rng, rate_memo).map_err(AccelError::Code)?;
 
     // Density-scaled row-error rates, memoized on the *scaled*
     // composition: rows repeat compositions heavily and low densities
     // collapse them further, so most grid points are cache hits and
     // the expensive binomial tails run once per distinct vector.
+    let mut scaled = Vec::new();
     let mut rate_at = |comp: &[u32], g: usize| -> RowErrorRate {
         let density = g as f64 / (GRID - 1) as f64;
-        let scaled: Vec<u32> = comp
-            .iter()
-            .map(|&c| (c as f64 * density).round() as u32)
-            .collect();
-        *rate_memo
-            .entry(scaled)
-            .or_insert_with_key(|k| predict_composition(k, &config.device))
+        scaled.clear();
+        scaled.extend(comp.iter().map(|&c| (c as f64 * density).round() as u32));
+        rate_memo.rate(&scaled)
     };
 
     let mut stacks = Vec::with_capacity(mapped.stacks.len());
@@ -1003,7 +1001,7 @@ pub fn predict_threaded(
     // One analytic model per MVM op; the row-rate memo is shared
     // across layers (compositions repeat network-wide).
     let mut models = Vec::new();
-    let mut rate_memo: HashMap<Vec<u32>, RowErrorRate> = HashMap::new();
+    let mut rate_memo = RateMemo::new(&config.device);
     for op in qnet.ops() {
         if let QuantOp::Mvm { matrix, .. } = op {
             models.push(build_layer_model(matrix, config, &mut rate_memo)?);

@@ -16,8 +16,11 @@
 //! For the data-aware schemes, step 3 is preceded by the per-array `A`
 //! search of §V-B4 (the row-error model is re-derived for each candidate
 //! because the encoded bit patterns change with `A`), and followed by a
-//! table rebuild against the *programmed* array so that stuck-at faults
-//! found at test time occupy the stuck-aware table half.
+//! table rebuild against the *programmed* array when it has stuck-at
+//! faults, so that faults found at test time occupy the stuck-aware
+//! table half.
+
+use std::collections::HashMap;
 
 use ancode::data_aware::DataAwareConfig;
 use ancode::{
@@ -25,7 +28,8 @@ use ancode::{
 };
 use rand::Rng;
 use wideint::U256;
-use xbar::{rowerr, BitSlicer, CrossbarArray, DeviceParams, InputMask};
+use xbar::rowerr::{self, RowErrorRate};
+use xbar::{BitSlicer, CrossbarArray, DeviceParams, InputMask, PhysicalRow};
 
 use crate::scheme::{static128_code, static16_code, total_check_bits};
 use crate::{AccelConfig, ProtectionScheme};
@@ -93,6 +97,39 @@ pub fn mapping_error_list_config() -> ErrorListConfig {
     }
 }
 
+/// Row-error rates memoized by row composition.
+///
+/// [`rowerr::predict_composition`] is a pure function of the
+/// composition and the device, and compositions repeat heavily: across
+/// the `A` candidates of one stack, across stacks and, in the analytic
+/// model, across layers and input densities. The memo runs the binomial
+/// tails once per distinct composition.
+pub(crate) struct RateMemo<'d> {
+    device: &'d DeviceParams,
+    rates: HashMap<Vec<u32>, RowErrorRate>,
+}
+
+impl<'d> RateMemo<'d> {
+    /// An empty memo for rows programmed with `device`.
+    pub(crate) fn new(device: &'d DeviceParams) -> RateMemo<'d> {
+        RateMemo {
+            device,
+            rates: HashMap::new(),
+        }
+    }
+
+    /// The predicted rate of a row with `composition` (driven cells per
+    /// level).
+    pub(crate) fn rate(&mut self, composition: &[u32]) -> RowErrorRate {
+        if let Some(&rate) = self.rates.get(composition) {
+            return rate;
+        }
+        let rate = rowerr::predict_composition(composition, self.device);
+        self.rates.insert(composition.to_vec(), rate);
+        rate
+    }
+}
+
 /// Maps a biased-weight matrix (`rows[out][in]`, entries in `0..2^16`)
 /// onto crossbar stacks under `config`, programming the arrays with
 /// `rng`.
@@ -106,6 +143,18 @@ pub fn map_matrix<R: Rng + ?Sized>(
     config: &AccelConfig,
     rng: &mut R,
 ) -> Result<MappedMatrix, CodeError> {
+    map_matrix_with(rows, config, rng, &mut RateMemo::new(&config.device))
+}
+
+/// [`map_matrix`] with a caller-held row-rate memo, which must have been
+/// built for `config.device`.
+pub(crate) fn map_matrix_with<R: Rng + ?Sized>(
+    rows: &[Vec<u16>],
+    config: &AccelConfig,
+    rng: &mut R,
+    memo: &mut RateMemo<'_>,
+) -> Result<MappedMatrix, CodeError> {
+    debug_assert_eq!(memo.device, &config.device, "memo built for another device");
     let out_dim = rows.len();
     let in_dim = rows.first().map_or(0, |r| r.len());
     assert!(out_dim > 0 && in_dim > 0, "matrix cannot be empty");
@@ -143,6 +192,7 @@ pub fn map_matrix<R: Rng + ?Sized>(
                     cols.clone(),
                     config,
                     rng,
+                    memo,
                 )?);
                 row += lanes;
             }
@@ -214,6 +264,7 @@ fn build_group_stack<R: Rng + ?Sized>(
     cols: std::ops::Range<usize>,
     config: &AccelConfig,
     rng: &mut R,
+    memo: &mut RateMemo<'_>,
 ) -> Result<Stack, CodeError> {
     let group = OperandGroup::new(config.group);
     let ops = config.group.operands();
@@ -240,7 +291,7 @@ fn build_group_stack<R: Rng + ?Sized>(
         ProtectionScheme::DataAware {
             check_bits,
             hardware_candidates,
-        } => select_data_aware_code(&blocks, check_bits, hardware_candidates, config)?,
+        } => select_data_aware_code(&blocks, check_bits, hardware_candidates, config, memo)?,
         _ => {
             return Err(CodeError::InvalidLayout(
                 "per-row scheme routed to the group stack builder".to_string(),
@@ -258,9 +309,15 @@ fn build_group_stack<R: Rng + ?Sized>(
     let array = CrossbarArray::program(&levels, &config.device, rng);
 
     // Rebuild the data-aware table against the programmed array so that
-    // stuck-at faults discovered at test time get the split table.
-    let code = if matches!(config.scheme, ProtectionScheme::DataAware { .. }) {
-        let model = row_model_from_array(&array, &slicer, config.group.operand_bits());
+    // stuck-at faults discovered at test time get the split table. With
+    // no stuck cell the programmed levels are the target levels, the
+    // coded width is the one the candidate model used, and row LSBs do
+    // not depend on it anyway: the array's model is exactly the one
+    // `select_a` built this table from, so the rebuild would repeat it.
+    let rebuild = matches!(config.scheme, ProtectionScheme::DataAware { .. })
+        && array.rows().iter().any(PhysicalRow::has_stuck);
+    let code = if rebuild {
+        let model = row_model_from_array(&array, &slicer, config.group.operand_bits(), memo);
         let da = DataAwareConfig {
             error_list: config.error_list,
         };
@@ -291,6 +348,7 @@ fn select_data_aware_code(
     check_bits: u32,
     hardware_candidates: bool,
     config: &AccelConfig,
+    memo: &mut RateMemo<'_>,
 ) -> Result<AbnCode, CodeError> {
     let b = ProtectionScheme::B;
     let max_a = ((1u64 << check_bits) - 1) / b;
@@ -314,7 +372,7 @@ fn select_data_aware_code(
         b,
         config.group.data_bits(),
         &da,
-        |a| predicted_row_model(blocks, a, config),
+        |a| predicted_row_model(blocks, a, config, memo),
     )?;
     Ok(result.code)
 }
@@ -331,6 +389,7 @@ fn predicted_row_model(
     blocks: &[U256],
     a: u64,
     config: &AccelConfig,
+    memo: &mut RateMemo<'_>,
 ) -> Result<RowErrorModel, CodeError> {
     let multiplier = a * ProtectionScheme::B;
     let coded_bits = config.group.data_bits() + total_check_bits(a, ProtectionScheme::B);
@@ -340,12 +399,16 @@ fn predicted_row_model(
         .map(|&b| b.checked_mul_u64(multiplier).ok_or(CodeError::Overflow))
         .collect::<Result<_, _>>()?;
     let levels = slicer.slice_wide(&coded);
+    let mut composition = vec![0u32; config.device.levels() as usize];
     let rows = levels
         .iter()
         .enumerate()
         .map(|(r, row_levels)| {
-            let composition = composition_of(row_levels, config.device.levels());
-            let rate = rowerr::predict_composition(&composition, &config.device);
+            composition.fill(0);
+            for &l in row_levels {
+                composition[l as usize] += 1;
+            }
+            let rate = memo.rate(&composition);
             RowError {
                 lsb_bit: slicer.row_lsb(r as u32),
                 p_high: rate.p_high,
@@ -363,6 +426,7 @@ fn row_model_from_array(
     array: &CrossbarArray,
     slicer: &BitSlicer,
     operand_bits: u32,
+    memo: &mut RateMemo<'_>,
 ) -> RowErrorModel {
     let rows = array
         .rows()
@@ -370,8 +434,7 @@ fn row_model_from_array(
         .enumerate()
         .map(|(r, row)| {
             let mask = InputMask::all_ones(row.width());
-            let composition = row.active_composition(&mask);
-            let rate = rowerr::predict_composition(&composition, array.params());
+            let rate = memo.rate(&row.active_composition(&mask));
             RowError {
                 lsb_bit: slicer.row_lsb(r as u32),
                 p_high: rate.p_high,
@@ -381,15 +444,6 @@ fn row_model_from_array(
         })
         .collect();
     RowErrorModel::new(rows, operand_bits)
-}
-
-/// Counts cells per level.
-fn composition_of(levels: &[u32], n_levels: u32) -> Vec<u32> {
-    let mut comp = vec![0u32; n_levels as usize];
-    for &l in levels {
-        comp[l as usize] += 1;
-    }
-    comp
 }
 
 /// The worst-case device-parameter row model for a `DeviceParams` —
@@ -533,5 +587,117 @@ mod tests {
                 "bits {bits}: rows {rows} outside {lo}..={hi}"
             );
         }
+    }
+
+    /// A 20 × 150 matrix (two chunks of three stacks each): dense random
+    /// rows and rows clustered near the weight bias.
+    fn digest_matrix() -> Vec<Vec<u16>> {
+        use rand::RngCore;
+        let mut rng = ChaCha8Rng::seed_from_u64(0xD16E);
+        (0..20)
+            .map(|o| {
+                (0..150)
+                    .map(|_| {
+                        let r = rng.next_u32();
+                        if o % 2 == 0 {
+                            (r >> 16) as u16
+                        } else {
+                            32768 - 512 + (r % 1024) as u16
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// FNV-1a over `A`, `B` and every table entry of every stack.
+    fn table_digest(m: &MappedMatrix) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for stack in m.stacks.iter().flatten() {
+            let code = stack.code.as_ref().unwrap();
+            eat(code.a());
+            eat(code.b());
+            for (residue, entry) in code.table().iter() {
+                eat(residue);
+                for t in entry.syndrome.terms() {
+                    eat(u64::from(t.bit));
+                    eat(t.delta as u64);
+                }
+                eat(entry.probability.to_bits());
+                eat(u64::from(entry.half == ancode::TableHalf::StuckAware));
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn data_aware_tables_are_pinned() {
+        // Computed with the allocating error list, the per-call
+        // predictor and the unconditional rebuild this mapping replaced.
+        for (fault_rate, want) in [(0.0, 0x13d1_42c7_65a6_eae1), (0.2, 0xfb1a_b18a_b46a_7353)] {
+            let config =
+                AccelConfig::new(ProtectionScheme::data_aware(9)).with_fault_rate(fault_rate);
+            let m = map_matrix(&digest_matrix(), &config, &mut rng()).unwrap();
+            assert_eq!(m.stacks.iter().flatten().count(), 6);
+            let covered: f64 = m
+                .stacks
+                .iter()
+                .flatten()
+                .map(|s| s.code.as_ref().unwrap().table().covered_probability())
+                .sum();
+            assert!(covered > 0.0, "tables must carry probabilities");
+            assert_eq!(table_digest(&m), want, "fault rate {fault_rate}");
+        }
+    }
+
+    #[test]
+    fn fault_free_tables_equal_the_programmed_array_rebuild() {
+        // Without stuck cells the mapping keeps the `A`-search table; it
+        // must be the table a rebuild against the programmed array
+        // would produce.
+        let config = AccelConfig::new(ProtectionScheme::data_aware(9)).with_fault_rate(0.0);
+        let da = DataAwareConfig {
+            error_list: config.error_list,
+        };
+        let mut memo = RateMemo::new(&config.device);
+        let m = map_matrix(&digest_matrix(), &config, &mut rng()).unwrap();
+        for stack in m.stacks.iter().flatten() {
+            assert!(!stack.array.rows().iter().any(PhysicalRow::has_stuck));
+            let code = stack.code.as_ref().unwrap();
+            let model = row_model_from_array(
+                &stack.array,
+                &stack.slicer,
+                config.group.operand_bits(),
+                &mut memo,
+            );
+            let rebuilt = ancode::data_aware::build_code(
+                code.a(),
+                code.b(),
+                &model,
+                config.group.data_bits(),
+                &da,
+            )
+            .unwrap();
+            assert_eq!(rebuilt.table(), code.table());
+            assert_eq!(rebuilt.coded_bits(), code.coded_bits());
+        }
+    }
+
+    #[test]
+    fn rate_memo_returns_the_predictor_value() {
+        let device = DeviceParams::default();
+        let mut memo = RateMemo::new(&device);
+        for comp in [[32u32, 32, 32, 32], [120, 0, 0, 8], [32, 32, 32, 32]] {
+            assert_eq!(
+                memo.rate(&comp),
+                rowerr::predict_composition(&comp, &device)
+            );
+        }
+        assert_eq!(memo.rates.len(), 2);
     }
 }

@@ -9,9 +9,9 @@
 //! deterministic stuck-cell error, half corrects ordinary transient
 //! events.
 
+use crate::error_list::{pow2_residues, rank};
 use crate::{
-    AbnCode, AnCode, CodeError, CorrectionTable, ErrorList, ErrorListConfig, RowErrorModel,
-    TableHalf,
+    AbnCode, AnCode, CodeError, CorrectionTable, ErrorListConfig, RowErrorModel, TableHalf,
 };
 
 /// Configuration for data-aware table construction.
@@ -54,7 +54,6 @@ pub fn build_table(
     config: &DataAwareConfig,
 ) -> Result<CorrectionTable, CodeError> {
     let code = AnCode::new(a)?;
-    let list = ErrorList::build(model, &config.error_list);
     let mut table = CorrectionTable::new(a)?;
 
     let has_stuck = model.stuck_rows().next().is_some();
@@ -67,7 +66,11 @@ pub fn build_table(
     let mut stuck_used = 0;
     let mut transient_used = 0;
 
-    for candidate in list.iter() {
+    // Residues are tested in `u64` arithmetic; a syndrome is built only
+    // for a candidate whose residue is nonzero and still free, and
+    // `try_insert` re-derives that residue from the syndrome itself.
+    let pow2 = pow2_residues(a);
+    for candidate in rank(model, &config.error_list) {
         let (half, used, budget) = if candidate.involves_stuck {
             (TableHalf::StuckAware, &mut stuck_used, stuck_budget)
         } else {
@@ -76,9 +79,12 @@ pub fn build_table(
         if *used >= budget {
             continue;
         }
-        if table
-            .try_insert(&code, candidate.syndrome.clone(), candidate.probability, half)
-            .is_ok()
+        let residue = candidate.residue(&pow2, a);
+        if residue != 0
+            && table.lookup(residue).is_none()
+            && table
+                .try_insert(&code, candidate.syndrome(), candidate.probability, half)
+                .is_ok()
         {
             *used += 1;
         }

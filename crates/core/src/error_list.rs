@@ -8,6 +8,9 @@
 //! The sorted list drives the greedy syndrome allocation in
 //! [`data_aware`](crate::data_aware).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::{RowError, RowErrorModel, Syndrome, SyndromeTerm};
 
 /// A candidate error event: a concrete syndrome with its estimated
@@ -69,6 +72,9 @@ impl ErrorList {
     /// deterministic errors; events involving them are marked so the
     /// split-table allocator can place them in the stuck-aware half.
     ///
+    /// The list is the ranking the table builder allocates from, with
+    /// every event's [`Syndrome`] materialised.
+    ///
     /// # Examples
     ///
     /// ```
@@ -84,39 +90,9 @@ impl ErrorList {
     /// assert_eq!(list.candidates()[0].syndrome.msb(), 4);
     /// ```
     pub fn build(model: &RowErrorModel, config: &ErrorListConfig) -> ErrorList {
-        let mut candidates = Vec::new();
-
-        // Single-row events over every row.
-        for row in model.rows() {
-            push_row_events(&mut candidates, model, &[*row], config);
+        ErrorList {
+            candidates: rank(model, config).map(|e| e.candidate()).collect(),
         }
-
-        // Multi-row combinations over the most error-prone rows.
-        let mut ranked: Vec<RowError> = model.rows().to_vec();
-        ranked.sort_by(|a, b| {
-            b.p_any()
-                .partial_cmp(&a.p_any())
-                .expect("probabilities are finite")
-        });
-        ranked.truncate(config.top_rows);
-        ranked.sort_by_key(|r| r.lsb_bit);
-
-        let k_max = config.max_rows_per_event.min(ranked.len()).min(4);
-        for k in 2..=k_max {
-            let mut combo = Vec::with_capacity(k);
-            combine(&ranked, k, 0, &mut combo, &mut |rows| {
-                push_row_events(&mut candidates, model, rows, config);
-            });
-        }
-
-        candidates.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .expect("scores are finite")
-                .then_with(|| a.syndrome.msb().cmp(&b.syndrome.msb()))
-        });
-        candidates.truncate(config.max_candidates);
-        ErrorList { candidates }
     }
 
     /// The candidates, sorted by descending score.
@@ -140,26 +116,185 @@ impl ErrorList {
     }
 }
 
-/// Emits all sign patterns for one row combination.
+/// One candidate error event before its [`Syndrome`] is built: the
+/// rows it touches and the direction each errs.
+///
+/// The table builder examines only the head of the ranking (a table
+/// holds at most `A − 1` events), so it ranks these `Copy` records and
+/// materialises a syndrome only for an event it keeps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct RankedEvent {
+    /// Estimated probability of the event.
+    pub(crate) probability: f64,
+    /// Allocation priority: `probability × 2^(msb bit weight)`.
+    pub(crate) score: f64,
+    /// Whether the event involves a stuck-at row.
+    pub(crate) involves_stuck: bool,
+    /// Bit positions of the rows, ascending; `bits[..len]` are used.
+    bits: [u32; 4],
+    len: usize,
+    /// Bit `i` set: row `i` errs low (`−1`); clear: high (`+1`).
+    low: u8,
+}
+
+impl RankedEvent {
+    /// `(bit, errs low)` for each row, by ascending bit.
+    fn terms(&self) -> impl Iterator<Item = (u32, bool)> + '_ {
+        self.bits[..self.len]
+            .iter()
+            .enumerate()
+            .map(|(i, &bit)| (bit, self.low & (1 << i) != 0))
+    }
+
+    /// The event's syndrome.
+    pub(crate) fn syndrome(&self) -> Syndrome {
+        Syndrome::new(
+            self.terms()
+                .map(|(bit, low)| SyndromeTerm::new(bit, if low { -1 } else { 1 }))
+                .collect(),
+        )
+    }
+
+    /// The event's syndrome residue modulo `a`, i.e.
+    /// `Σ ±(2^bit mod a) mod a` with `pow2[bit] = 2^bit mod a`: the
+    /// residue of [`syndrome`](Self::syndrome)`.value()`, since taking
+    /// residues commutes with the signed sum.
+    pub(crate) fn residue(&self, pow2: &[u64; 256], a: u64) -> u64 {
+        self.terms().fold(0, |acc, (bit, low)| {
+            // lint: allow(lossy_cast, u32 to usize widens on every supported target)
+            let r = pow2[bit as usize];
+            add_mod(acc, if low && r != 0 { a - r } else { r }, a)
+        })
+    }
+
+    fn candidate(&self) -> ErrorCandidate {
+        ErrorCandidate {
+            syndrome: self.syndrome(),
+            probability: self.probability,
+            score: self.score,
+            involves_stuck: self.involves_stuck,
+        }
+    }
+}
+
+/// `2^bit mod a` for every bit position of a 256-bit word.
+pub(crate) fn pow2_residues(a: u64) -> [u64; 256] {
+    let mut out = [0; 256];
+    let mut r = 1 % a;
+    for slot in &mut out {
+        *slot = r;
+        r = add_mod(r, r, a);
+    }
+    out
+}
+
+/// `(x + y) mod a` for `x, y < a`, without overflow.
+fn add_mod(x: u64, y: u64, a: u64) -> u64 {
+    if x >= a - y {
+        x - (a - y)
+    } else {
+        x + y
+    }
+}
+
+/// The candidate events of one model in allocation order: descending
+/// score, ties broken by ascending msb and then by enumeration order
+/// (single rows by bit, then 2-, 3- and 4-row combinations of the most
+/// error-prone rows), at most `max_candidates` of them.
+///
+/// The order is produced lazily from a heap, so a table that fills
+/// after a few hundred events never orders the other thousands.
+pub(crate) struct Ranking {
+    events: Vec<RankedEvent>,
+    /// `Reverse((!score_bits, msb, index))`: the least key is the next
+    /// event. Scores are finite and non-negative, and for those the IEEE
+    /// bit patterns order like the values (`+ 0.0` folds a `−0.0` into
+    /// `+0.0`), so `!bits` puts the highest score first. The index makes
+    /// every key distinct, so the order is exactly the stable sort by
+    /// (descending score, ascending msb).
+    heap: BinaryHeap<Reverse<(u64, u32, usize)>>,
+    remaining: usize,
+}
+
+impl Iterator for Ranking {
+    type Item = RankedEvent;
+
+    fn next(&mut self) -> Option<RankedEvent> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let Reverse((_, _, index)) = self.heap.pop()?;
+        self.events.get(index).copied()
+    }
+}
+
+/// Enumerates and scores the candidate events of `model`.
+pub(crate) fn rank(model: &RowErrorModel, config: &ErrorListConfig) -> Ranking {
+    let mut events = Vec::new();
+
+    // Single-row events over every row.
+    for row in model.rows() {
+        push_row_events(&mut events, model, &[*row], config);
+    }
+
+    // Multi-row combinations over the most error-prone rows.
+    let mut ranked: Vec<RowError> = model.rows().to_vec();
+    ranked.sort_by(|a, b| {
+        b.p_any()
+            .partial_cmp(&a.p_any())
+            .expect("probabilities are finite")
+    });
+    ranked.truncate(config.top_rows);
+    ranked.sort_by_key(|r| r.lsb_bit);
+
+    let k_max = config.max_rows_per_event.min(ranked.len()).min(4);
+    for k in 2..=k_max {
+        let mut combo = Vec::with_capacity(k);
+        combine(&ranked, k, 0, &mut combo, &mut |rows| {
+            push_row_events(&mut events, model, rows, config);
+        });
+    }
+
+    let heap = events
+        .iter()
+        .enumerate()
+        .map(|(index, e)| {
+            debug_assert!(e.score >= 0.0 && e.score.is_finite(), "score {}", e.score);
+            let msb = e.bits[e.len - 1];
+            Reverse((!(e.score + 0.0).to_bits(), msb, index))
+        })
+        .collect();
+    Ranking {
+        events,
+        heap,
+        remaining: config.max_candidates,
+    }
+}
+
+/// Emits all sign patterns for one row combination (at most 4 rows,
+/// sorted by bit).
 fn push_row_events(
-    out: &mut Vec<ErrorCandidate>,
+    out: &mut Vec<RankedEvent>,
     model: &RowErrorModel,
     rows: &[RowError],
     config: &ErrorListConfig,
 ) {
+    let mut bits = [0; 4];
+    for (bit, row) in bits.iter_mut().zip(rows) {
+        *bit = row.lsb_bit;
+    }
+    let involves_stuck = rows.iter().any(|r| r.stuck);
+    let weight = model.bit_weight(bits[rows.len() - 1]);
     // Each row errs high (+1, probability p_high) or low (−1, p_low);
     // enumerate every sign assignment with nonzero probability.
-    let n = rows.len();
-    for pattern in 0..(1u32 << n) {
+    for low in 0..(1u8 << rows.len()) {
         let mut probability = 1.0;
-        let mut terms = Vec::with_capacity(n);
-        let mut involves_stuck = false;
         for (i, row) in rows.iter().enumerate() {
-            let high = pattern & (1 << i) == 0;
+            let high = low & (1 << i) == 0;
             // A stuck cell errs deterministically when driven; treat its
             // activity factor as certain for ranking purposes.
-            let p = if row.stuck {
-                involves_stuck = true;
+            probability *= if row.stuck {
                 if high {
                     1.0
                 } else {
@@ -170,19 +305,17 @@ fn push_row_events(
             } else {
                 row.p_low
             };
-            probability *= p;
-            terms.push(SyndromeTerm::new(row.lsb_bit, if high { 1 } else { -1 }));
         }
         if probability < config.min_probability {
             continue;
         }
-        let syndrome = Syndrome::new(terms);
-        let score = probability * model.bit_weight(syndrome.msb());
-        out.push(ErrorCandidate {
-            syndrome,
+        out.push(RankedEvent {
             probability,
-            score,
+            score: probability * weight,
             involves_stuck,
+            bits,
+            len: rows.len(),
+            low,
         });
     }
 }

@@ -88,25 +88,43 @@ impl BitSlicer {
 
     /// Slices arbitrary-width words (e.g. AN-encoded 128-bit groups).
     ///
+    /// Each word is checked once and split into its four 64-bit limbs;
+    /// a cell then reads one limb, or two where it straddles a limb
+    /// boundary. Bits above `word_bits` are zero in a checked word, so
+    /// a top row narrower than `cell_bits` needs no extra mask.
+    ///
     /// # Panics
     ///
     /// Panics if any word exceeds `word_bits`.
     pub fn slice_wide(&self, words: &[U256]) -> Vec<Vec<u32>> {
+        let limbs: Vec<[u64; 4]> = words
+            .iter()
+            .map(|w| {
+                assert!(
+                    w.bits() <= self.word_bits,
+                    "word of {} bits exceeds {}-bit slicer",
+                    w.bits(),
+                    self.word_bits
+                );
+                w.to_limbs()
+            })
+            .collect();
         let mask = (1u64 << self.cell_bits) - 1;
         (0..self.rows_per_word())
             .map(|r| {
                 let lo = self.row_lsb(r);
-                let width = self.cell_bits.min(self.word_bits - lo);
-                words
+                let (limb, shift) = ((lo / 64) as usize, lo % 64);
+                // Only a cell starting in limbs 0–2 can spill into the
+                // next one; `shift > 56` then, so `64 − shift` is < 8.
+                let next = (shift + self.cell_bits > 64 && limb < 3).then_some(limb + 1);
+                limbs
                     .iter()
                     .map(|w| {
-                        assert!(
-                            w.bits() <= self.word_bits,
-                            "word of {} bits exceeds {}-bit slicer",
-                            w.bits(),
-                            self.word_bits
-                        );
-                        (w.extract_bits(lo, width) & mask) as u32
+                        let mut v = w[limb] >> shift;
+                        if let Some(n) = next {
+                            v |= w[n] << (64 - shift);
+                        }
+                        (v & mask) as u32
                     })
                     .collect()
             })
@@ -207,6 +225,53 @@ mod tests {
     #[should_panic(expected = "exceeds")]
     fn word_too_wide_panics() {
         BitSlicer::new(2, 8).slice_words(&[0x100]);
+    }
+
+    #[test]
+    #[should_panic(expected = "word of 138 bits exceeds 137-bit slicer")]
+    fn wide_word_too_wide_panics_with_its_width() {
+        let fits = U256::ONE << 136u32;
+        BitSlicer::new(4, 137).slice_wide(&[fits, fits << 1u32]);
+    }
+
+    #[test]
+    fn limb_slicing_matches_per_cell_extraction() {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x511CE);
+        for cell_bits in 1..=8 {
+            for word_bits in [1u32, 16, 63, 64, 65, 128, 137, 192, 255, 256] {
+                let slicer = BitSlicer::new(cell_bits, word_bits);
+                // Random words of every width up to `word_bits`, plus the
+                // all-ones word, so rows straddling a limb boundary see
+                // set bits on both sides.
+                let mut words: Vec<U256> = (0..40)
+                    .map(|i| {
+                        let w = U256::from_limbs([
+                            rng.next_u64(),
+                            rng.next_u64(),
+                            rng.next_u64(),
+                            rng.next_u64(),
+                        ]);
+                        w >> (256 - 1 - (i * 7) % word_bits)
+                    })
+                    .collect();
+                words.push(U256::MAX >> (256 - word_bits));
+                words.push(U256::ZERO);
+                let rows = slicer.slice_wide(&words);
+                assert_eq!(rows.len(), slicer.rows_per_word() as usize);
+                for (r, row) in rows.iter().enumerate() {
+                    let lo = slicer.row_lsb(r as u32);
+                    let width = cell_bits.min(word_bits - lo);
+                    for (j, w) in words.iter().enumerate() {
+                        assert_eq!(
+                            row[j] as u64,
+                            w.extract_bits(lo, width),
+                            "c={cell_bits} w={word_bits} row {r} word {j}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// The historical reduction: one `U256` shift-and-add per row,

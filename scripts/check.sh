@@ -94,6 +94,24 @@ done
 [ "$stale" -eq 0 ] || exit 1
 echo "doc flags all resolve"
 
+echo "=== stale doc paths (backticked *.rs / *.sh names must be tracked files) ==="
+# Every backticked `*.rs` or `*.sh` name in README.md, DESIGN.md or
+# EXPERIMENTS.md must match a tracked file by path suffix (`bitslice.rs`
+# matches crates/xbar/src/bitslice.rs), so a deleted or moved file
+# cannot linger in the living docs. CHANGES.md and ROADMAP.md record
+# history and may name files that are gone.
+tracked="$(git ls-files)"
+for name in $(grep -hoE '`[A-Za-z0-9_./-]+\.(rs|sh)`' README.md DESIGN.md EXPERIMENTS.md \
+                | tr -d '`' | sort -u); do
+  if ! printf '%s\n' "$tracked" | awk -v n="$name" \
+       '$0 == n || substr($0, length($0) - length(n)) == "/" n { found = 1 } END { exit !found }'; then
+    echo "FAIL: \`$name\` is named in the docs but matches no tracked file" >&2
+    stale=1
+  fi
+done
+[ "$stale" -eq 0 ] || exit 1
+echo "doc paths all resolve"
+
 echo "=== batch equivalence smoke (batch-of-1 delegation, batch-of-8 vs sequential) ==="
 # The batched-kernel contract of DESIGN.md §2: batch-of-1 delegates to
 # the scalar kernel bit-for-bit, and with noise off a batch of N equals
