@@ -1,7 +1,7 @@
 //! Batched-kernel equivalence: the contract DESIGN.md §2 documents.
 //!
-//! - Batch-of-1 through `mvm_batch_into` is *bit-identical* to the
-//!   scalar `mvm_into` kernel, noise and all (it delegates).
+//! - Batch-of-1 through `mvm_batch_into` is *bit-identical* to
+//!   `mvm_into`, noise and all (a single vector is a batch of one).
 //! - With every noise source disabled, a batch of N equals N sequential
 //!   single-vector calls for every protection scheme — the batched
 //!   path reorders the noise *draws*, never the arithmetic.
@@ -38,8 +38,9 @@ fn inputs(n: usize) -> Vec<u16> {
         .collect()
 }
 
-/// A config with every noise source off, so scalar and batched kernels
-/// must agree exactly despite drawing from the RNG in different orders.
+/// A config with every noise source off, so a batch and sequential
+/// single-vector calls must agree exactly despite drawing from the RNG
+/// in different orders.
 fn noiseless(scheme: ProtectionScheme, batch: usize) -> AccelConfig {
     let mut config = AccelConfig::new(scheme).with_batch(batch);
     config.device.rtn_state_probability = 0.0;

@@ -412,7 +412,7 @@ impl CrossbarArray {
             snapshot.traps[row],
             mask.bits(),
             mask.count_ones(),
-            self.thermal_factor(),
+            self.read_noise(),
             rng,
         );
         i64::from(code)
@@ -438,8 +438,10 @@ impl CrossbarArray {
     /// individual frozen reads. The driven conductance sums of up to 8
     /// rows are accumulated in one pass over the driven columns, each
     /// row in its own ascending-column order, so they equal the per-row
-    /// scans bit for bit. This is the accelerator's group-read
-    /// primitive: one call per bit-serial cycle per stack.
+    /// scans bit for bit. It is the self-contained group read, one call
+    /// per bit-serial cycle per stack; the accelerator engine itself
+    /// reads through
+    /// [`read_rows_amortized_into`](CrossbarArray::read_rows_amortized_into).
     ///
     /// # Panics
     ///
@@ -455,29 +457,23 @@ impl CrossbarArray {
         out.clear();
         let mask_bits = mask.bits();
         let active = mask.count_ones();
-        let thermal_factor = self.thermal_factor();
+        let noise = self.read_noise();
         for (block, rows) in self.rows.chunks(READ_BLOCK).enumerate() {
             let g_totals = driven_conductance_sums(rows, mask);
             for (k, (r, &g_total)) in rows.iter().zip(&g_totals).enumerate() {
                 let trap_bits = snapshot.traps[block * READ_BLOCK + k];
-                let code = self.read_frozen(
-                    r,
-                    g_total,
-                    trap_bits,
-                    mask_bits,
-                    active,
-                    thermal_factor,
-                    rng,
-                );
+                let code = self.read_frozen(r, g_total, trap_bits, mask_bits, active, noise, rng);
                 out.push(u64::from(code));
             }
         }
     }
 
-    /// `4·k_B·T·BW`: the thermal noise variance per siemens of driven
-    /// conductance.
-    fn thermal_factor(&self) -> f64 {
-        4.0 * crate::device::K_B * self.params.temperature * self.params.bandwidth
+    /// The read-noise model of this array's device parameters.
+    fn read_noise(&self) -> ReadNoise {
+        ReadNoise {
+            thermal: 4.0 * crate::device::K_B * self.params.temperature * self.params.bandwidth,
+            shot: 2.0 * crate::device::Q_E * self.params.bandwidth,
+        }
     }
 
     /// The frozen-RTN read of one row with driven conductance sum
@@ -493,7 +489,7 @@ impl CrossbarArray {
         trap_bits: u128,
         mask_bits: u128,
         active: u32,
-        thermal_factor: f64,
+        noise: ReadNoise,
         rng: &mut R,
     ) -> u32 {
         let mut current = self.params.v_read * g_total;
@@ -501,10 +497,7 @@ impl CrossbarArray {
             let trapped = (level_mask & trap_bits & mask_bits).count_ones();
             current -= trapped as f64 * delta_i;
         }
-        let sigma_thermal = (thermal_factor * g_total).sqrt();
-        let sigma_shot = self.params.shot_sigma(current);
-        let sigma = (sigma_thermal * sigma_thermal + sigma_shot * sigma_shot).sqrt();
-        self.quantize_noisy(current, sigma, active, rng)
+        self.quantize_noisy(current, noise.sigma(g_total, current), active, rng)
     }
 
     /// Quantizes `current + sigma·z` for a standard normal `z` with the
@@ -623,16 +616,14 @@ impl CrossbarArray {
     /// and the hoisted sparse trap table
     /// ([`trap_level_sparse_into`](CrossbarArray::trap_level_sparse_into)).
     ///
+    /// This is the accelerator engine's group read at every batch size.
     /// Differences from [`read_rows_into`](CrossbarArray::read_rows_into),
     /// all invisible when every noise source is disabled and pinned by
-    /// the batched goldens otherwise:
+    /// the engine goldens otherwise:
     ///
     /// - Gaussian noise comes from the paired [`NormalSource`] (a
     ///   different — equally valid — stream than the single-draw
     ///   sampler; rows take their draws in ascending order);
-    /// - the noise variance is assembled as
-    ///   `thermal_factor·g + 2·q·|I|·BW` under a single square root
-    ///   instead of squaring two separately rooted sigmas;
     /// - quantization divides by precomputed reciprocal
     ///   (`Adc::quantize_fast`).
     ///
@@ -670,8 +661,7 @@ impl CrossbarArray {
         out.clear();
         let active = mask.count_ones();
         let mask_bits = mask.bits();
-        let thermal_factor = self.thermal_factor();
-        let shot_factor = 2.0 * crate::device::Q_E * self.params.bandwidth;
+        let noise = self.read_noise();
         for row in 0..rows {
             let g = g_totals[row];
             let mut current = self.params.v_read * g;
@@ -680,10 +670,9 @@ impl CrossbarArray {
                 let trapped = (m & mask_bits).count_ones();
                 current -= trapped as f64 * delta_i;
             }
-            let sigma = (thermal_factor * g + shot_factor * current.abs()).sqrt();
             let code = quantize_on_demand(
                 current,
-                sigma,
+                noise.sigma(g, current),
                 || normals.next_deferred(rng),
                 |i| self.adc.quantize_fast(i, active),
             );
@@ -731,12 +720,7 @@ impl CrossbarArray {
             current -= trapped as f64 * delta_i;
         }
 
-        // Thermal noise of the driven resistors plus shot noise of the
-        // aggregate current.
-        let sigma_thermal = (self.thermal_factor() * g_total).sqrt();
-        let sigma_shot = self.params.shot_sigma(current);
-        let sigma = (sigma_thermal * sigma_thermal + sigma_shot * sigma_shot).sqrt();
-        (current, sigma)
+        (current, self.read_noise().sigma(g_total, current))
     }
 
     /// The *expected* current of row `row` under `mask` (over RTN and
@@ -753,6 +737,27 @@ impl CrossbarArray {
             current -= n as f64 * p * delta_i;
         }
         current
+    }
+}
+
+/// The read-noise model: thermal noise of the driven resistors plus
+/// shot noise of the row current (§II-C), independent Gaussians whose
+/// variances add.
+#[derive(Debug, Clone, Copy)]
+struct ReadNoise {
+    /// `4·k_B·T·BW`: thermal variance per siemens of driven conductance.
+    thermal: f64,
+    /// `2·q·BW`: shot variance per ampere of row current.
+    shot: f64,
+}
+
+impl ReadNoise {
+    /// The noise sigma of a read with driven conductance `g_total` and
+    /// noise-free current `current`:
+    /// `sqrt(thermal·g_total + shot·|current|)`.
+    #[inline]
+    fn sigma(self, g_total: f64, current: f64) -> f64 {
+        (self.thermal * g_total + self.shot * current.abs()).sqrt()
     }
 }
 
@@ -1424,6 +1429,7 @@ mod tests {
     ) -> Vec<u64> {
         let thermal_factor =
             4.0 * crate::device::K_B * array.params.temperature * array.params.bandwidth;
+        let shot_factor = 2.0 * crate::device::Q_E * array.params.bandwidth;
         (0..array.row_count())
             .map(|row| {
                 let r = &array.rows[row];
@@ -1437,9 +1443,7 @@ mod tests {
                         (r.level_masks[level] & snapshot.traps[row] & mask.bits()).count_ones();
                     current -= trapped as f64 * delta_i;
                 }
-                let sigma_thermal = (thermal_factor * g_total).sqrt();
-                let sigma_shot = array.params.shot_sigma(current);
-                let sigma = (sigma_thermal * sigma_thermal + sigma_shot * sigma_shot).sqrt();
+                let sigma = (thermal_factor * g_total + shot_factor * current.abs()).sqrt();
                 eager_quantize(
                     current,
                     sigma,
@@ -1611,6 +1615,25 @@ mod tests {
             let code = eager_read_rows(&array, &mask, &reference, true, &mut reference_rng)[0];
             reference_errors += u32::from(code != ideal);
         }
+        assert_figure_7_rates_agree(
+            "on-demand",
+            kernel_errors,
+            "always-draw",
+            reference_errors,
+            reads,
+        );
+    }
+
+    /// Two row error counts over `reads` reads each must agree within
+    /// 4σ of their pooled binomial spread, with the reference count in
+    /// Fig 7's regime.
+    fn assert_figure_7_rates_agree(
+        kernel: &str,
+        kernel_errors: u32,
+        reference: &str,
+        reference_errors: u32,
+        reads: u32,
+    ) {
         let (a, b) = (
             f64::from(kernel_errors) / f64::from(reads),
             f64::from(reference_errors) / f64::from(reads),
@@ -1619,12 +1642,59 @@ mod tests {
         let sigma = (2.0 * pooled * (1.0 - pooled) / f64::from(reads)).sqrt();
         assert!(
             (0.05..0.40).contains(&b),
-            "reference error rate {b} is not Fig 7's regime"
+            "{reference} error rate {b} is not Fig 7's regime"
         );
         assert!(
             (a - b).abs() <= 4.0 * sigma,
-            "on-demand {a} vs always-draw {b} (4σ = {})",
+            "{kernel} {a} vs {reference} {b} (4σ = {})",
             4.0 * sigma
+        );
+    }
+
+    /// The engine's amortized read (paired normals, sparse trap table,
+    /// reciprocal quantize, all drawn on demand) must sample the same
+    /// code distribution as the scalar draw-on-demand frozen read: at
+    /// Fig 7's operating point, one fresh RTN snapshot per read, their
+    /// row error rates agree.
+    #[test]
+    fn amortized_reads_keep_the_figure_7_error_rate() {
+        let levels = vec![(0..128).map(|i| i % 4).collect::<Vec<u32>>()];
+        let array = CrossbarArray::program(&levels, &clean_params(), &mut rng());
+        let mask = InputMask::all_ones(128);
+        let ideal = array.ideal_row_output(0, &mask) as u64;
+        let mut g_totals = Vec::new();
+        array.conductance_planes_into(&[1; 128], 1, &mut g_totals);
+        let reads = 20_000;
+        let (mut amortized_rng, mut scalar_rng) =
+            (ChaCha8Rng::seed_from_u64(7), ChaCha8Rng::seed_from_u64(8));
+        let mut normals = NormalSource::new();
+        let mut snapshot = RtnSnapshot::default();
+        let (mut offsets, mut entries, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut amortized_errors, mut scalar_errors) = (0u32, 0u32);
+        for _ in 0..reads {
+            array.sample_rtn_into(&mut amortized_rng, &mut snapshot);
+            array.trap_level_sparse_into(&snapshot, &mut offsets, &mut entries);
+            array.read_rows_amortized_into(
+                &mask,
+                &g_totals,
+                &offsets,
+                &entries,
+                &mut normals,
+                &mut amortized_rng,
+                &mut out,
+            );
+            amortized_errors += u32::from(out[0] != ideal);
+
+            array.sample_rtn_into(&mut scalar_rng, &mut snapshot);
+            let code = array.read_row_frozen(0, &mask, &snapshot, &mut scalar_rng) as u64;
+            scalar_errors += u32::from(code != ideal);
+        }
+        assert_figure_7_rates_agree(
+            "amortized",
+            amortized_errors,
+            "scalar",
+            scalar_errors,
+            reads,
         );
     }
 

@@ -26,20 +26,24 @@ echo "=== vendored RNG crates (keystream known answers, fill_bytes) ==="
 cargo test -q --manifest-path third_party/rand_core/Cargo.toml --target-dir target/third_party
 cargo test -q --manifest-path third_party/rand_chacha/Cargo.toml --target-dir target/third_party
 
-echo "=== e2ebench (own tests + traced cnn1 smoke) ==="
+echo "=== e2ebench (own tests + traced cnn1 and mlp1 smokes) ==="
 # The benchmark is its own Cargo package, not a workspace member, so
 # the tier-1 run above never builds it. It calls the public xbar and
-# accel kernel API directly (its stage replay must reproduce
+# accel kernel API directly (its traced replay must reproduce
 # sim::evaluate exactly), so an API or draw-order change that breaks
-# the benchmark or its replay checks fails here. The smoke's result is
-# the last line of stdout and must report no failed cell.
+# the benchmark or its replay checks fails here. Each smoke's result is
+# the last line of stdout and must report no failed cell. The cnn1
+# smoke runs the engine at batch 32; the mlp1 smoke (~14 s) is the only
+# end-to-end check of the engine at batch 1 against sim::evaluate.
 cargo test -q --offline --manifest-path e2ebench/Cargo.toml
-e2e_result="$(cargo run --release --quiet --offline --manifest-path e2ebench/Cargo.toml -- \
-  --workload fig10-cnn1-batched --seconds 1 --trace 1 | tail -n 1)"
-case "$e2e_result" in
-  *'"failed": 0,'*) echo "e2ebench cnn1 traced smoke: failed 0" ;;
-  *) echo "FAIL: e2ebench cnn1 traced smoke reported failed cells: $e2e_result" >&2; exit 1 ;;
-esac
+for workload in fig10-cnn1-batched fig10-mlp1-scalar; do
+  e2e_result="$(cargo run --release --quiet --offline --manifest-path e2ebench/Cargo.toml -- \
+    --workload "$workload" --seconds 1 --trace 1 | tail -n 1)"
+  case "$e2e_result" in
+    *'"failed": 0,'*) echo "e2ebench $workload traced smoke: failed 0" ;;
+    *) echo "FAIL: e2ebench $workload traced smoke reported failed cells: $e2e_result" >&2; exit 1 ;;
+  esac
+done
 
 echo "=== repro-lint self-tests (lexer fixtures + CLI) ==="
 # The lint tool is itself load-bearing: exercise its lexer fixtures and
@@ -112,10 +116,10 @@ done
 [ "$stale" -eq 0 ] || exit 1
 echo "doc paths all resolve"
 
-echo "=== batch equivalence smoke (batch-of-1 delegation, batch-of-8 vs sequential) ==="
-# The batched-kernel contract of DESIGN.md §2: batch-of-1 delegates to
-# the scalar kernel bit-for-bit, and with noise off a batch of N equals
-# N sequential calls for every scheme.
+echo "=== batch equivalence smoke (batch-of-1 is mvm_into, batch-of-8 vs sequential) ==="
+# The one-kernel contract of DESIGN.md §2: a single-vector call is a
+# batch of one, and with noise off a batch of N equals N sequential
+# calls for every scheme.
 cargo test -q -p accel --test batch_equivalence
 
 echo "=== allocation sanitizer (MVM hot path) ==="
