@@ -699,6 +699,51 @@ mod tests {
         );
     }
 
+    /// A single-row error that the stack's code corrects must decode to
+    /// the clean value and count as corrected, for errors `±2^lsb` too
+    /// large (`≥ A·B/2`) for the rounded quotient `observed / (A·B)`
+    /// to absorb: only the syndrome table gets those right.
+    #[test]
+    fn decode_cycle_corrects_row_errors_rounding_cannot_absorb() {
+        let m = quantized(8, 16, 9);
+        let config = AccelConfig::new(ProtectionScheme::data_aware(9)).with_fault_rate(0.0);
+        let stats = Arc::new(Mutex::new(DecodeStats::default()));
+        let mut engine = CrossbarEngine::program(&m, &config, 3, stats);
+        let stack = engine.mapped.stacks[0][0].clone();
+        let code = stack.code.clone().expect("a data-aware stack is coded");
+        let x = I256::from_i128(1).shifted_left(code.data_bits() - 1);
+        let clean = I256::from(code.encode(x.magnitude()).expect("x fits the data width"));
+        let mut checked = 0;
+        for row in 0..stack.array.row_count() as u32 {
+            let lsb = stack.slicer.row_lsb(row);
+            if lsb < 63 && 2u128 << lsb < u128::from(code.multiplier()) {
+                continue;
+            }
+            for sign in [1, -1] {
+                let error = I256::from_i128(sign).shifted_left(lsb);
+                let observed = clean + error;
+                let table_value = observed
+                    .rem_euclid_u64(code.a())
+                    .and_then(|residue| code.table().lookup(residue))
+                    .map(|entry| entry.syndrome.value());
+                if observed.is_negative() || table_value != Some(error) {
+                    continue;
+                }
+                let before = engine.local_stats;
+                let value = engine.decode_cycle(&stack, |_| observed.magnitude());
+                assert_eq!(value, x, "row {row} error {sign}·2^{lsb}");
+                let delta = engine.local_stats.delta_since(&before);
+                assert_eq!(
+                    (delta.corrected, delta.total()),
+                    (1, 1),
+                    "row {row} error {sign}·2^{lsb}: {delta:?}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no correctable row error of at least A·B/2");
+    }
+
     #[test]
     fn stats_accumulate() {
         let m = quantized(8, 16, 7);

@@ -14,6 +14,10 @@
 //!
 //! Noise is left at its realistic defaults so the decode path exercises
 //! corrections and retries, not just the clean fast path.
+//!
+//! Programming is not allocation-free, but its footprint is budgeted:
+//! a fault-free row costs its conductances and its level masks, and
+//! nothing else.
 
 #![cfg(feature = "alloc-count")]
 
@@ -116,4 +120,30 @@ fn mvm_batch_into_steady_state_is_allocation_free() {
         }
         assert_eq!(out.len(), batch * 12, "{label} output dimension");
     }
+}
+
+#[test]
+fn programming_allocates_two_buffers_per_row() {
+    // Two per row (conductances, level masks); the constant covers the
+    // row list and the array's per-level tables.
+    use rand::SeedableRng;
+    use xbar::{CrossbarArray, DeviceParams};
+
+    let params = DeviceParams {
+        fault_rate: 0.0,
+        ..DeviceParams::default()
+    };
+    let rows: Vec<Vec<u32>> = (0..69u32)
+        .map(|r| (0..128).map(|j| (r + j) % params.levels()).collect())
+        .collect();
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+    let before = accel::alloc_count::thread_alloc_ops();
+    let array = CrossbarArray::program(&rows, &params, &mut rng);
+    let ops = accel::alloc_count::thread_alloc_ops() - before;
+    assert_eq!(array.row_count(), 69);
+    let budget = 2 * 69 + 8;
+    assert!(
+        ops <= budget,
+        "programming 69 rows took {ops} allocating operations (budget {budget})"
+    );
 }

@@ -185,10 +185,7 @@ impl I256 {
         if self.is_zero() {
             return I256::ZERO;
         }
-        assert!(
-            self.magnitude.bits() + shift <= 256,
-            "I256 shift overflow"
-        );
+        assert!(self.magnitude.bits() + shift <= 256, "I256 shift overflow");
         I256::new(self.negative, self.magnitude << shift)
     }
 
@@ -324,7 +321,13 @@ mod tests {
 
     #[test]
     fn from_i128_roundtrip() {
-        for v in [-170141183460469231731687303715884105728i128, -5, 0, 7, i128::MAX] {
+        for v in [
+            -170141183460469231731687303715884105728i128,
+            -5,
+            0,
+            7,
+            i128::MAX,
+        ] {
             assert_eq!(I256::from_i128(v).to_i128(), Some(v));
         }
     }
@@ -336,7 +339,10 @@ mod tests {
         assert_eq!(a + b, I256::from_i128(6));
         assert_eq!(b + a, I256::from_i128(6));
         assert_eq!(a + (-a), I256::ZERO);
-        assert_eq!(I256::from_i128(-3) + I256::from_i128(-4), I256::from_i128(-7));
+        assert_eq!(
+            I256::from_i128(-3) + I256::from_i128(-4),
+            I256::from_i128(-7)
+        );
     }
 
     #[test]

@@ -115,8 +115,7 @@ mod tests {
         let mask = InputMask::all_ones(3);
         for total in 0..=9u32 {
             // Compose any cell currents summing to `total` level units.
-            let current = total as f64 * p.v_read * p.g_step()
-                + 3.0 * p.v_read / p.r_hi;
+            let current = total as f64 * p.v_read * p.g_step() + 3.0 * p.v_read / p.r_hi;
             assert_eq!(adc.quantize(current, &mask), total);
         }
     }

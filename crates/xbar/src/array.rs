@@ -52,37 +52,43 @@ impl std::fmt::Display for ArrayError {
 
 impl std::error::Error for ArrayError {}
 
-/// One programmed physical row: up to 128 cells.
+/// One programmed physical row: up to 128 cells, each stored once, as
+/// its conductance and a bit in its stored level's column mask.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalRow {
-    /// Intended cell levels.
-    target_levels: Vec<u32>,
-    /// Actually stored levels (differ from target at stuck cells).
-    actual_levels: Vec<u32>,
     /// Programmed conductances (S), including the RTN offset and the
     /// static programming error.
     conductance: Vec<f64>,
     /// Column bitmask per level of the *actual* stored data, for fast
     /// per-level active counts.
     level_masks: Vec<u128>,
-    /// Columns with stuck-at faults.
+    /// Columns with stuck-at faults, ascending.
     stuck_columns: Vec<u32>,
+    /// Intended levels of the stuck columns, in the same order; every
+    /// other column stores its intended level.
+    stuck_targets: Vec<u32>,
 }
 
 impl PhysicalRow {
     /// Number of cells in the row.
     pub fn width(&self) -> u32 {
-        self.target_levels.len() as u32
+        self.conductance.len() as u32
     }
 
-    /// Intended level of column `j`.
+    /// Intended level of column `j`; panics if `j` is out of range.
     pub fn target_level(&self, j: u32) -> u32 {
-        self.target_levels[j as usize]
+        match self.stuck_columns.binary_search(&j) {
+            Ok(i) => self.stuck_targets[i],
+            Err(_) => self.actual_level(j),
+        }
     }
 
-    /// Actually stored level of column `j` (differs at stuck cells).
+    /// Actually stored level of column `j` (differs at stuck cells), the
+    /// level whose mask holds bit `j`; panics if `j` is out of range.
     pub fn actual_level(&self, j: u32) -> u32 {
-        self.actual_levels[j as usize]
+        let bit = 1u128.checked_shl(j).unwrap_or(0);
+        let level = self.level_masks.iter().position(|&m| m & bit != 0);
+        level.expect("column out of range") as u32
     }
 
     /// Columns pinned by stuck-at faults.
@@ -239,37 +245,33 @@ impl CrossbarArray {
             delta_i.push(params.v_read / r * (d / (1.0 + d)));
         }
 
+        // One pass per row; per cell the fault draw, the stuck level if
+        // stuck, then the tolerance draw.
+        let tol = params.programming_tolerance;
         let rows = rows
             .iter()
             .map(|targets| {
-                let mut actual_levels = Vec::with_capacity(targets.len());
-                let mut conductance = Vec::with_capacity(targets.len());
-                let mut stuck_columns = Vec::new();
+                let mut row = PhysicalRow {
+                    conductance: Vec::with_capacity(targets.len()),
+                    level_masks: vec![0u128; levels as usize],
+                    stuck_columns: Vec::new(),
+                    stuck_targets: Vec::new(),
+                };
                 for (j, &target) in targets.iter().enumerate() {
                     let actual = if rng.gen::<f64>() < params.fault_rate {
-                        stuck_columns.push(j as u32);
+                        row.stuck_columns.push(j as u32);
+                        row.stuck_targets.push(target);
                         rng.gen_range(0..levels)
                     } else {
                         target
                     };
                     // Static programming residual: uniform within ±tol of
                     // the offset-adjusted target resistance.
-                    let tol = params.programming_tolerance;
                     let r = r_prog[actual as usize] * (1.0 + rng.gen_range(-tol..=tol));
-                    actual_levels.push(actual);
-                    conductance.push(1.0 / r);
+                    row.level_masks[actual as usize] |= 1 << j;
+                    row.conductance.push(1.0 / r);
                 }
-                let mut level_masks = vec![0u128; levels as usize];
-                for (j, &l) in actual_levels.iter().enumerate() {
-                    level_masks[l as usize] |= 1 << j;
-                }
-                PhysicalRow {
-                    target_levels: targets.clone(),
-                    actual_levels,
-                    conductance,
-                    level_masks,
-                    stuck_columns,
-                }
+                row
             })
             .collect();
 
@@ -323,9 +325,7 @@ impl CrossbarArray {
     /// `Σ_{j driven} target_level[j]`.
     pub fn ideal_row_output(&self, row: usize, mask: &InputMask) -> i64 {
         let r = &self.rows[row];
-        mask.iter_ones()
-            .map(|j| r.target_levels[j as usize] as i64)
-            .sum()
+        mask.iter_ones().map(|j| i64::from(r.target_level(j))).sum()
     }
 
     /// Samples one noisy readout of row `row` under `mask` and returns
@@ -550,7 +550,10 @@ impl CrossbarArray {
             // codegen comes from `target-cpu=native` in
             // `.cargo/config.toml` and keeps every plane's add order.
             for (row, r) in self.rows.iter().enumerate() {
-                assert!(values.len() >= r.conductance.len(), "values narrower than row");
+                assert!(
+                    values.len() >= r.conductance.len(),
+                    "values narrower than row"
+                );
                 let acc = planes16(&r.conductance, values);
                 for (t, &a) in acc.iter().enumerate() {
                     out[t * rows + row] = a;
@@ -559,7 +562,10 @@ impl CrossbarArray {
             return;
         }
         for (row, r) in self.rows.iter().enumerate() {
-            assert!(values.len() >= r.conductance.len(), "values narrower than row");
+            assert!(
+                values.len() >= r.conductance.len(),
+                "values narrower than row"
+            );
             let mut acc = [0.0f64; 16];
             for (&g, &v) in r.conductance.iter().zip(values) {
                 for (t, a) in acc.iter_mut().take(input_bits as usize).enumerate() {
@@ -657,7 +663,10 @@ impl CrossbarArray {
         obs::counter!(xbar_row_reads).add(self.rows.len() as u64);
         let rows = self.rows.len();
         assert!(g_totals.len() >= rows, "g_totals narrower than array");
-        assert!(trap_offsets.len() > rows, "trap_offsets narrower than array");
+        assert!(
+            trap_offsets.len() > rows,
+            "trap_offsets narrower than array"
+        );
         out.clear();
         let active = mask.count_ones();
         let mask_bits = mask.bits();
@@ -996,7 +1005,9 @@ mod tests {
         let array = CrossbarArray::program(&levels, &clean_params(), &mut rng);
         let mask = InputMask::all_ones(64);
         let expected = array.expected_row_current(0, &mask);
-        let ideal = array.adc().ideal_current(array.ideal_row_output(0, &mask) as u32, &mask);
+        let ideal = array
+            .adc()
+            .ideal_current(array.ideal_row_output(0, &mask) as u32, &mask);
         // The offset keeps the mean within a fraction of an LSB of ideal.
         assert!(
             (expected - ideal).abs() < 0.5 * array.adc().lsb(),
@@ -1762,12 +1773,156 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// A row as the per-cell programmer kept it: every cell's intended
+    /// and stored level side by side with its conductance.
+    struct ReferenceRow {
+        target_levels: Vec<u32>,
+        actual_levels: Vec<u32>,
+        conductance: Vec<f64>,
+        stuck_columns: Vec<u32>,
+    }
+
+    /// Programs `rows` one cell at a time, keeping both level vectors,
+    /// with the per-cell draws of [`CrossbarArray::try_program`]: the
+    /// fault draw, the stuck level if stuck, the tolerance draw.
+    fn reference_program(
+        rows: &[Vec<u32>],
+        params: &DeviceParams,
+        r_prog: &[f64],
+        rng: &mut ChaCha8Rng,
+    ) -> Vec<ReferenceRow> {
+        let levels = params.levels();
+        let tol = params.programming_tolerance;
+        rows.iter()
+            .map(|targets| {
+                let mut actual_levels = Vec::new();
+                let mut conductance = Vec::new();
+                let mut stuck_columns = Vec::new();
+                for (j, &target) in targets.iter().enumerate() {
+                    let actual = if rng.gen::<f64>() < params.fault_rate {
+                        stuck_columns.push(j as u32);
+                        rng.gen_range(0..levels)
+                    } else {
+                        target
+                    };
+                    let r = r_prog[actual as usize] * (1.0 + rng.gen_range(-tol..=tol));
+                    actual_levels.push(actual);
+                    conductance.push(1.0 / r);
+                }
+                ReferenceRow {
+                    target_levels: targets.clone(),
+                    actual_levels,
+                    conductance,
+                    stuck_columns,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn compact_rows_match_per_cell_rows() {
+        let mut gen = ChaCha8Rng::seed_from_u64(19);
+        let mut moved_stuck = 0;
+        for bits in 1..=5u32 {
+            for fault_rate in [0.0, 0.3, 1.0] {
+                let params = DeviceParams {
+                    bits_per_cell: bits,
+                    fault_rate,
+                    ..DeviceParams::default()
+                };
+                let levels = params.levels();
+                for width in [1u32, 63, 64, 65, 127, 128] {
+                    let case = format!("{bits} bits, fault rate {fault_rate}, width {width}");
+                    let targets: Vec<Vec<u32>> = (0..3)
+                        .map(|_| (0..width).map(|_| gen.gen_range(0..levels)).collect())
+                        .collect();
+                    let seed = gen.gen::<u64>();
+                    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                    let array = CrossbarArray::try_program(&targets, &params, &mut rng).unwrap();
+                    let mut reference_rng = ChaCha8Rng::seed_from_u64(seed);
+                    let reference = reference_program(
+                        &targets,
+                        &params,
+                        array.programmed_resistance(),
+                        &mut reference_rng,
+                    );
+                    assert_eq!(rng, reference_rng, "{case}: draw count");
+
+                    let mut masks = vec![InputMask::all_ones(width), InputMask::zeros(width)];
+                    for _ in 0..4 {
+                        let mut mask = InputMask::zeros(width);
+                        for j in 0..width {
+                            mask.set(j, gen.gen::<bool>());
+                        }
+                        masks.push(mask);
+                    }
+                    assert_eq!(array.row_count(), reference.len(), "{case}");
+                    for (i, (row, want)) in array.rows().iter().zip(&reference).enumerate() {
+                        assert_eq!(row.width(), width, "{case}");
+                        for j in 0..width {
+                            let (target, actual) = (
+                                want.target_levels[j as usize],
+                                want.actual_levels[j as usize],
+                            );
+                            assert_eq!(row.target_level(j), target, "{case}, column {j}");
+                            assert_eq!(row.actual_level(j), actual, "{case}, column {j}");
+                            moved_stuck += usize::from(target != actual);
+                        }
+                        assert_eq!(row.stuck_columns(), want.stuck_columns, "{case}");
+                        assert_eq!(row.has_stuck(), !want.stuck_columns.is_empty(), "{case}");
+                        let bits_of = |g: &[f64]| g.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits_of(&row.conductance),
+                            bits_of(&want.conductance),
+                            "{case}"
+                        );
+                        for mask in &masks {
+                            let mut composition = vec![0u32; levels as usize];
+                            let mut ideal = 0i64;
+                            for j in mask.iter_ones() {
+                                composition[want.actual_levels[j as usize] as usize] += 1;
+                                ideal += i64::from(want.target_levels[j as usize]);
+                            }
+                            assert_eq!(row.active_composition(mask), composition, "{case}");
+                            assert_eq!(array.ideal_row_output(i, mask), ideal, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+        // Stuck cells away from their intended level are what tells the
+        // two levels of a column apart.
+        assert!(moved_stuck > 1000, "{moved_stuck} stuck cells moved");
+    }
+
+    #[test]
+    fn row_lookups_panic_beyond_the_row() {
+        let array = CrossbarArray::program(&[vec![1, 2, 3]], &clean_params(), &mut rng());
+        let row = &array.rows()[0];
+        let panics =
+            |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
+        assert!(panics(&|| {
+            row.actual_level(3);
+        }));
+        assert!(panics(&|| {
+            row.target_level(3);
+        }));
+        assert!(panics(&|| {
+            array.ideal_row_output(0, &InputMask::all_ones(4));
+        }));
+        assert_eq!(array.ideal_row_output(0, &InputMask::all_ones(3)), 6);
+    }
+
     #[test]
     fn conductance_planes_match_mask_scans_bitwise() {
         let mut rng = rng();
-        let levels: Vec<Vec<u32>> = (0..5).map(|r| (0..32).map(|i| (i + r) % 4).collect()).collect();
+        let levels: Vec<Vec<u32>> = (0..5)
+            .map(|r| (0..32).map(|i| (i + r) % 4).collect())
+            .collect();
         let array = CrossbarArray::program(&levels, &DeviceParams::default(), &mut rng);
-        let values: Vec<u64> = (0..32).map(|j| (j as u64).wrapping_mul(2654435761) % 65536).collect();
+        let values: Vec<u64> = (0..32)
+            .map(|j| (j as u64).wrapping_mul(2654435761) % 65536)
+            .collect();
         let mut planes = Vec::new();
         array.conductance_planes_into(&values, 16, &mut planes);
         for t in 0..16u32 {
@@ -1821,9 +1976,13 @@ mod tests {
             ..DeviceParams::default()
         };
         let mut rng = rng();
-        let levels: Vec<Vec<u32>> = (0..6).map(|r| (0..48).map(|i| (i * 7 + r) % 4).collect()).collect();
+        let levels: Vec<Vec<u32>> = (0..6)
+            .map(|r| (0..48).map(|i| (i * 7 + r) % 4).collect())
+            .collect();
         let array = CrossbarArray::program(&levels, &params, &mut rng);
-        let values: Vec<u64> = (0..48).map(|j| (j as u64).wrapping_mul(517) % 65536).collect();
+        let values: Vec<u64> = (0..48)
+            .map(|j| (j as u64).wrapping_mul(517) % 65536)
+            .collect();
         let snap = array.sample_rtn(&mut rng);
         let mut planes = Vec::new();
         array.conductance_planes_into(&values, 16, &mut planes);
@@ -1866,7 +2025,15 @@ mod tests {
         for _ in 0..50 {
             let snap = array.sample_rtn(&mut rng);
             array.trap_level_sparse_into(&snap, &mut offsets, &mut entries);
-            array.read_rows_amortized_into(&mask, &planes, &offsets, &entries, &mut normals, &mut rng, &mut out);
+            array.read_rows_amortized_into(
+                &mask,
+                &planes,
+                &offsets,
+                &entries,
+                &mut normals,
+                &mut rng,
+                &mut out,
+            );
             let got = out[0] as i64;
             assert!((got - ideal).abs() <= 8, "out {got} ideal {ideal}");
         }

@@ -82,7 +82,10 @@ impl BitSlicer {
     ///
     /// Panics if any word exceeds `word_bits` or `word_bits > 64`.
     pub fn slice_words(&self, words: &[u64]) -> Vec<Vec<u32>> {
-        assert!(self.word_bits <= 64, "use slice_wide for words over 64 bits");
+        assert!(
+            self.word_bits <= 64,
+            "use slice_wide for words over 64 bits"
+        );
         self.slice_wide(&words.iter().map(|&w| U256::from(w)).collect::<Vec<_>>())
     }
 

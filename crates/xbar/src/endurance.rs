@@ -69,10 +69,11 @@ impl EnduranceParams {
     ///
     /// Panics unless `target` is in `(0, 1)`.
     pub fn writes_for_failure_rate(&self, target: f64) -> f64 {
-        assert!((0.0..1.0).contains(&target) && target > 0.0, "target in (0, 1)");
-        (self.min_writes.ln()
-            + target * (self.max_writes.ln() - self.min_writes.ln()))
-        .exp()
+        assert!(
+            (0.0..1.0).contains(&target) && target > 0.0,
+            "target in (0, 1)"
+        );
+        (self.min_writes.ln() + target * (self.max_writes.ln() - self.min_writes.ln())).exp()
     }
 
     /// System lifetime in years until the stuck-cell fraction reaches
@@ -108,7 +109,11 @@ pub struct WearTracker {
 impl WearTracker {
     /// Creates a tracker for `cells` cells with sampled endurance
     /// budgets.
-    pub fn new<R: Rng + ?Sized>(cells: usize, params: &EnduranceParams, rng: &mut R) -> WearTracker {
+    pub fn new<R: Rng + ?Sized>(
+        cells: usize,
+        params: &EnduranceParams,
+        rng: &mut R,
+    ) -> WearTracker {
         WearTracker {
             endurance: (0..cells).map(|_| params.sample_endurance(rng)).collect(),
             writes: 0,
@@ -200,12 +205,12 @@ mod tests {
         assert_eq!(tracker.failure_rate(), 0.0);
         tracker.record_writes(1_000_000_000); // 1e9 ≈ half the decades
         let rate = tracker.failure_rate();
-        assert!(
-            (0.4..0.6).contains(&rate),
-            "rate {rate} after 1e9 writes"
-        );
+        assert!((0.4..0.6).contains(&rate), "rate {rate} after 1e9 writes");
         assert_eq!(tracker.writes(), 1_000_000_000);
-        assert_eq!(tracker.failed_cells().len(), (rate * 2000.0).round() as usize);
+        assert_eq!(
+            tracker.failed_cells().len(),
+            (rate * 2000.0).round() as usize
+        );
     }
 
     #[test]

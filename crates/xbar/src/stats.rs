@@ -337,10 +337,7 @@ mod tests {
     #[test]
     fn ln_choose_matches_pascal() {
         assert!((ln_choose(5, 2) - 10f64.ln()).abs() < 1e-12);
-        assert!((ln_choose(128, 64)
-            - ((ln_factorial(128) - 2.0 * ln_factorial(64))))
-        .abs()
-            < 1e-9);
+        assert!((ln_choose(128, 64) - (ln_factorial(128) - 2.0 * ln_factorial(64))).abs() < 1e-9);
         assert_eq!(ln_choose(7, 0), 0.0);
         assert_eq!(ln_choose(7, 7), 0.0);
     }
