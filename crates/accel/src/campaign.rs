@@ -54,9 +54,10 @@
 //! module and in `tests/chaos_soak.rs`.
 //!
 //! Wall-clock timing is deliberately excluded from the state: it would
-//! break byte-identical resume. Drivers that want harness-overhead
-//! numbers (see `bench/src/bin/lifetime_campaign.rs`) time epochs
-//! externally.
+//! break byte-identical resume. Each epoch's evaluation, programming
+//! and checkpoint-write times go to the `campaign_epoch` event instead,
+//! which is where the benchmark's traced `campaign.checkpoint_frac`
+//! comes from.
 
 use std::path::{Path, PathBuf};
 
@@ -887,7 +888,7 @@ impl Campaign {
             );
             if self.is_complete() {
                 // The final results file is load-bearing (it is what
-                // BENCH_campaign curves and downstream tooling read),
+                // the grid merge and downstream tooling read),
                 // so unlike the periodic slots its failure fails the
                 // run. Written plain (no envelope) and atomically, so
                 // completed campaigns keep the stable byte-identical

@@ -67,7 +67,8 @@ pub const GRID_MANIFEST_VERSION: u64 = 1;
 pub struct GridSpec {
     /// Spec format version ([`GRID_SPEC_VERSION`]).
     pub version: u64,
-    /// Workload models (`mlp1`, `mlp2`); one axis of the sweep.
+    /// Workload models (any of [`neural::workload::MODELS`]); one axis
+    /// of the sweep.
     pub models: Vec<String>,
     /// Protection scheme labels (`NoECC`, `Static16`, `ABN-9`, …).
     pub schemes: Vec<String>,
@@ -152,8 +153,11 @@ impl GridSpec {
             return fail("every axis (models, schemes, cell_bits, writes_per_epoch, seeds) must be non-empty".into());
         }
         for model in &self.models {
-            if !matches!(model.as_str(), "mlp1" | "mlp2") {
-                return fail(format!("unknown model {model} (try mlp1, mlp2)"));
+            if !neural::workload::MODELS.contains(&model.as_str()) {
+                return fail(format!(
+                    "unknown model {model} (try {})",
+                    neural::workload::MODELS.join(", ")
+                ));
             }
         }
         for label in &self.schemes {

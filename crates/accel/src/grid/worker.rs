@@ -39,7 +39,7 @@ pub enum Launcher {
         program: PathBuf,
     },
     /// Run the campaign on a thread against caller-supplied problems,
-    /// keyed by model label (`mlp1` / `mlp2`).
+    /// keyed by model label (any of [`neural::workload::MODELS`]).
     InProcess {
         /// Pre-trained problems shared across worker threads.
         problems: HashMap<String, Arc<Problem>>,

@@ -160,21 +160,18 @@ pub struct AccelConfig {
     /// before the shard counts as failed. 1 reproduces the classic
     /// single-retry behavior.
     pub shard_retries: u32,
-    /// Backoff slept before shard retry `k` (1-based):
-    /// `retry_backoff_ms << (k - 1)`, exponent capped at 6. 0 disables.
-    pub retry_backoff_ms: u64,
     /// Graceful degradation: up to this many shards may fail all their
     /// retries and be dropped — recorded as explicit
     /// [`ShardGap`](crate::sim::ShardGap)s with rates computed over the
     /// samples actually evaluated — instead of failing the run. 0 (the
     /// default) keeps the strict abort-on-persistent-failure behavior.
     pub max_lost_shards: usize,
-    /// Input vectors evaluated per MVM pass. 1 (the default) runs the
-    /// original bit-serial kernel unchanged, draw-for-draw. Larger
-    /// batches take the amortized `mvm_batch_into` path on
-    /// [`CrossbarEngine`](crate::CrossbarEngine): one RTN snapshot and
-    /// one set of conductance planes per batch. Like `REPRO_THREADS`,
-    /// changing the batch changes the noise draws but not the estimator.
+    /// Input vectors evaluated per MVM pass (default 1). Every batch
+    /// size runs the one `mvm_batch_into` kernel of
+    /// [`CrossbarEngine`](crate::CrossbarEngine), which takes one RTN
+    /// snapshot and one set of conductance planes per batch. Like
+    /// `REPRO_THREADS`, changing the batch changes the noise draws but
+    /// not the estimator.
     pub batch: usize,
 }
 
@@ -195,7 +192,6 @@ impl AccelConfig {
             shard_chaos: chaos::ShardChaos::Off,
             watchdog_ns: 0,
             shard_retries: 1,
-            retry_backoff_ms: 0,
             max_lost_shards: 0,
             batch: 1,
         }
@@ -359,7 +355,6 @@ mod tests {
         assert_eq!(c.shard_chaos, chaos::ShardChaos::Off);
         assert_eq!(c.watchdog_ns, 0);
         assert_eq!(c.shard_retries, 1);
-        assert_eq!(c.retry_backoff_ms, 0);
         assert_eq!(c.max_lost_shards, 0);
         assert_eq!(c.batch, 1);
     }

@@ -21,8 +21,7 @@
 //! configurable on [`AccelConfig`]:
 //!
 //! - `shard_retries` bounds the seed-stable retries per shard (default
-//!   1, the classic single retry), with optional exponential backoff
-//!   (`retry_backoff_ms`) between attempts;
+//!   1, the classic single retry);
 //! - `watchdog_ns` sets a deadline on each shard's evaluation loop
 //!   (armed after crossbar programming, where the cooperative checks
 //!   live): a shard that exceeds it aborts at the next sample boundary
@@ -39,8 +38,6 @@ mod scheduler;
 mod worker;
 
 use serde::{Deserialize, Serialize};
-
-use neural::Tensor;
 
 #[allow(unused_imports)] // referenced by the module docs above
 use crate::{AccelConfig, AccelError};
@@ -87,22 +84,12 @@ pub struct SimResult {
     pub stats: DecodeStats,
 }
 
-/// Evaluates the float software baseline on the same test set (the
-/// "Software" bars of Figures 10–11).
-pub fn software_baseline(
-    network: &mut neural::Network,
-    images: &Tensor,
-    labels: &[usize],
-) -> f64 {
-    1.0 - network.evaluate(images, labels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::worker::top_k_into;
     use super::*;
     use crate::{AccelConfig, ProtectionScheme};
-    use neural::{models, QuantizedNetwork};
+    use neural::{models, QuantizedNetwork, Tensor};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

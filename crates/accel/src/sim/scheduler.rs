@@ -14,12 +14,11 @@ use crate::{AccelConfig, AccelError, DecodeStats};
 /// Evaluates a quantized network on the noisy accelerator over a test
 /// set.
 ///
-/// `images` is the `[n, ...]` test tensor. With the default
-/// `config.batch == 1` inference runs one image at a time on the
-/// original bit-serial kernel; larger batches submit windows of
-/// `config.batch` images per MVM pass (the final window is ragged when
-/// the shard size is not a multiple, and a batch larger than the shard
-/// simply clamps to it), amortizing the per-pass RTN snapshot and row
+/// `images` is the `[n, ...]` test tensor. Each MVM pass submits a
+/// window of `config.batch` images (default 1) to the engine's one
+/// batched kernel (the final window is ragged when the shard size is
+/// not a multiple, and a batch larger than the shard simply clamps to
+/// it); a larger batch amortizes the per-pass RTN snapshot and row
 /// read-outs. Accuracy tallies stay per-example either way. `threads`
 /// bounds the worker count; each worker programs its own engines with a
 /// seed derived from `seed`.
@@ -219,12 +218,6 @@ pub fn evaluate(
                                         .str("reason", reason),
                                 );
                                 obs::flush_thread();
-                                if config.retry_backoff_ms != 0 {
-                                    let shift = (attempt - 1).min(6);
-                                    std::thread::sleep(std::time::Duration::from_millis(
-                                        config.retry_backoff_ms << shift,
-                                    ));
-                                }
                             } else if lost_budget.fetch_add(1, Ordering::SeqCst)
                                 < config.max_lost_shards
                             {

@@ -231,8 +231,8 @@ fn num(value: &Value, key: &str) -> f64 {
 /// A campaign run — with an injected worker panic, so the retry path
 /// fires too — must emit an event log in which every line validates
 /// against the schema, the per-epoch records reproduce the campaign's
-/// own `EpochRecord`s (the same numbers that checkpoints and the
-/// BENCH_campaign curve are built from), and the counter totals still
+/// own `EpochRecord`s (the same numbers that checkpoints and the grid
+/// summary are built from), and the counter totals still
 /// match the summed per-epoch statistics (the discarded partial shard
 /// from the retried attempt must not leak in).
 #[test]

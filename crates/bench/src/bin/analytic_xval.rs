@@ -3,8 +3,9 @@
 //!
 //! For every grid cell — workload × cell-bits × scheme × fault regime
 //! (Fig 10: no faults; Fig 11: 0.1 % stuck-at) — the cell is evaluated
-//! twice: once by `accel::sim::evaluate` with the same seeds the figure
-//! regenerators use, once by `accel::analytic::predict`. Per-cell
+//! twice: once by `accel::sim::evaluate` with the seeds behind
+//! EXPERIMENTS.md's recorded Fig 10/11 tables, once by
+//! `accel::analytic::predict`. Per-cell
 //! agreement (absolute misclassification / flip-rate difference) and
 //! wall-clock times land in `results/analytic_xval.json`; the summary —
 //! worst-case agreement, per-cell speedup distribution — is recorded in
@@ -218,8 +219,9 @@ fn main() {
                 if smoke && !matches!(scheme.label().as_str(), "NoECC" | "Static16" | "ABN-9") {
                     continue;
                 }
-                // Same seeds as the figure regenerators, so the MC side
-                // of a cell is bit-identical to the recorded figures.
+                // The seeds that recorded EXPERIMENTS.md's Fig 10/11
+                // tables (1000 + bits, 2000 + bits), so the MC side of
+                // a cell reproduces the recorded figures.
                 let fig10 = AccelConfig::new(scheme.clone())
                     .with_cell_bits(bits)
                     .with_fault_rate(0.0);

@@ -1,9 +1,11 @@
 //! Shared experiment harness for the table/figure regenerators.
 //!
-//! Every binary in `src/bin/` reproduces one table or figure of the
-//! paper (see DESIGN.md §2 for the index). This library holds what they
-//! share: workload training with on-disk weight caching, scheme grids,
-//! result tables, and JSON emission into `results/`.
+//! Every binary in `src/bin/` reproduces one table, figure or ablation
+//! of the paper (see DESIGN.md §2 for the index; Figures 10 and 11 and
+//! the lifetime campaign are `campaign-grid` specs under
+//! `results/specs/` instead). This library holds what the binaries
+//! share: the environment knobs, the workload recipe sized by them,
+//! the scheme grid, and JSON emission into `results/`.
 //!
 //! # Environment knobs
 //!
@@ -19,11 +21,9 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use accel::{AccelConfig, ProtectionScheme};
-use neural::data::Dataset;
-use neural::{data, models, Network, QuantizedNetwork, SavedWeights};
-use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
+
+pub use neural::workload::Workload;
 
 /// Monte-Carlo samples per configuration.
 pub fn samples() -> usize {
@@ -68,99 +68,17 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     println!("[results] wrote {}", path.display());
 }
 
-/// A trained workload: float network, quantized lowering, and its
-/// held-out test set.
-pub struct Workload {
-    /// Workload name (`mlp1`, `mlp2`, `cnn1`, `alexnet`).
-    pub name: &'static str,
-    /// The trained float network.
-    pub network: Network,
-    /// The 16-bit fixed-point lowering.
-    pub quantized: QuantizedNetwork,
-    /// Held-out test examples.
-    pub test: Dataset,
-    /// Float software misclassification on the test set.
-    pub software_error: f64,
-}
-
-/// Difficulty of the ILSVRC stand-in, calibrated so the AlexNet proxy's
-/// software top-1 misclassification lands in the paper's ~43 % regime.
-pub const ALEXNET_DIFFICULTY: f32 = 0.85;
-
-/// Trains (or loads from cache) one of the evaluated workloads.
+/// Trains (or loads from `results/weights/`) one of the evaluated
+/// workloads through [`neural::workload::train_or_load`], sized by the
+/// `REPRO_TRAIN` and `REPRO_SAMPLES` knobs.
 ///
-/// Weight caches live in `results/weights/` keyed by workload name and
-/// training size, so repeated regenerator runs skip training.
-pub fn workload(name: &'static str) -> Workload {
-    let n_train = train_size();
-    let n_test = samples();
-    let mut rng = ChaCha8Rng::seed_from_u64(0xC0FFEE);
-
-    let (mut network, mut train, test, epochs, lr) = match name {
-        "mlp1" => {
-            let net = models::mlp1(&mut rng);
-            (net, data::digits(n_train, 42), data::digits(n_test, 904_223), 8, 0.1)
-        }
-        "mlp2" => {
-            let net = models::mlp2(&mut rng);
-            (net, data::digits(n_train, 42), data::digits(n_test, 904_223), 8, 0.1)
-        }
-        "cnn1" => {
-            let net = models::cnn1(&mut rng);
-            // Convolutions train slower per example; a smaller set
-            // converges on the digits task.
-            let n = n_train.min(2500);
-            (net, data::digits(n, 42), data::digits(n_test, 904_223), 6, 0.05)
-        }
-        "alexnet" => {
-            let net = models::alexnet_proxy(&mut rng);
-            let n = n_train.min(4000);
-            (
-                net,
-                data::shapes(n, 42, ALEXNET_DIFFICULTY),
-                data::shapes(n_test, 904_223, ALEXNET_DIFFICULTY),
-                10,
-                0.05,
-            )
-        }
-        other => panic!("unknown workload {other}"),
-    };
-
-    let cache = results_dir()
-        .join("weights")
-        .join(format!("{name}-{}.json", train.len()));
-    if let Ok(saved) = SavedWeights::load(&cache) {
-        network.import_weights(&saved);
-        eprintln!("[{name}] loaded cached weights from {}", cache.display());
-    } else {
-        eprintln!(
-            "[{name}] training on {} examples ({} epochs)…",
-            train.len(),
-            epochs
-        );
-        let started = Instant::now();
-        data::shuffle(&mut train, 7);
-        for epoch in 0..epochs {
-            let eta = if epoch * 3 >= epochs * 2 { lr / 3.0 } else { lr };
-            let stats = network.train_epoch(&train.images, &train.labels, 32, eta);
-            eprintln!(
-                "[{name}] epoch {epoch}: loss {:.4} acc {:.3}",
-                stats.loss, stats.accuracy
-            );
-        }
-        eprintln!("[{name}] trained in {:.1?}", started.elapsed());
-        network.export_weights().save(&cache).expect("cache weights");
-    }
-
-    let software_error = 1.0 - network.evaluate(&test.images, &test.labels);
-    let quantized = QuantizedNetwork::from_network(&network);
-    Workload {
-        name,
-        network,
-        quantized,
-        test,
-        software_error,
-    }
+/// # Panics
+///
+/// Panics on an unknown workload or an unwritable weight cache — the
+/// regenerator binaries treat those as fatal.
+pub fn workload(name: &str) -> Workload {
+    neural::workload::train_or_load(name, train_size(), samples(), &results_dir().join("weights"))
+        .unwrap_or_else(|e| panic!("workload {name}: {e}"))
 }
 
 /// The scheme grid of Figures 10 and 11, in legend order.
@@ -233,27 +151,6 @@ pub fn evaluate_config(workload: &Workload, config: &AccelConfig, seed: u64) -> 
         flip_rate: result.flip_rate,
         samples: result.samples,
         decode_error_rate: result.stats.error_rate(),
-    }
-}
-
-/// Renders rows as a fixed-width text table grouped like the paper's
-/// figures.
-pub fn print_table(title: &str, rows: &[ResultRow]) {
-    println!("\n=== {title} ===");
-    println!(
-        "{:<8} {:>5}  {:<10} {:>14} {:>10} {:>10}",
-        "network", "bits", "scheme", "misclass", "top5", "flips"
-    );
-    for r in rows {
-        println!(
-            "{:<8} {:>5}  {:<10} {:>13.2}% {:>9.2}% {:>9.2}%",
-            r.network,
-            r.cell_bits,
-            r.scheme,
-            r.misclassification * 100.0,
-            r.top5 * 100.0,
-            r.flip_rate * 100.0
-        );
     }
 }
 

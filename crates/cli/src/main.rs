@@ -21,7 +21,7 @@
 //!   them across worker processes through the crash-safe checkpoint
 //!   substrate, and merge a columnar `grid_summary.json`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use accel::analytic::ErrorModel;
@@ -29,7 +29,7 @@ use accel::campaign::{Campaign, CampaignConfig};
 use accel::{AccelConfig, ProtectionScheme};
 use ancode::data_aware::DataAwareConfig;
 use ancode::{AbnCode, CorrectionPolicy, RowError, RowErrorModel};
-use rand_chacha::rand_core::SeedableRng;
+use neural::workload::{train_or_load, Workload, MODELS};
 use wideint::{I256, U256};
 use xbar::endurance::EnduranceParams;
 use xbar::DeviceParams;
@@ -72,14 +72,15 @@ usage:
   reram-ecc overheads <check_bits>
   reram-ecc lifetime <rewrites_per_day> <target_fault_rate>
   reram-ecc campaign <scheme> <epochs> [--samples N] [--train N] [--seed S]
-             [--threads T] [--batch N] [--cell-bits B] [--model mlp1|mlp2]
+             [--threads T] [--batch N] [--cell-bits B]
+             [--model mlp1|mlp2|cnn1|alexnet]
              [--error-model analytic|mc|auto]
              [--writes-per-epoch W] [--initial-writes W]
              [--checkpoint-every K] [--remap] [--out PATH]
              [--resume | --resume-or-new]
              [--metrics PATH] [--events PATH] [--chaos-seed S]
              [--max-lost-shards N] [--watchdog-ms MS]
-             [--shard-retries N] [--retry-backoff-ms MS]
+             [--shard-retries N]
   reram-ecc campaign-grid <spec.json> [--dir D] [--workers N]
              [--in-process] [--merge-only] [--chaos-seed S]
              [--max-lost-cells N] [--cell-retries N]
@@ -134,7 +135,6 @@ campaign durability (see DESIGN.md, failure model & recovery):
                        boundary and retried seed-stable (default: no
                        deadline)
   --shard-retries N    seed-stable retries per failed shard (default 1)
-  --retry-backoff-ms MS  backoff before retry k, doubling per attempt
 ";
 
 fn parse<T: std::str::FromStr>(args: &[String], i: usize, name: &str) -> Result<T, String> {
@@ -272,9 +272,19 @@ fn cmd_lifetime(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs a lifetime fault-injection campaign on a small trained network.
+/// Trains or loads `model` through the one workload recipe
+/// ([`neural::workload::train_or_load`]), caching weights under
+/// `results/weights/` relative to the working directory. `campaign`,
+/// both `campaign-grid` launchers and the bench binaries all evaluate
+/// networks from this recipe, so a grid cell's result does not depend
+/// on which launcher ran it.
+fn workload(model: &str, train: usize, samples: usize) -> Result<Workload, String> {
+    train_or_load(model, train, samples, Path::new("results/weights"))
+}
+
+/// Runs a lifetime fault-injection campaign on a trained network.
 ///
-/// Trains an MLP on the synthetic digits task (sized by `--train`),
+/// Trains or loads `--model` (sized by `--train`; see [`workload`]),
 /// then steps simulated wear forward for `<epochs>` epochs, evaluating
 /// `--samples` test examples at each epoch's stuck-at fault rate. The
 /// campaign state checkpoints to `--out` (default
@@ -282,33 +292,6 @@ fn cmd_lifetime(args: &[String]) -> Result<(), String> {
 /// epochs; `--resume` continues an interrupted campaign from that file.
 /// On a mid-campaign error, completed epochs are saved before exiting
 /// non-zero, so partial results are never lost.
-/// Trains the CLI's small demo workload for `model` and returns the
-/// quantized network plus test split. This exact recipe (seeds 17 / 42
-/// / 99, three epochs of batch-32 SGD at lr 0.1) is shared by
-/// `campaign` and `campaign-grid`'s in-process mode, so a grid run is
-/// byte-identical whichever launcher evaluated a cell.
-fn train_problem(
-    model: &str,
-    train_n: usize,
-    samples: usize,
-) -> Result<(neural::QuantizedNetwork, neural::Tensor, Vec<usize>), String> {
-    eprintln!("[campaign] training {model} on {train_n} synthetic digits…");
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
-    let mut net = match model {
-        "mlp1" => neural::models::mlp1(&mut rng),
-        "mlp2" => neural::models::mlp2(&mut rng),
-        other => return Err(format!("unknown model {other} (try mlp1, mlp2)")),
-    };
-    let mut train = neural::data::digits(train_n, 42);
-    neural::data::shuffle(&mut train, 3);
-    for _ in 0..3 {
-        net.train_epoch(&train.images, &train.labels, 32, 0.1);
-    }
-    let qnet = neural::QuantizedNetwork::try_from_network(&net).map_err(|e| e.to_string())?;
-    let test = neural::data::digits(samples, 99);
-    Ok((qnet, test.images, test.labels))
-}
-
 fn cmd_campaign(args: &[String]) -> Result<(), String> {
     let scheme_label = args.first().ok_or("missing argument <scheme>")?;
     let scheme = ProtectionScheme::from_label(scheme_label).ok_or_else(|| {
@@ -337,7 +320,6 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     let mut max_lost_shards = 0usize;
     let mut watchdog_ms = 0u64;
     let mut shard_retries = 1u32;
-    let mut retry_backoff_ms = 0u64;
 
     let mut i = 2;
     while i < args.len() {
@@ -353,7 +335,12 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
             "--threads" => threads = parsed(value("--threads")?, "threads")?,
             "--batch" => batch = parsed(value("--batch")?, "batch")?,
             "--cell-bits" => cell_bits = parsed(value("--cell-bits")?, "cell-bits")?,
-            "--model" => model = value("--model")?.clone(),
+            "--model" => {
+                model = value("--model")?.clone();
+                if !MODELS.contains(&model.as_str()) {
+                    return Err(format!("unknown model {model} (try {})", MODELS.join(", ")));
+                }
+            }
             "--error-model" => {
                 let label = value("--error-model")?;
                 error_model = ErrorModel::from_label(label).ok_or_else(|| {
@@ -381,9 +368,6 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
             "--watchdog-ms" => watchdog_ms = parsed(value("--watchdog-ms")?, "watchdog-ms")?,
             "--shard-retries" => {
                 shard_retries = parsed(value("--shard-retries")?, "shard-retries")?;
-            }
-            "--retry-backoff-ms" => {
-                retry_backoff_ms = parsed(value("--retry-backoff-ms")?, "retry-backoff-ms")?;
             }
             "--remap" => {
                 remap = true;
@@ -442,15 +426,12 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         }
     }
 
-    // A small trained workload keeps the CLI demo fast; the bench
-    // driver (`lifetime_campaign`) runs the paper-scale networks.
-    let (qnet, test_images, test_labels) = train_problem(&model, train_n, samples)?;
+    let wl = workload(&model, train_n, samples)?;
 
     let mut base = AccelConfig::new(scheme).with_cell_bits(cell_bits).with_batch(batch);
     base.remap = remap;
     base.watchdog_ns = watchdog_ms.saturating_mul(1_000_000);
     base.shard_retries = shard_retries;
-    base.retry_backoff_ms = retry_backoff_ms;
     base.max_lost_shards = max_lost_shards;
     let mut config = CampaignConfig::new(base, epochs, seed);
     config.threads = threads;
@@ -484,7 +465,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         );
     }
 
-    if let Err(e) = campaign.run(&qnet, &test_images, &test_labels) {
+    if let Err(e) = campaign.run(&wl.quantized, &wl.test.images, &wl.test.labels) {
         // Partial-result dump: completed epochs survive the failure.
         // The event log already holds every line up to the failure
         // (written through per event); just detach the sink.
@@ -619,14 +600,25 @@ fn cmd_campaign_grid(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot open event log {path}: {e}"))?;
     }
 
-    let launcher = if in_process {
-        // Train each model once and share it across worker threads —
-        // the same recipe process workers run, so results match.
-        let mut problems = std::collections::HashMap::new();
+    // Prepare each model once, whatever the launcher: a cold cache
+    // trains here, so process workers only ever load weights. A merge
+    // evaluates nothing and needs no model.
+    let mut problems = std::collections::HashMap::new();
+    if !merge_only {
         for model in &spec.models {
-            let problem = train_problem(model, spec.train as usize, spec.samples as usize)?;
-            problems.insert(model.clone(), std::sync::Arc::new(problem));
+            let wl = workload(model, spec.train as usize, spec.samples as usize)?;
+            eprintln!(
+                "[grid] {model}: software misclassification {:.2}% over {} samples",
+                wl.software_error * 100.0,
+                wl.test.len()
+            );
+            if in_process {
+                let problem = (wl.quantized, wl.test.images, wl.test.labels);
+                problems.insert(model.clone(), std::sync::Arc::new(problem));
+            }
         }
+    }
+    let launcher = if in_process {
         Launcher::InProcess { problems }
     } else {
         let program = std::env::current_exe()
@@ -816,6 +808,10 @@ mod tests {
         assert!(cmd_campaign(&s(&["NoECC", "2", "--events"])).is_err());
         assert!(cmd_campaign(&s(&["NoECC", "2", "--batch"])).is_err());
         assert!(cmd_campaign(&s(&["NoECC", "2", "--batch", "zero"])).is_err());
+        // --model takes the workload recipe's model list, checked
+        // before any training work.
+        let bad = cmd_campaign(&s(&["NoECC", "2", "--model", "resnet"]));
+        assert!(bad.unwrap_err().contains("cnn1, alexnet"));
         // batch 0 parses but fails AccelConfig validation downstream.
         assert!(cmd_campaign(&s(&["NoECC", "2", "--batch", "0"])).is_err());
         // An unopenable event-log path fails before any training work.

@@ -24,8 +24,7 @@ use std::time::{Duration, Instant};
 /// Two cells (NoECC and ABN-9 on one tiny mlp2 workload), two epochs,
 /// per-epoch checkpoints — small enough for debug-mode soaks,
 /// structured enough that a kill lands mid-cell with real state in the
-/// A/B slots (debug-mode training alone keeps a worker alive for tens
-/// of seconds, a wide kill window).
+/// A/B slots.
 const SPEC: &str = r#"{
   "version": 1,
   "models": ["mlp2"],
@@ -53,10 +52,14 @@ fn write_spec(dir: &Path) -> PathBuf {
     path
 }
 
-/// A `campaign-grid` driver invocation against `dir`.
+/// A `campaign-grid` driver invocation against `dir`, run from the
+/// spec's directory so the weight cache (`results/weights/`, relative
+/// to the working directory) lands beside the spec, not in the source
+/// tree.
 fn driver(spec: &Path, dir: &Path, extra: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_reram-ecc"));
-    cmd.arg("campaign-grid")
+    cmd.current_dir(spec.parent().expect("spec has a parent directory"))
+        .arg("campaign-grid")
         .arg(spec)
         .arg("--dir")
         .arg(dir)

@@ -11,6 +11,8 @@
 //!   ([`models`]) on the procedural datasets ([`data`]).
 //! - [`QuantizedNetwork`] — the 16-bit fixed-point lowering with ISAAC's
 //!   negative-value normalization (biased weights, digital de-biasing).
+//! - [`workload::train_or_load`] — the one training recipe (seeds,
+//!   epochs, test sets, weight cache) every experiment evaluates.
 //! - [`MvmEngine`] / [`MvmEngineProvider`] — the seam where dot products
 //!   execute. [`ExactEngine`] is the noise-free software baseline; the
 //!   `accel` crate plugs in noisy, AN-code-protected crossbars.
@@ -43,6 +45,7 @@ pub mod models;
 mod network;
 mod quant;
 mod tensor;
+pub mod workload;
 
 pub use conv::{im2col, im2col_patch_into, Conv2d, ConvGeometry, MaxPool2};
 pub use layer::{softmax_cross_entropy, softmax_row, Dense, Flatten, Layer, Relu, Sigmoid};

@@ -1,6 +1,7 @@
 //! Sequential networks, SGD training, and weight (de)serialization.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -195,17 +196,29 @@ pub struct SavedWeights {
 }
 
 impl SavedWeights {
-    /// Writes the weights as JSON.
+    /// Writes the weights as JSON, atomically: the bytes go to a
+    /// sibling temp file that is then renamed over `path`, so a reader
+    /// sees either the old file or the complete new one.
     ///
     /// # Errors
     ///
     /// Propagates I/O and serialization errors.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
+        static NEXT_TEMP: AtomicU64 = AtomicU64::new(0);
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
         let json = serde_json::to_string(self).map_err(std::io::Error::other)?;
-        std::fs::write(path, json)
+        let mut temp = path.as_os_str().to_owned();
+        temp.push(format!(
+            ".tmp.{}.{}",
+            std::process::id(),
+            NEXT_TEMP.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&temp, json)?;
+        std::fs::rename(&temp, path).inspect_err(|_| {
+            let _ = std::fs::remove_file(&temp);
+        })
     }
 
     /// Reads weights from JSON.
@@ -301,7 +314,15 @@ mod tests {
         let saved = net.export_weights();
         let dir = std::env::temp_dir().join("reram_ecc_test_weights");
         let path = dir.join("toy.json");
+        let _ = std::fs::remove_dir_all(&dir);
         saved.save(&path).unwrap();
+        // Overwriting goes through a temp file that the rename consumes.
+        saved.save(&path).unwrap();
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, ["toy.json"]);
         let loaded = SavedWeights::load(&path).unwrap();
         assert_eq!(saved.tensors.len(), loaded.tensors.len());
         assert_eq!(saved.tensors[0], loaded.tensors[0]);

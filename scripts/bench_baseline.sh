@@ -40,19 +40,3 @@ case " $benches " in *" engine "*)
   ' BENCH_engine.json
   ;;
 esac
-
-# Campaign per-epoch wall-clock: a smoke-sized lifetime campaign whose
-# driver times every epoch and every checkpoint write separately
-# (results/campaign_timing.json). The checkpoint_fraction figures back
-# the crash-safety contract in DESIGN.md §2.2 — checkpointing must
-# stay under 2% of epoch time. Runs in a scratch cwd so the recorded
-# full-scale campaign artifacts under results/ are left untouched.
-echo "=== bench campaign -> BENCH_campaign.json ==="
-repo="$PWD"
-scratch="$(mktemp -d)"
-(cd "$scratch" && \
-  REPRO_SAMPLES="${REPRO_SAMPLES:-12}" REPRO_TRAIN="${REPRO_TRAIN:-200}" \
-  cargo run --release --quiet --manifest-path "$repo/Cargo.toml" \
-    -p bench --bin lifetime_campaign -- --smoke)
-cp "$scratch/results/campaign_timing.json" "$repo/BENCH_campaign.json"
-rm -rf "$scratch"

@@ -121,6 +121,21 @@ done
 [ "$stale" -eq 0 ] || exit 1
 echo "doc paths all resolve"
 
+echo "=== stale doc binaries (every \`--bin <name>\` must be a tracked bench binary) ==="
+# Every `--bin <name>` in README.md, DESIGN.md or EXPERIMENTS.md must
+# name a tracked crates/bench/src/bin/<name>.rs, so a deleted regenerator
+# cannot linger in a documented command. A name holding a `<…>`
+# placeholder (`ablation_<name>`) stands for a family, not a binary.
+for name in $(grep -hoE -- '--bin [A-Za-z0-9_<>]+' README.md DESIGN.md EXPERIMENTS.md \
+                | awk '{print $2}' | grep -v '<' | sort -u); do
+  if ! printf '%s\n' "$tracked" | grep -qxF "crates/bench/src/bin/$name.rs"; then
+    echo "FAIL: docs run --bin $name, but crates/bench/src/bin/$name.rs is not tracked" >&2
+    stale=1
+  fi
+done
+[ "$stale" -eq 0 ] || exit 1
+echo "doc binaries all resolve"
+
 echo "=== batch equivalence smoke (batch-of-1 is mvm_into, batch-of-8 vs sequential) ==="
 # The one-kernel contract of DESIGN.md §2: a single-vector call is a
 # batch of one, and with noise off a batch of N equals N sequential
@@ -183,12 +198,18 @@ echo "=== analytic-vs-MC smoke (pinned grid cell, DESIGN.md §11) ==="
 REPRO_SAMPLES=8 cargo run --release --quiet -p bench --bin analytic_xval -- --gate
 echo "analytic smoke passed"
 
+# The CLI smokes below run in scratch directories: the CLI caches
+# trained weights under results/weights/ relative to its working
+# directory, and a smoke-sized network must not land in the repo's.
+cli="$PWD/target/release/reram-ecc"
+
 echo "=== campaign smoke run (2 epochs, tiny net) ==="
-smoke_out="$(mktemp -d)/campaign-NoECC.json"
-cargo run --release --quiet -p reram-ecc -- campaign NoECC 2 \
-  --samples 3 --train 40 --out "$smoke_out" > /dev/null
-test -s "$smoke_out" || { echo "FAIL: campaign smoke wrote no checkpoint" >&2; exit 1; }
-rm -f "$smoke_out"
+smoke_dir="$(mktemp -d)"
+(cd "$smoke_dir" && "$cli" campaign NoECC 2 --samples 3 --train 40 \
+  --out campaign-NoECC.json > /dev/null)
+test -s "$smoke_dir/campaign-NoECC.json" \
+  || { echo "FAIL: campaign smoke wrote no checkpoint" >&2; exit 1; }
+rm -rf "$smoke_dir"
 echo "campaign smoke run passed"
 
 echo "=== chaos smoke (fault-injected campaign must match the clean run) ==="
@@ -202,11 +223,10 @@ echo "=== chaos smoke (fault-injected campaign must match the clean run) ==="
 # worker-panic message on stderr is expected — that IS the chaos; the
 # gate is the byte-for-byte cmp below.
 chaos_dir="$(mktemp -d)"
-cargo run --release --quiet -p reram-ecc -- campaign NoECC 2 \
-  --samples 3 --train 40 --out "$chaos_dir/clean.json" > /dev/null
-cargo run --release --quiet -p reram-ecc -- campaign NoECC 2 \
-  --samples 3 --train 40 --chaos-seed 7 --shard-retries 4 \
-  --out "$chaos_dir/chaos.json" > /dev/null
+(cd "$chaos_dir" && "$cli" campaign NoECC 2 --samples 3 --train 40 \
+  --out clean.json > /dev/null)
+(cd "$chaos_dir" && "$cli" campaign NoECC 2 --samples 3 --train 40 \
+  --chaos-seed 7 --shard-retries 4 --out chaos.json > /dev/null)
 cmp "$chaos_dir/clean.json" "$chaos_dir/chaos.json" \
   || { echo "FAIL: chaos-injected campaign diverged from the clean run" >&2; exit 1; }
 rm -rf "$chaos_dir"
@@ -220,7 +240,8 @@ echo "=== grid smoke (campaign-grid, SIGKILL worker + driver, resume, byte-compa
 # fault-free run. Run the binary directly so worker/driver PIDs are
 # real kill targets.
 grid_dir="$(mktemp -d)"
-grid_bin="./target/release/reram-ecc"
+grid_bin="$cli"
+cd "$grid_dir"
 cat > "$grid_dir/spec.json" <<'EOF'
 {
   "version": 1,
@@ -272,6 +293,7 @@ wait "$grid_pid" 2> /dev/null || true
   > /dev/null 2>&1
 cmp "$grid_dir/clean/grid_summary.json" "$grid_dir/chaos/grid_summary.json" \
   || { echo "FAIL: grid summary after SIGKILL+resume diverged from the clean run" >&2; exit 1; }
+cd - > /dev/null
 rm -rf "$grid_dir"
 echo "grid smoke passed"
 
