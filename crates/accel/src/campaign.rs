@@ -63,7 +63,7 @@ use std::path::{Path, PathBuf};
 
 use chaos::{ChaosSchedule, IoFault, Seam};
 use neural::{QuantizedNetwork, Tensor};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use xbar::endurance::EnduranceParams;
 
 use crate::analytic::ErrorModel;
@@ -119,6 +119,11 @@ pub struct CampaignConfig {
     /// recorded in [`CampaignState::error_model`], and resuming under a
     /// different one is refused.
     pub error_model: ErrorModel,
+    /// The knob overrides [`CampaignConfig::apply`] made to `base`, as
+    /// an ordered JSON object (empty by default). Recorded in
+    /// [`CampaignState::set`], so resuming under other overrides is
+    /// refused.
+    pub set: Value,
 }
 
 impl CampaignConfig {
@@ -138,7 +143,28 @@ impl CampaignConfig {
             threads: 1,
             checkpoint_every: 1,
             error_model: ErrorModel::Mc,
+            set: Value::default(),
         }
+    }
+
+    /// Overrides one knob of `base` through [`AccelConfig::apply`] and
+    /// records it in [`CampaignConfig::set`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccelError::InvalidConfig`] for an unknown knob or a
+    /// bad value, and for a knob this config already overrides.
+    pub fn apply(&mut self, knob: &str, value: &Value) -> Result<(), AccelError> {
+        let invalid = |detail: String| Err(AccelError::InvalidConfig(detail));
+        let Value::Object(set) = &mut self.set else {
+            return invalid("knob overrides must be an object".into());
+        };
+        if set.iter().any(|(k, _)| k == knob) {
+            return invalid(format!("knob {knob} is set twice"));
+        }
+        self.base.apply(knob, value)?;
+        set.push((knob.to_string(), value.clone()));
+        Ok(())
     }
 
     /// Writes absorbed before epoch `epoch`.
@@ -172,6 +198,7 @@ impl CampaignConfig {
             scheme: self.base.scheme.label(),
             cell_bits: self.base.device.bits_per_cell as u64,
             remap: self.base.remap,
+            set: self.set.clone(),
             epochs: self.epochs,
             initial_writes: self.initial_writes,
             writes_per_epoch: self.writes_per_epoch,
@@ -262,6 +289,10 @@ pub struct CampaignState {
     pub cell_bits: u64,
     /// Whether fault-aware remapping ran at each re-programming.
     pub remap: bool,
+    /// The knob overrides the campaign ran under
+    /// ([`CampaignConfig::set`]); left out of the JSON when empty.
+    #[serde(default)]
+    pub set: Value,
     /// Total epochs the campaign will run.
     pub epochs: u64,
     /// Writes absorbed before epoch 0.
@@ -614,6 +645,9 @@ impl Campaign {
         }
         if state.remap != expected.remap {
             return mismatch("remap", &expected.remap, &state.remap);
+        }
+        if state.set != expected.set {
+            return mismatch("set", &expected.set, &state.set);
         }
         if state.epochs != expected.epochs {
             return mismatch("epochs", &expected.epochs, &state.epochs);
@@ -1145,6 +1179,16 @@ mod tests {
             Campaign::resume(other, &path),
             Err(AccelError::ResumeMismatch(_))
         ));
+        // Different knob overrides, even one that changes no recorded
+        // field of its own.
+        let mut other = config.clone();
+        other
+            .apply("device.rtn_state_probability", &Value::Number(0.22))
+            .expect("knob");
+        match Campaign::resume(other, &path) {
+            Err(AccelError::ResumeMismatch(m)) => assert!(m.starts_with("set:"), "{m}"),
+            other => panic!("expected a set mismatch, got {:?}", other.err()),
+        }
         // Matching config resumes fine, but a different test set is
         // rejected at run time.
         let mut resumed = Campaign::resume(config, &path).expect("resume");
@@ -1498,6 +1542,7 @@ mod tests {
                 scheme: "ABN-9".into(),
                 cell_bits: 2,
                 remap: true,
+                set: Value::default(),
                 epochs,
                 initial_writes: initial,
                 writes_per_epoch: per_epoch,

@@ -42,6 +42,10 @@ pub struct CellColumns {
     pub writes_per_epoch: Vec<f64>,
     /// Base RNG seeds.
     pub seed: Vec<u64>,
+    /// Variant names; empty, and left out of the JSON, when the spec
+    /// has no variants.
+    #[serde(default)]
+    pub variant: Vec<String>,
     /// `done` or `lost`.
     pub status: Vec<String>,
 }
@@ -154,6 +158,7 @@ pub fn merge(
             cell_bits: Vec::new(),
             writes_per_epoch: Vec::new(),
             seed: Vec::new(),
+            variant: Vec::new(),
             status: Vec::new(),
         },
         rows: EpochColumns {
@@ -190,6 +195,9 @@ pub fn merge(
         summary.cells.cell_bits.push(cell.cell_bits);
         summary.cells.writes_per_epoch.push(cell.writes_per_epoch);
         summary.cells.seed.push(cell.seed);
+        if let Some(variant) = &cell.variant {
+            summary.cells.variant.push(variant.name.clone());
+        }
         summary
             .cells
             .status

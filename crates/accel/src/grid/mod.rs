@@ -1,11 +1,11 @@
 //! Crash-safe sharded campaign grid runner.
 //!
 //! Expands a JSON grid spec — (models × schemes × cell-bits ×
-//! fault-rates × seeds) — into cells, fans the cells across worker
-//! processes (or in-process worker threads), and keeps no coordination
-//! state beyond the cells' own artifacts: each cell is an ordinary
-//! [`crate::campaign`] with CRC'd A/B checkpoint slots, and a cell is
-//! done if and only if its final artifact verifies. There is nothing
+//! fault-rates × seeds × variants) — into cells, fans the cells across
+//! worker processes (or in-process worker threads), and keeps no
+//! coordination state beyond the cells' own artifacts: each cell is an
+//! ordinary [`crate::campaign`] with CRC'd A/B checkpoint slots, and a
+//! cell is done if and only if its final artifact verifies. There is nothing
 //! to lose: SIGKILL any worker, or the driver itself, at any moment,
 //! and re-running the driver resumes to a merged `grid_summary.json`
 //! that is byte-identical to the fault-free run (`tests/grid_soak.rs`
@@ -42,9 +42,9 @@ use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 
 use chaos::{ChaosSchedule, Seam};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
-use crate::analytic::ErrorModel;
+use crate::analytic::{self, ErrorModel};
 use crate::campaign::{self, CampaignConfig, CampaignState, ChaosDice};
 use crate::envelope::{self, ReadError};
 use crate::{AccelConfig, AccelError, ProtectionScheme};
@@ -60,9 +60,11 @@ pub const GRID_MANIFEST_VERSION: u64 = 1;
 
 /// A grid sweep specification, parsed from JSON on disk.
 ///
-/// Every axis is explicit and every field is required — a spec that
-/// omits an axis is rejected at parse time rather than silently
-/// defaulted, because the spec digest pins the sweep's identity.
+/// Every axis is explicit and every field but `variants` is required —
+/// a spec that omits an axis is rejected at parse time rather than
+/// silently defaulted, because the spec digest pins the sweep's
+/// identity. `variants` defaults to none and is then left out of the
+/// canonical JSON, so a spec without variants keeps its digest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GridSpec {
     /// Spec format version ([`GRID_SPEC_VERSION`]).
@@ -94,6 +96,24 @@ pub struct GridSpec {
     /// Error model for every cell: `analytic`, `mc`, or `auto` (the
     /// PR 9 envelope; `auto` resolves to Monte-Carlo inside campaigns).
     pub error_model: String,
+    /// Named knob-override sets, the innermost axis: every other axis
+    /// point runs once per variant. Empty (the default) runs the
+    /// unmodified configuration once.
+    #[serde(default)]
+    pub variants: Vec<Variant>,
+}
+
+/// One point on the `variants` axis: a name (part of the cell id and
+/// so of artifact file names) and the knobs it overrides, as an
+/// ordered JSON object of knob → value applied by
+/// [`AccelConfig::apply`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Variant {
+    /// Variant name, `[A-Za-z0-9_.-]+`, unique within the spec.
+    pub name: String,
+    /// Knob overrides, e.g. `{"device.rtn_state_probability": 0.22}`;
+    /// `{}` is the unmodified configuration.
+    pub set: Value,
 }
 
 impl GridSpec {
@@ -193,11 +213,36 @@ impl GridSpec {
         if self.threads == 0 {
             return fail("threads must be positive".into());
         }
-        if ErrorModel::from_label(&self.error_model).is_none() {
+        let Some(error_model) = ErrorModel::from_label(&self.error_model) else {
             return fail(format!(
                 "unknown error_model {} (try analytic, mc, auto)",
                 self.error_model
             ));
+        };
+        for (i, variant) in self.variants.iter().enumerate() {
+            let name = &variant.name;
+            let legal = |c: char| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-');
+            if name.is_empty() || !name.chars().all(legal) {
+                return fail(format!("variant name {name:?} must match [A-Za-z0-9_.-]+"));
+            }
+            if self.variants[..i].iter().any(|v| &v.name == name) {
+                return fail(format!("variant name {name} is used twice"));
+            }
+            let Some(knobs) = variant.set.as_object() else {
+                return fail(format!("variant {name}: set must be a knob → value object"));
+            };
+            let mut config = CampaignConfig::new(AccelConfig::new(ProtectionScheme::None), 1, 0);
+            for (knob, value) in knobs {
+                if let Err(e) = config.apply(knob, value) {
+                    return fail(format!("variant {name}: {e}"));
+                }
+            }
+            if error_model == ErrorModel::Analytic && !analytic::supports(&config.base) {
+                return fail(format!(
+                    "variant {name}: error_model analytic is valid only with the revert \
+                     policy, no retries and no remap"
+                ));
+            }
         }
         Ok(())
     }
@@ -213,26 +258,39 @@ impl GridSpec {
     }
 
     /// Expands the spec into its cells, in the canonical order
-    /// (models → schemes → cell_bits → writes_per_epoch → seeds).
+    /// (models → schemes → cell_bits → writes_per_epoch → seeds →
+    /// variants). A cell of a variant has `_<variant>` appended to its
+    /// id.
     pub fn cells(&self) -> Vec<GridCell> {
+        let variants: Vec<Option<&Variant>> = if self.variants.is_empty() {
+            vec![None]
+        } else {
+            self.variants.iter().map(Some).collect()
+        };
         let mut out = Vec::new();
         for model in &self.models {
             for scheme in &self.schemes {
                 for &bits in &self.cell_bits {
                     for &wpe in &self.writes_per_epoch {
                         for &seed in &self.seeds {
-                            let index = out.len() as u64;
-                            out.push(GridCell {
-                                index,
-                                id: format!(
-                                    "{index:03}_{model}_{scheme}_{bits}b_w{wpe}_s{seed}"
-                                ),
-                                model: model.clone(),
-                                scheme: scheme.clone(),
-                                cell_bits: bits,
-                                writes_per_epoch: wpe,
-                                seed,
-                            });
+                            for &variant in &variants {
+                                let index = out.len() as u64;
+                                let mut id =
+                                    format!("{index:03}_{model}_{scheme}_{bits}b_w{wpe}_s{seed}");
+                                if let Some(v) = variant {
+                                    id = format!("{id}_{}", v.name);
+                                }
+                                out.push(GridCell {
+                                    index,
+                                    id,
+                                    model: model.clone(),
+                                    scheme: scheme.clone(),
+                                    cell_bits: bits,
+                                    writes_per_epoch: wpe,
+                                    seed,
+                                    variant: variant.cloned(),
+                                });
+                            }
                         }
                     }
                 }
@@ -241,13 +299,14 @@ impl GridSpec {
         out
     }
 
-    /// Builds the campaign configuration for one cell.
+    /// Builds the campaign configuration for one cell, its variant's
+    /// knobs applied through [`CampaignConfig::apply`].
     ///
     /// # Errors
     ///
-    /// Returns [`AccelError::Grid`] when the cell's labels fail to
-    /// parse (impossible for cells produced by [`GridSpec::cells`] on
-    /// a validated spec).
+    /// Returns [`AccelError::Grid`] when the cell's labels or knobs fail
+    /// to parse (impossible for cells produced by [`GridSpec::cells`]
+    /// on a validated spec).
     pub fn cell_config(&self, cell: &GridCell) -> Result<CampaignConfig, AccelError> {
         let scheme = ProtectionScheme::from_label(&cell.scheme).ok_or_else(|| {
             AccelError::Grid {
@@ -267,13 +326,19 @@ impl GridSpec {
         config.initial_writes = self.initial_writes;
         config.checkpoint_every = self.checkpoint_every;
         config.error_model = error_model;
+        for (knob, value) in cell.knobs() {
+            config.apply(knob, value).map_err(|e| AccelError::Grid {
+                stage: "spec".into(),
+                message: format!("cell {}: {e}", cell.id),
+            })?;
+        }
         Ok(config)
     }
 
     /// Accepts `state` only as `cell`'s complete record: the scheme,
-    /// seed, cell bits, wear schedule and epoch count it records must
-    /// all be the cell's, and every epoch must be present. The one
-    /// identity check behind "a cell is done".
+    /// seed, cell bits, knob overrides, wear schedule and epoch count
+    /// it records must all be the cell's, and every epoch must be
+    /// present. The one identity check behind "a cell is done".
     fn check_artifact(&self, cell: &GridCell, state: &CampaignState) -> Result<(), String> {
         let differs = |field: &str, want: &dyn std::fmt::Debug, got: &dyn std::fmt::Debug| {
             Err(format!("{field}: cell {} wants {want:?}, artifact records {got:?}", cell.id))
@@ -286,6 +351,13 @@ impl GridSpec {
         }
         if state.cell_bits != cell.cell_bits {
             return differs("cell_bits", &cell.cell_bits, &state.cell_bits);
+        }
+        let set = cell
+            .variant
+            .as_ref()
+            .map_or_else(Value::default, |v| v.set.clone());
+        if state.set != set {
+            return differs("set", &set, &state.set);
         }
         if state.writes_per_epoch != cell.writes_per_epoch {
             return differs(
@@ -322,6 +394,19 @@ pub struct GridCell {
     pub writes_per_epoch: f64,
     /// Base RNG seed.
     pub seed: u64,
+    /// The variant this cell runs, when the spec has variants.
+    pub variant: Option<Variant>,
+}
+
+impl GridCell {
+    /// The knob overrides this cell runs under, in order (none without
+    /// a variant).
+    pub fn knobs(&self) -> &[(String, Value)] {
+        self.variant
+            .as_ref()
+            .and_then(|v| v.set.as_object())
+            .unwrap_or_default()
+    }
 }
 
 /// The derivable manifest pinning a grid directory to one spec.
@@ -844,6 +929,7 @@ impl Grid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Campaign;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use std::collections::HashMap;
@@ -866,6 +952,7 @@ mod tests {
             // Analytic: fast enough for unit tests, and resumable like
             // any other campaign (the checkpoint records the estimator).
             error_model: "analytic".into(),
+            variants: Vec::new(),
         }
     }
 
@@ -966,6 +1053,97 @@ mod tests {
                 other => panic!("expected Grid error for {needle}, got {other:?}"),
             }
         }
+    }
+
+    fn variant(name: &str, set: &str) -> Variant {
+        Variant {
+            name: name.into(),
+            set: serde_json::from_str(set).expect("set json"),
+        }
+    }
+
+    #[test]
+    fn variant_validation_refuses_bad_names_knobs_and_analytic_misuse() {
+        let mut mc = spec_2x1();
+        mc.error_model = "mc".into();
+        mc.variants = vec![
+            variant("base", "{}"),
+            variant("p_rtn_0.22", r#"{"device.rtn_state_probability": 0.22}"#),
+            variant("retry-2", r#"{"policy": "revert", "max_retries": 2, "remap": true}"#),
+        ];
+        assert!(mc.validate().is_ok());
+
+        let cases: Vec<(GridSpec, Vec<Variant>, &str)> = vec![
+            (mc.clone(), vec![variant("", "{}")], "variant name \"\""),
+            (mc.clone(), vec![variant("../x", "{}")], "must match"),
+            (mc.clone(), vec![variant("a b", "{}")], "must match"),
+            (mc.clone(), vec![variant("a", "{}"), variant("a", "{}")], "used twice"),
+            (mc.clone(), vec![variant("a", "[]")], "must be a knob"),
+            (mc.clone(), vec![variant("a", r#"{"fault_rate": 0.1}"#)], "unknown knob"),
+            (mc.clone(), vec![variant("a", r#"{"remap": 1}"#)], "expected bool"),
+            (mc.clone(), vec![variant("a", r#"{"max_retries": -1}"#)], "out of range"),
+            (
+                mc.clone(),
+                vec![variant("a", r#"{"remap": true, "remap": false}"#)],
+                "set twice",
+            ),
+            (spec_2x1(), vec![variant("a", r#"{"remap": true}"#)], "analytic"),
+            (spec_2x1(), vec![variant("a", r#"{"max_retries": 1}"#)], "analytic"),
+        ];
+        for (mut bad, variants, needle) in cases {
+            bad.variants = variants;
+            match bad.validate() {
+                Err(AccelError::Grid { stage, message }) => {
+                    assert_eq!(stage, "spec");
+                    assert!(message.contains(needle), "{message:?} missing {needle:?}");
+                }
+                other => panic!("expected Grid error for {needle}, got {other:?}"),
+            }
+        }
+        // Knobs inside the analytic envelope stay legal under it.
+        let mut analytic = spec_2x1();
+        analytic.variants = vec![variant("a", r#"{"max_retries": 0, "group_operands": 4}"#)];
+        assert!(analytic.validate().is_ok());
+    }
+
+    #[test]
+    fn variants_are_the_innermost_axis_and_reach_config_and_artifact_checks() {
+        let plain = spec_2x1();
+        let json = plain.to_json().expect("json");
+        assert!(!json.contains("variants"), "{json}");
+
+        let mut spec = plain.clone();
+        spec.variants = vec![
+            variant("base", "{}"),
+            variant("p22", r#"{"device.rtn_state_probability": 0.22}"#),
+        ];
+        assert_ne!(spec.digest().expect("digest"), plain.digest().expect("digest"));
+        let reparsed = GridSpec::from_json(&spec.to_json().expect("json")).expect("reparse");
+        assert_eq!(reparsed, spec);
+        let cells = spec.cells();
+        let ids: Vec<&str> = cells.iter().map(|c| c.id.as_str()).collect();
+        assert_eq!(
+            ids,
+            [
+                "000_mlp2_NoECC_2b_w200000_s41_base",
+                "001_mlp2_NoECC_2b_w200000_s41_p22",
+                "002_mlp2_ABN-9_2b_w200000_s41_base",
+                "003_mlp2_ABN-9_2b_w200000_s41_p22",
+            ]
+        );
+        let base = spec.cell_config(&cells[0]).expect("config");
+        let p22 = spec.cell_config(&cells[1]).expect("config");
+        assert_eq!(base, spec_2x1().cell_config(&plain.cells()[0]).expect("plain"));
+        assert_eq!(p22.base.device.rtn_state_probability, 0.22);
+        assert_eq!(p22.set, spec.variants[1].set);
+
+        // An artifact records its overrides, so another variant's
+        // artifact is refused before anything else about it is read.
+        let state = Campaign::new(p22).expect("campaign").state().clone();
+        let refused = spec.check_artifact(&cells[0], &state).unwrap_err();
+        assert!(refused.starts_with("set:"), "{refused}");
+        let incomplete = spec.check_artifact(&cells[1], &state).unwrap_err();
+        assert!(incomplete.starts_with("epochs"), "{incomplete}");
     }
 
     #[test]

@@ -193,6 +193,16 @@ impl Launcher {
                     .stdin(Stdio::null())
                     .stdout(Stdio::null())
                     .stderr(Stdio::null());
+                // The worker applies each override through the same
+                // `CampaignConfig::apply` that `GridSpec::cell_config`
+                // uses in-process.
+                for (knob, value) in cell.knobs() {
+                    let json = serde_json::to_string(value).map_err(|e| AccelError::Grid {
+                        stage: "spawn".into(),
+                        message: format!("knob {knob} of {}: {e:?}", cell.id),
+                    })?;
+                    cmd.arg("--set").arg(format!("{knob}={json}"));
+                }
                 if let Some(seed) = chaos_seed {
                     cmd.arg("--chaos-seed").arg(seed.to_string());
                     // Under injected faults a worker needs headroom to

@@ -1,6 +1,7 @@
 //! Protection schemes and accelerator configuration.
 
 use ancode::{AbnCode, AnCode, CorrectionPolicy, CorrectionTable, ErrorListConfig, GroupLayout};
+use serde::{Deserialize, Value};
 use xbar::DeviceParams;
 
 /// The error-protection configurations evaluated in Figures 10–12.
@@ -261,6 +262,99 @@ impl AccelConfig {
         self.batch = batch;
         self
     }
+
+    /// Overrides one named knob with a JSON value. This is the one way
+    /// a grid variant or `campaign --set` changes a configuration, so
+    /// both launchers of a grid cell build the same one.
+    ///
+    /// | knob | value |
+    /// | --- | --- |
+    /// | `device.rlo_delta_r` | RTN `ΔR/R` at `R_LO`, in `(0, 1 − 1/α)`, via [`DeviceParams::with_rlo_delta_r`] |
+    /// | `device.rtn_state_probability` | RTN error-state probability in `[0, 1]` |
+    /// | `device.rtn_offset` | bool: program resistances offset by `p·ΔR` |
+    /// | `policy` | `"revert"` or `"keep-corrected"` |
+    /// | `max_retries` | integer: ECU re-reads of an uncorrectable group |
+    /// | `group_operands` | positive integer: 16-bit operands per coded group |
+    /// | `error_list.max_rows_per_event` | positive integer: rows per table error event |
+    /// | `remap` | bool: fault-aware row remapping |
+    ///
+    /// The fault rate is not a knob: a campaign derives it per epoch
+    /// from the wear schedule.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccelError::InvalidConfig`](crate::AccelError) naming
+    /// the knob for an unknown knob, a value of the wrong type, or a
+    /// value out of range; `self` is then unchanged.
+    pub fn apply(&mut self, knob: &str, value: &Value) -> Result<(), crate::AccelError> {
+        let invalid =
+            |detail: String| crate::AccelError::InvalidConfig(format!("knob {knob}: {detail}"));
+        let number = || match value {
+            Value::Number(n) => Ok(*n),
+            other => Err(invalid(format!("expected a number, found {other:?}"))),
+        };
+        let positive = || match usize::from_value(value) {
+            Ok(0) => Err(invalid("must be positive".into())),
+            other => other.map_err(invalid),
+        };
+        match knob {
+            "device.rlo_delta_r" => {
+                let target = number()?;
+                let saturation = 1.0 - 1.0 / self.device.rtn_alpha;
+                if !(target > 0.0 && target < saturation) {
+                    return Err(invalid(format!("{target} outside (0, {saturation})")));
+                }
+                self.device = self.device.clone().with_rlo_delta_r(target);
+            }
+            "device.rtn_state_probability" => {
+                let p = number()?;
+                if !(0.0..=1.0).contains(&p) {
+                    return Err(invalid(format!("{p} outside [0, 1]")));
+                }
+                self.device.rtn_state_probability = p;
+            }
+            "device.rtn_offset" => {
+                self.device.rtn_offset = bool::from_value(value).map_err(invalid)?
+            }
+            "policy" => {
+                self.policy = match String::from_value(value).map_err(invalid)?.as_str() {
+                    "revert" => CorrectionPolicy::Revert,
+                    "keep-corrected" => CorrectionPolicy::KeepCorrected,
+                    other => {
+                        return Err(invalid(format!(
+                            "unknown policy {other} (try revert, keep-corrected)"
+                        )))
+                    }
+                }
+            }
+            "max_retries" => self.max_retries = u32::from_value(value).map_err(invalid)?,
+            "group_operands" => {
+                self.group = GroupLayout::new(self.group.operand_bits(), positive()?)
+                    .map_err(|e| invalid(e.to_string()))?;
+            }
+            "error_list.max_rows_per_event" => self.error_list.max_rows_per_event = positive()?,
+            "remap" => self.remap = bool::from_value(value).map_err(invalid)?,
+            _ => {
+                return Err(invalid(format!(
+                    "unknown knob (try {})",
+                    AccelConfig::KNOBS.join(", ")
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    /// The knobs [`AccelConfig::apply`] accepts.
+    pub const KNOBS: [&'static str; 8] = [
+        "device.rlo_delta_r",
+        "device.rtn_state_probability",
+        "device.rtn_offset",
+        "policy",
+        "max_retries",
+        "group_operands",
+        "error_list.max_rows_per_event",
+        "remap",
+    ];
 }
 
 #[cfg(test)]
@@ -368,5 +462,63 @@ mod tests {
         assert_eq!(c.device.fault_rate, 0.0);
         assert_eq!(c.max_columns, 128);
         assert_eq!(c.input_bits, 16);
+    }
+
+    #[test]
+    fn apply_sets_each_knob_and_refuses_the_rest() {
+        let base = AccelConfig::new(ProtectionScheme::data_aware(9)).with_cell_bits(2);
+        let set = |knob: &str, json: &str| {
+            let mut c = base.clone();
+            c.apply(knob, &serde_json::from_str(json).expect("json"))
+                .map(|()| c)
+        };
+        assert_eq!(
+            set("device.rlo_delta_r", "0.028").unwrap().device,
+            base.device.clone().with_rlo_delta_r(0.028)
+        );
+        assert_eq!(
+            set("device.rtn_state_probability", "0.22")
+                .unwrap()
+                .device
+                .rtn_state_probability,
+            0.22
+        );
+        assert!(!set("device.rtn_offset", "false").unwrap().device.rtn_offset);
+        assert_eq!(
+            set("policy", "\"keep-corrected\"").unwrap().policy,
+            CorrectionPolicy::KeepCorrected
+        );
+        assert_eq!(set("max_retries", "2").unwrap().max_retries, 2);
+        assert_eq!(
+            set("group_operands", "4").unwrap().group,
+            GroupLayout::new(16, 4).unwrap()
+        );
+        assert_eq!(
+            set("error_list.max_rows_per_event", "1")
+                .unwrap()
+                .error_list
+                .max_rows_per_event,
+            1
+        );
+        assert!(set("remap", "true").unwrap().remap);
+
+        for (knob, json, needle) in [
+            ("device.fault_rate", "0.1", "unknown knob"),
+            ("remap", "1", "expected bool"),
+            ("max_retries", "1.5", "out of range"),
+            ("max_retries", "\"2\"", "expected number"),
+            ("policy", "\"retry\"", "unknown policy"),
+            ("group_operands", "0", "positive"),
+            ("device.rtn_state_probability", "1.5", "outside"),
+            ("device.rlo_delta_r", "null", "expected a number"),
+            ("device.rlo_delta_r", "0.9", "outside"),
+        ] {
+            match set(knob, json) {
+                Err(crate::AccelError::InvalidConfig(m)) => {
+                    assert!(m.contains(knob) && m.contains(needle), "{knob}={json}: {m}")
+                }
+                other => panic!("{knob}={json}: expected a refusal, got {other:?}"),
+            }
+        }
     }
 }

@@ -38,9 +38,7 @@ fn bench_codes(c: &mut Criterion) {
     });
 
     c.bench_function("a_search_hardware_5", |b| {
-        b.iter(|| {
-            ancode::search::select_a_hardware(9, 3, 128, &config, |_| Ok(model(34))).unwrap()
-        })
+        b.iter(|| ancode::search::select_a_hardware(9, 3, 128, &config, |_| Ok(model(34))).unwrap())
     });
 
     c.bench_function("min_single_error_a_39b", |b| {

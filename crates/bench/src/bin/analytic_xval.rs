@@ -1,18 +1,20 @@
 //! Cross-validates the analytic error model against the Monte-Carlo
 //! harness on the Figure 10/11 grid and measures its speedup.
 //!
-//! For every grid cell — workload × cell-bits × scheme × fault regime
-//! (Fig 10: no faults; Fig 11: 0.1 % stuck-at) — the cell is evaluated
-//! twice: once by `accel::sim::evaluate` with the seeds behind
-//! EXPERIMENTS.md's recorded Fig 10/11 tables, once by
-//! `accel::analytic::predict`. Per-cell
+//! For every cell of the committed Fig 10 and Fig 11 specs
+//! (`results/specs/fig10.json`, `fig11.json`: workload × scheme ×
+//! cell-bits, no faults or 0.1 % stuck-at) the cell is evaluated
+//! twice: once by `accel::sim::evaluate` at the spec's seed, threads and
+//! epoch-0 fault rate, exactly as the spec's one-epoch campaign runs
+//! it, and once by `accel::analytic::predict`. Per-cell
 //! agreement (absolute misclassification / flip-rate difference) and
 //! wall-clock times land in `results/analytic_xval.json`; the summary —
 //! worst-case agreement, per-cell speedup distribution — is recorded in
 //! `BENCH_analytic.json` at the repo root, which EXPERIMENTS.md quotes.
 //!
 //! Usage: `cargo run --release -p bench --bin analytic_xval [-- --smoke]`
-//! Knobs: `REPRO_SAMPLES`, `REPRO_TRAIN`, `REPRO_THREADS`.
+//! Knob: `REPRO_SAMPLES` (the specs pin training size and threads; the
+//! `--gate` cell also reads `REPRO_TRAIN` and `REPRO_THREADS`).
 //!
 //! `--smoke` restricts the grid to MLP1 × 2-bit × {NoECC, Static16,
 //! ABN-9} × both fault regimes.
@@ -21,11 +23,19 @@
 //! MLP1 × 2-bit × ABN-9 × 0.1 % stuck-at — writes nothing, and exits
 //! non-zero unless both agreement deltas stay within `GATE_TOLERANCE`.
 
+use std::collections::HashMap;
 use std::time::Instant;
 
-use accel::AccelConfig;
-use bench::{figure_schemes, threads, workload, write_json, Workload};
+use accel::grid::GridSpec;
+use accel::{AccelConfig, ProtectionScheme};
+use bench::{results_dir, samples, threads, workload, write_json, Workload};
 use serde::Serialize;
+
+/// The specs whose cells the grid cross-checks.
+const SPECS: [&str; 2] = [
+    include_str!("../../../../results/specs/fig10.json"),
+    include_str!("../../../../results/specs/fig11.json"),
+];
 
 /// One grid cell's cross-validation record.
 ///
@@ -87,7 +97,7 @@ fn projected_ms(t1_ms: f64, tn_ms: f64, n: usize, samples: f64) -> (f64, f64) {
     (marginal, one_time + marginal * samples)
 }
 
-fn cell(wl: &Workload, config: &AccelConfig, seed: u64) -> XvalRow {
+fn xval(wl: &Workload, config: &AccelConfig, seed: u64, threads: usize) -> XvalRow {
     let mc_start = Instant::now();
     let mc = accel::sim::evaluate(
         &wl.quantized,
@@ -95,7 +105,7 @@ fn cell(wl: &Workload, config: &AccelConfig, seed: u64) -> XvalRow {
         &wl.test.labels,
         config,
         seed,
-        threads(),
+        threads,
     )
     .expect("mc evaluation failed");
     let mc_ms = mc_start.elapsed().as_secs_f64() * 1e3;
@@ -106,7 +116,7 @@ fn cell(wl: &Workload, config: &AccelConfig, seed: u64) -> XvalRow {
         &wl.test.images,
         &wl.test.labels,
         config,
-        threads(),
+        threads,
     )
     .expect("analytic prediction failed");
     let analytic_ms = an_start.elapsed().as_secs_f64() * 1e3;
@@ -115,22 +125,20 @@ fn cell(wl: &Workload, config: &AccelConfig, seed: u64) -> XvalRow {
     // programming on the MC side, model construction on the analytic
     // side) from the marginal per-sample cost.
     let dim: usize = wl.test.images.shape()[1..].iter().product();
-    let one_image =
-        neural::Tensor::from_vec(vec![1, dim], wl.test.images.data()[..dim].to_vec());
+    let one_image = neural::Tensor::from_vec(vec![1, dim], wl.test.images.data()[..dim].to_vec());
     let one_label = &wl.test.labels[..1];
     let mc1_start = Instant::now();
-    accel::sim::evaluate(&wl.quantized, &one_image, one_label, config, seed, threads())
+    accel::sim::evaluate(&wl.quantized, &one_image, one_label, config, seed, threads)
         .expect("mc single-sample evaluation failed");
     let mc1_ms = mc1_start.elapsed().as_secs_f64() * 1e3;
     let an1_start = Instant::now();
-    accel::analytic::predict_threaded(&wl.quantized, &one_image, one_label, config, threads())
+    accel::analytic::predict_threaded(&wl.quantized, &one_image, one_label, config, threads)
         .expect("analytic single-sample prediction failed");
     let an1_ms = an1_start.elapsed().as_secs_f64() * 1e3;
 
     const PAPER_SAMPLES: f64 = 1000.0;
     let (mc_marginal, mc_paper_ms) = projected_ms(mc1_ms, mc_ms, mc.samples, PAPER_SAMPLES);
-    let (an_marginal, an_paper_ms) =
-        projected_ms(an1_ms, analytic_ms, mc.samples, PAPER_SAMPLES);
+    let (an_marginal, an_paper_ms) = projected_ms(an1_ms, analytic_ms, mc.samples, PAPER_SAMPLES);
 
     let row = XvalRow {
         network: wl.name.to_string(),
@@ -179,14 +187,10 @@ const GATE_TOLERANCE: f64 = 0.05;
 fn main() {
     if std::env::args().any(|a| a == "--gate") {
         let wl = workload("mlp1");
-        let scheme = figure_schemes()
-            .into_iter()
-            .find(|s| s.label() == "ABN-9")
-            .expect("ABN-9 in figure schemes");
-        let config = AccelConfig::new(scheme)
+        let config = AccelConfig::new(ProtectionScheme::data_aware(9))
             .with_cell_bits(2)
             .with_fault_rate(1e-3);
-        let row = cell(&wl, &config, 2002);
+        let row = xval(&wl, &config, 2002, threads());
         if row.abs_diff_misclassification > GATE_TOLERANCE
             || row.abs_diff_flip_rate > GATE_TOLERANCE
         {
@@ -204,33 +208,36 @@ fn main() {
         return;
     }
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let networks: &[&str] = if smoke {
-        &["mlp1"]
-    } else {
-        &["mlp1", "mlp2", "cnn1"]
-    };
-    let bits_grid: Vec<u32> = if smoke { vec![2] } else { (1..=5).collect() };
-
+    let mut workloads: HashMap<String, Workload> = HashMap::new();
     let mut rows: Vec<XvalRow> = Vec::new();
-    for name in networks {
-        let wl = workload(name);
-        for &bits in &bits_grid {
-            for scheme in figure_schemes() {
-                if smoke && !matches!(scheme.label().as_str(), "NoECC" | "Static16" | "ABN-9") {
-                    continue;
-                }
-                // The seeds that recorded EXPERIMENTS.md's Fig 10/11
-                // tables (1000 + bits, 2000 + bits), so the MC side of
-                // a cell reproduces the recorded figures.
-                let fig10 = AccelConfig::new(scheme.clone())
-                    .with_cell_bits(bits)
-                    .with_fault_rate(0.0);
-                rows.push(cell(&wl, &fig10, 1000 + bits as u64));
-                let fig11 = AccelConfig::new(scheme)
-                    .with_cell_bits(bits)
-                    .with_fault_rate(1e-3);
-                rows.push(cell(&wl, &fig11, 2000 + bits as u64));
+    for text in SPECS {
+        let spec = GridSpec::from_json(text).expect("committed spec");
+        for cell in spec.cells() {
+            if smoke
+                && (cell.model != "mlp1"
+                    || cell.cell_bits != 2
+                    || !matches!(cell.scheme.as_str(), "NoECC" | "Static16" | "ABN-9"))
+            {
+                continue;
             }
+            // The spec's own network, seed, threads and epoch-0 fault
+            // rate: the MC side is the cell the spec's campaign runs,
+            // on the first REPRO_SAMPLES of its test set.
+            let wl = workloads.entry(cell.model.clone()).or_insert_with(|| {
+                neural::workload::train_or_load(
+                    &cell.model,
+                    spec.train as usize,
+                    samples(),
+                    &results_dir().join("weights"),
+                )
+                .unwrap_or_else(|e| panic!("workload {}: {e}", cell.model))
+            });
+            let campaign = spec.cell_config(&cell).expect("cell config");
+            let config = campaign
+                .base
+                .clone()
+                .with_fault_rate(campaign.fault_rate_at(0));
+            rows.push(xval(wl, &config, cell.seed, spec.threads as usize));
         }
     }
 
@@ -239,7 +246,10 @@ fn main() {
     speedups.sort_by(|a, b| a.total_cmp(b));
     let mut marginal: Vec<f64> = rows.iter().map(|r| r.marginal_speedup).collect();
     marginal.sort_by(|a, b| a.total_cmp(b));
-    let mut projected: Vec<f64> = rows.iter().map(|r| r.projected_paper_cell_speedup).collect();
+    let mut projected: Vec<f64> = rows
+        .iter()
+        .map(|r| r.projected_paper_cell_speedup)
+        .collect();
     projected.sort_by(|a, b| a.total_cmp(b));
     let summary = Summary {
         cells: rows.len(),
@@ -253,7 +263,10 @@ fn main() {
             .map(|r| r.abs_diff_misclassification)
             .sum::<f64>()
             / n,
-        max_abs_diff_flip_rate: rows.iter().map(|r| r.abs_diff_flip_rate).fold(0.0, f64::max),
+        max_abs_diff_flip_rate: rows
+            .iter()
+            .map(|r| r.abs_diff_flip_rate)
+            .fold(0.0, f64::max),
         mean_mc_ms: rows.iter().map(|r| r.mc_ms).sum::<f64>() / n,
         mean_analytic_ms: rows.iter().map(|r| r.analytic_ms).sum::<f64>() / n,
         min_speedup: *speedups.first().unwrap_or(&0.0),

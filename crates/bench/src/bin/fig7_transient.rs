@@ -66,7 +66,10 @@ fn main() {
     let sketch = trace.downsample(64);
     let lo = trace.threshold(-2);
     let hi = trace.threshold(2);
-    println!("\ntrace (first {} samples, ±2 LSB window):", sketch.times().len());
+    println!(
+        "\ntrace (first {} samples, ±2 LSB window):",
+        sketch.times().len()
+    );
     for (&t, &i) in sketch.times().iter().zip(sketch.currents()).take(32) {
         let frac = ((i - lo) / (hi - lo)).clamp(0.0, 1.0);
         let pos = (frac * 60.0) as usize;

@@ -64,7 +64,9 @@ fn main() {
             chip_power_pct: r.chip_power_fraction * 100.0,
         });
     }
-    println!("\npaper @9 bits: ECU/tile 3.4%, tile 6.3%, chip 5.3%, ECU power 2.1%, chip power 5.8%");
+    println!(
+        "\npaper @9 bits: ECU/tile 3.4%, tile 6.3%, chip 5.3%, ECU power 2.1%, chip power 5.8%"
+    );
     println!("headline claim: <4.5% area and <4.7% energy at the 7-bit point");
     bench::write_json("table4_overheads", &rows);
 }

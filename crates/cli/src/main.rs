@@ -76,7 +76,7 @@ usage:
              [--model mlp1|mlp2|cnn1|alexnet]
              [--error-model analytic|mc|auto]
              [--writes-per-epoch W] [--initial-writes W]
-             [--checkpoint-every K] [--remap] [--out PATH]
+             [--checkpoint-every K] [--set KNOB=JSON]... [--out PATH]
              [--resume | --resume-or-new]
              [--metrics PATH] [--events PATH] [--chaos-seed S]
              [--max-lost-shards N] [--watchdog-ms MS]
@@ -90,7 +90,9 @@ grid campaigns (see DESIGN.md, grid campaigns; README, Grid
 campaigns):
   The spec JSON lists every axis explicitly: models, schemes,
   cell_bits, writes_per_epoch, seeds, plus scalar epochs/samples/
-  train/threads/checkpoint_every/initial_writes/error_model. Each
+  train/threads/checkpoint_every/initial_writes/error_model, and
+  optionally variants: a list of {name, set: {KNOB: VALUE, ...}},
+  the innermost axis, each applied like `campaign --set`. Each
   cell is one `campaign` run; the driver spawns `reram-ecc campaign …
   --resume-or-new` workers (or threads with --in-process); a cell is
   done when its final artifact verifies, and the driver merges
@@ -109,6 +111,18 @@ campaign error model (see DESIGN.md, analytic error model):
                    mc inside campaigns so recorded series stay
                    byte-identical. The checkpoint records the resolved
                    estimator, and --resume under another is refused
+
+campaign knobs:
+  --set KNOB=JSON  override one accelerator knob (repeatable; a
+                   grid variant passes its knobs this way). KNOB is
+                   one of device.rlo_delta_r,
+                   device.rtn_state_probability, device.rtn_offset,
+                   policy (the JSON string revert or keep-corrected),
+                   max_retries, group_operands,
+                   error_list.max_rows_per_event and remap; JSON is
+                   the value, e.g. --set remap=true. The checkpoint
+                   records the overrides, and --resume under others
+                   is refused
 
 campaign throughput:
   --batch N       input vectors per MVM pass (default 1). Batching
@@ -310,7 +324,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     let mut writes_per_epoch = 2e5f64;
     let mut initial_writes = 1e6f64;
     let mut checkpoint_every = 1u64;
-    let mut remap = false;
+    let mut knobs: Vec<(String, serde::Value)> = Vec::new();
     let mut resume = false;
     let mut resume_or_new = false;
     let mut out: Option<String> = None;
@@ -369,10 +383,14 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
             "--shard-retries" => {
                 shard_retries = parsed(value("--shard-retries")?, "shard-retries")?;
             }
-            "--remap" => {
-                remap = true;
-                i += 1;
-                continue;
+            "--set" => {
+                let set = value("--set")?;
+                let (knob, json) = set
+                    .split_once('=')
+                    .ok_or_else(|| format!("--set {set}: expected KNOB=JSON"))?;
+                let value = serde_json::from_str(json)
+                    .map_err(|e| format!("--set {set}: value is not JSON: {e:?}"))?;
+                knobs.push((knob.to_string(), value));
             }
             "--resume" => {
                 resume = true;
@@ -397,6 +415,20 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     if batch == 0 {
         return Err("--batch must be positive".into());
     }
+    let mut base = AccelConfig::new(scheme).with_cell_bits(cell_bits).with_batch(batch);
+    base.watchdog_ns = watchdog_ms.saturating_mul(1_000_000);
+    base.shard_retries = shard_retries;
+    base.max_lost_shards = max_lost_shards;
+    let mut config = CampaignConfig::new(base, epochs, seed);
+    config.threads = threads;
+    config.writes_per_epoch = writes_per_epoch;
+    config.initial_writes = initial_writes;
+    config.checkpoint_every = checkpoint_every;
+    config.error_model = error_model;
+    for (knob, value) in &knobs {
+        config.apply(knob, value).map_err(|e| e.to_string())?;
+    }
+
     if !obs::enabled() && (metrics.is_some() || events.is_some()) {
         eprintln!("[campaign] note: this binary was built without metrics; --metrics/--events will record nothing");
     }
@@ -427,18 +459,6 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     }
 
     let wl = workload(&model, train_n, samples)?;
-
-    let mut base = AccelConfig::new(scheme).with_cell_bits(cell_bits).with_batch(batch);
-    base.remap = remap;
-    base.watchdog_ns = watchdog_ms.saturating_mul(1_000_000);
-    base.shard_retries = shard_retries;
-    base.max_lost_shards = max_lost_shards;
-    let mut config = CampaignConfig::new(base, epochs, seed);
-    config.threads = threads;
-    config.writes_per_epoch = writes_per_epoch;
-    config.initial_writes = initial_writes;
-    config.checkpoint_every = checkpoint_every;
-    config.error_model = error_model;
 
     let out_path =
         PathBuf::from(out.unwrap_or_else(|| format!("results/campaign-{scheme_label}.json")));
@@ -580,14 +600,15 @@ fn cmd_campaign_grid(args: &[String]) -> Result<(), String> {
     let spec = GridSpec::from_json(&spec_text).map_err(|e| e.to_string())?;
     let cells = spec.cells();
     eprintln!(
-        "[grid] {} cells ({} models × {} schemes × {} cell-bits × {} write rates × {} seeds), \
-         {} workers{}",
+        "[grid] {} cells ({} models × {} schemes × {} cell-bits × {} write rates × {} seeds \
+         × {} variants), {} workers{}",
         cells.len(),
         spec.models.len(),
         spec.schemes.len(),
         spec.cell_bits.len(),
         spec.writes_per_epoch.len(),
         spec.seeds.len(),
+        spec.variants.len().max(1),
         workers,
         if in_process { " (in-process)" } else { "" }
     );
@@ -606,10 +627,11 @@ fn cmd_campaign_grid(args: &[String]) -> Result<(), String> {
     let mut problems = std::collections::HashMap::new();
     if !merge_only {
         for model in &spec.models {
-            let wl = workload(model, spec.train as usize, spec.samples as usize)?;
+            let mut wl = workload(model, spec.train as usize, spec.samples as usize)?;
             eprintln!(
-                "[grid] {model}: software misclassification {:.2}% over {} samples",
+                "[grid] {model}: software misclassification {:.2}% (top-5 {:.2}%) over {} samples",
                 wl.software_error * 100.0,
+                software_top5_error(&mut wl) * 100.0,
                 wl.test.len()
             );
             if in_process {
@@ -653,6 +675,27 @@ fn cmd_campaign_grid(args: &[String]) -> Result<(), String> {
     }
     println!("summary: {}", report.summary_path.display());
     Ok(())
+}
+
+/// Top-5 misclassification of the float network on its test set, one
+/// example at a time: with [`Workload::software_error`], Table III's
+/// Software row.
+fn software_top5_error(wl: &mut Workload) -> f64 {
+    let shape = wl.test.images.shape();
+    let per = shape[1..].iter().product::<usize>();
+    let mut misses = 0usize;
+    for (i, &label) in wl.test.labels.iter().enumerate() {
+        let mut one = shape.to_vec();
+        one[0] = 1;
+        let image = neural::Tensor::from_vec(
+            one,
+            wl.test.images.data()[i * per..(i + 1) * per].to_vec(),
+        );
+        let logits = wl.network.forward(&image);
+        let top = neural::Tensor::from_vec(vec![logits.len()], logits.into_data()).top_k(5);
+        misses += usize::from(!top.contains(&label));
+    }
+    misses as f64 / wl.test.len() as f64
 }
 
 /// Writes the final metric snapshot to `path` (no-op without a path):
@@ -812,6 +855,17 @@ mod tests {
         // before any training work.
         let bad = cmd_campaign(&s(&["NoECC", "2", "--model", "resnet"]));
         assert!(bad.unwrap_err().contains("cnn1, alexnet"));
+        // --set takes KNOB=JSON through AccelConfig::apply, checked
+        // before any training work.
+        let set = |v: &str| cmd_campaign(&s(&["NoECC", "2", "--set", v])).unwrap_err();
+        assert!(set("remap").contains("KNOB=JSON"));
+        assert!(set("remap=yes").contains("not JSON"));
+        assert!(set("device.fault_rate=0.1").contains("unknown knob"));
+        assert!(set("max_retries=true").contains("expected number"));
+        let twice = cmd_campaign(&s(&[
+            "NoECC", "2", "--set", "remap=true", "--set", "remap=false",
+        ]));
+        assert!(twice.unwrap_err().contains("set twice"));
         // batch 0 parses but fails AccelConfig validation downstream.
         assert!(cmd_campaign(&s(&["NoECC", "2", "--batch", "0"])).is_err());
         // An unopenable event-log path fails before any training work.

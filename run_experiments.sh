@@ -1,20 +1,24 @@
 #!/bin/bash
 # Regenerates every table and figure of the paper.
 #
-# Figures 10 and 11 and the lifetime campaign are campaign-grid specs
-# (results/specs/<spec>.json). Each runs under the crash-safe grid
-# driver into results/grid/<spec>/ and merges grid_summary.json there;
-# re-running the script resumes an interrupted grid where it stopped.
-# The specs pin samples, training size and threads, so the REPRO_*
-# knobs do not touch them. The bench binaries that remain (Fig 7,
-# Fig 12, Tables III/IV, resources, the analytic cross-check and the
-# ablations) write results/<name>.json. Logs land in results/logs/.
+# Every Monte-Carlo sweep is a campaign-grid spec
+# (results/specs/<spec>.json): Figures 10, 11 and 12, Table III, the
+# lifetime campaign and the ablations. Each runs under the crash-safe
+# grid driver into results/grid/<spec>/ and merges grid_summary.json
+# there; re-running the script resumes an interrupted grid where it
+# stopped. The specs pin samples, training size and threads, so the
+# REPRO_* knobs do not touch them. The bench binaries that remain
+# (Fig 7, Table IV, resources, the analytic cross-check and the
+# multiresidue ablation) are not configuration sweeps; they write
+# results/<name>.json. Logs land in results/logs/.
 set -u
 mkdir -p results/logs
 cargo build --release --quiet -p reram-ecc -p bench || exit 1
 export REPRO_TRAIN=${REPRO_TRAIN:-8000}
 status=0
-for spec in fig10 fig11 lifetime; do
+for spec in fig10 fig11 fig12 table3 lifetime \
+            ablation_group_size ablation_policy ablation_remap \
+            ablation_rtn_offset ablation_table_depth; do
   echo "=== campaign-grid results/specs/$spec.json ==="
   # One cell at a time: each cell already runs the spec's threads.
   if ./target/release/reram-ecc campaign-grid "results/specs/$spec.json" \
@@ -34,13 +38,9 @@ run() {
   fi
 }
 run fig7_transient ${REPRO_SAMPLES:-50}
-run table3_alexnet ${REPRO_SAMPLES:-60}
 run table4_overheads ${REPRO_SAMPLES:-24}
 run table_resources ${REPRO_SAMPLES:-24}
-run fig12_sensitivity ${REPRO_SAMPLES:-36}
 run analytic_xval ${REPRO_SAMPLES:-24}
-for ablation in group_size multiresidue policy remap rtn_offset table_depth; do
-  run "ablation_$ablation" ${REPRO_SAMPLES:-24}
-done
+run ablation_multiresidue ${REPRO_SAMPLES:-24}
 [ "$status" -eq 0 ] && echo "all experiments complete"
 exit "$status"

@@ -14,7 +14,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "=== rustfmt (ratchet: listed crates must stay cargo-fmt clean) ==="
 # Not every crate is rustfmt-clean yet. The crates named here are, and
 # must stay so; a crate joins the list once a change formats it.
-cargo fmt --check -p xbar -p wideint
+cargo fmt --check -p xbar -p wideint -p bench
 
 echo "=== release build ==="
 cargo build --release --quiet
@@ -22,14 +22,17 @@ cargo build --release --quiet
 echo "=== tests ==="
 cargo test -q
 
-echo "=== vendored RNG crates (keystream known answers, fill_bytes) ==="
+echo "=== vendored RNG and serde crates (keystream known answers, fill_bytes, field defaults) ==="
 # third_party is excluded from the workspace, so the tier-1 run above
 # never tests these crates, yet every golden is a function of their
 # stream. Their own tests pin it (ChaCha8 known-answer words, the
 # 8-block refill against a one-block reference, fill_bytes against
-# next_u64 at every buffer offset).
+# next_u64 at every buffer offset). The serde tests pin the derive's
+# `#[serde(default)]`, on which every spec, checkpoint and summary
+# digest without variants depends.
 cargo test -q --manifest-path third_party/rand_core/Cargo.toml --target-dir target/third_party
 cargo test -q --manifest-path third_party/rand_chacha/Cargo.toml --target-dir target/third_party
+cargo test -q --manifest-path third_party/serde/Cargo.toml --target-dir target/third_party
 
 echo "=== e2ebench (own tests + traced cnn1 and mlp1 smokes) ==="
 # The benchmark is its own Cargo package, not a workspace member, so
@@ -135,6 +138,30 @@ for name in $(grep -hoE -- '--bin [A-Za-z0-9_<>]+' README.md DESIGN.md EXPERIMEN
 done
 [ "$stale" -eq 0 ] || exit 1
 echo "doc binaries all resolve"
+
+echo "=== stale doc specs (backticked specs and ablations must be tracked) ==="
+# Every backticked `results/specs/<name>.json`, and every backticked
+# `ablation_<name>` (a spec or a bench binary), in README.md, DESIGN.md
+# or EXPERIMENTS.md must name a tracked spec or binary, so a deleted
+# experiment cannot linger in the living docs. A name holding a `<…>`
+# placeholder stands for a family.
+for name in $(grep -hoE '`results/specs/[A-Za-z0-9_<>-]+\.json`' README.md DESIGN.md EXPERIMENTS.md \
+                | tr -d '`' | grep -v '<' | sort -u); do
+  if ! printf '%s\n' "$tracked" | grep -qxF "$name"; then
+    echo "FAIL: docs name $name, which is not a tracked spec" >&2
+    stale=1
+  fi
+done
+for name in $(grep -hoE '`ablation_[A-Za-z0-9_]+`' README.md DESIGN.md EXPERIMENTS.md \
+                | tr -d '`' | sort -u); do
+  if ! printf '%s\n' "$tracked" \
+       | grep -qxE "results/specs/$name\.json|crates/bench/src/bin/$name\.rs"; then
+    echo "FAIL: docs name \`$name\`, which is neither a tracked spec nor a bench binary" >&2
+    stale=1
+  fi
+done
+[ "$stale" -eq 0 ] || exit 1
+echo "doc specs all resolve"
 
 echo "=== batch equivalence smoke (batch-of-1 is mvm_into, batch-of-8 vs sequential) ==="
 # The one-kernel contract of DESIGN.md §2: a single-vector call is a
