@@ -44,7 +44,10 @@
 //! - **Deterministic chaos.** [`Campaign::with_chaos`] installs a
 //!   [`chaos::ChaosSchedule`] that injects seeded faults at every seam
 //!   (checkpoint writes/reads, the final write, worker shards), so the
-//!   whole recovery machinery is exercised reproducibly in tests.
+//!   whole recovery machinery is exercised reproducibly in tests. An
+//!   injected shard panic fails its epoch with
+//!   [`AccelError::WorkerPanic`]; the finished epochs stay in the
+//!   checkpoint slots, and the grid's cell retry resumes from them.
 //!
 //! [`Campaign::resume`] validates that the checkpoint was recorded
 //! under the same campaign parameters and continues from the first
@@ -244,11 +247,11 @@ pub struct EpochRecord {
     pub retries: u64,
     /// Group-cycles evaluated without any code.
     pub uncoded: u64,
-    /// Samples dropped by graceful degradation (`max_lost_shards`);
-    /// the epoch's rates are over `samples - lost_samples`.
+    /// Always 0 (a shard panic fails the epoch instead of dropping
+    /// samples). Kept so checkpoint version 3 artifacts stay
+    /// byte-identical.
     pub lost_samples: u64,
-    /// Sample ranges the dropped shards would have evaluated — the
-    /// explicit record of what this epoch's numbers do *not* cover.
+    /// Always empty, like `lost_samples`.
     pub gaps: Vec<ShardGap>,
 }
 
@@ -752,8 +755,8 @@ impl Campaign {
     /// Installs a deterministic chaos schedule: seeded faults at the
     /// checkpoint/final-write I/O seams and (unless the base config
     /// already sets explicit [`chaos::ShardChaos`]) per-epoch worker
-    /// shard chaos. Testing support — results under chaos must equal
-    /// the clean run (see `tests/chaos_soak.rs`).
+    /// shard chaos. Testing support — a run that completes under chaos
+    /// must equal the clean run (see `tests/chaos_soak.rs`).
     #[must_use]
     pub fn with_chaos(mut self, schedule: ChaosSchedule) -> Campaign {
         self.dice = ChaosDice::new(Some(schedule));
@@ -822,19 +825,14 @@ impl Campaign {
             let writes = self.config.writes_at(epoch);
             let fault_rate = self.config.fault_rate_at(epoch);
             let mut config = self.config.base.clone().with_fault_rate(fault_rate);
-            // The base config's `max_lost_shards` is a *campaign-wide*
-            // degradation budget: each epoch may spend only what the
-            // completed epochs have not already spent.
-            let lost_so_far: usize = self.state.completed.iter().map(|r| r.gaps.len()).sum();
-            config.max_lost_shards = self.config.base.max_lost_shards.saturating_sub(lost_so_far);
             // Shard chaos comes from the schedule per epoch unless the
             // base config pinned an explicit hook (tests do). Analytic
             // campaigns skip it: shard chaos exercises the MC
-            // scheduler's panic/retry machinery, which the analytic
-            // path does not have — drawing it would only force an
-            // envelope refusal (`analytic::supports`), not test
-            // anything. The I/O seams (checkpoint, final) stay fully
-            // injected for analytic cells.
+            // scheduler's panic path, which the analytic path does not
+            // have — drawing it would only force an envelope refusal
+            // (`analytic::supports`), not test anything. The I/O seams
+            // (checkpoint, final) stay fully injected for analytic
+            // cells.
             if let Some(schedule) = self.dice.schedule() {
                 if matches!(config.shard_chaos, chaos::ShardChaos::Off)
                     && !matches!(self.config.error_model, ErrorModel::Analytic)
@@ -1096,6 +1094,60 @@ mod tests {
         // The checkpoint on disk is the final state too.
         let on_disk = std::fs::read_to_string(&path).expect("read checkpoint");
         assert_eq!(on_disk, reference_json);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn shard_panic_fails_its_epoch_and_a_clean_resume_is_byte_identical() {
+        let (qnet, images, labels) = tiny_problem();
+        let config = small_campaign(ProtectionScheme::None, 4);
+        let mut reference = Campaign::new(config.clone()).expect("campaign");
+        reference.run(&qnet, &images, &labels).expect("run");
+        let reference_json = reference.state().to_json().expect("json");
+
+        // Two clean epochs land in the slots; then shard 1 of epoch 2
+        // panics.
+        let path = temp_path("panic");
+        let mut clean = Campaign::new(config.clone())
+            .expect("campaign")
+            .with_checkpoint(path.clone());
+        clean
+            .run_epochs(&qnet, &images, &labels, 2)
+            .expect("clean epochs");
+        drop(clean);
+        let mut panicking = config.clone();
+        panicking.base.shard_chaos = chaos::ShardChaos::PanicOn { shard: 1 };
+        let mut failed = Campaign::resume(panicking, &path).expect("resume");
+        match failed.run(&qnet, &images, &labels) {
+            Err(AccelError::WorkerPanic {
+                shard,
+                seed,
+                message,
+            }) => {
+                assert_eq!(shard, 1);
+                assert_eq!(seed, config.epoch_seed(2).wrapping_add(1));
+                assert!(message.contains("injected worker panic"), "{message}");
+            }
+            other => panic!("expected WorkerPanic, got {other:?}"),
+        }
+
+        // The finished epochs survive, in memory and in the newest slot.
+        assert_eq!(failed.state().completed, reference.state().completed[..2]);
+        let slot = std::fs::read(slot_path(&path, 2)).expect("slot");
+        let (generation, slotted) = parse_slot(&slot).expect("slot verifies");
+        assert_eq!(generation, 2);
+        assert_eq!(slotted, *failed.state());
+        drop(failed);
+
+        // A resume without chaos finishes byte-identical.
+        let mut resumed = Campaign::resume(config, &path).expect("resume");
+        assert_eq!(resumed.completed_epochs(), 2);
+        resumed.run(&qnet, &images, &labels).expect("resumed run");
+        assert_eq!(resumed.state().to_json().expect("json"), reference_json);
+        assert_eq!(std::fs::read_to_string(&path).expect("final"), reference_json);
+        for generation in 0..2 {
+            let _ = std::fs::remove_file(slot_path(&path, generation));
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -22,7 +22,7 @@ use ancode::CodeError;
 ///     seed: 99,
 ///     message: "boom".into(),
 /// };
-/// assert_eq!(err.to_string(), "worker shard 3 (seed 99) panicked twice: boom");
+/// assert_eq!(err.to_string(), "worker shard 3 (seed 99) panicked: boom");
 /// assert!(matches!(err, AccelError::WorkerPanic { shard: 3, .. }));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -40,9 +40,8 @@ pub enum AccelError {
     InvalidConfig(String),
     /// Code construction / A-search failed while mapping a matrix.
     Code(CodeError),
-    /// A Monte-Carlo worker shard failed every allowed seed-stable
-    /// retry (panic or watchdog timeout) and no graceful-degradation
-    /// budget remained, so the run cannot complete.
+    /// A Monte-Carlo worker shard panicked, so the evaluation cannot
+    /// complete. A grid cell attempt that sees this is retried.
     WorkerPanic {
         /// Index of the failed shard (worker thread).
         shard: usize,
@@ -50,12 +49,6 @@ pub enum AccelError {
         seed: u64,
         /// Panic payload, when it was a string.
         message: String,
-    },
-    /// Graceful degradation (`max_lost_shards`) dropped *every* shard,
-    /// leaving no evaluated samples to compute rates over.
-    AllShardsLost {
-        /// Samples dropped with the lost shards.
-        lost: usize,
     },
     /// Reading or writing a campaign checkpoint failed.
     Checkpoint {
@@ -104,11 +97,7 @@ impl std::fmt::Display for AccelError {
                 message,
             } => write!(
                 f,
-                "worker shard {shard} (seed {seed}) panicked twice: {message}"
-            ),
-            AccelError::AllShardsLost { lost } => write!(
-                f,
-                "graceful degradation dropped every shard ({lost} samples); no results to report"
+                "worker shard {shard} (seed {seed}) panicked: {message}"
             ),
             AccelError::Checkpoint { path, message } => {
                 write!(f, "checkpoint {path}: {message}")

@@ -427,10 +427,12 @@ pub struct GridOptions {
     pub workers: usize,
     /// Extra attempts per cell beyond the first (seed-stable: attempt
     /// `k` of a cell derives the same worker chaos stream every run).
+    /// The grid's one retry loop: a worker that panics, exits non-zero,
+    /// or trips the watchdog is retried here, resuming from the cell's
+    /// checkpoint slots.
     pub cell_retries: u32,
     /// Cells that may be dropped with explicit gaps before the grid
-    /// fails outright (graceful degradation, like `max_lost_shards`
-    /// one level down).
+    /// fails outright (graceful degradation).
     pub max_lost_cells: usize,
     /// Per-worker watchdog in milliseconds (0 = off). Process
     /// launchers kill and retry a worker past its deadline; in-process
@@ -1185,7 +1187,15 @@ mod tests {
     #[test]
     fn grid_runs_resumes_and_merges_byte_identical_under_chaos() {
         let problems = tiny_problems();
-        let spec = spec_2x1();
+        // Monte-Carlo, so the chaos run injects worker panics too (an
+        // analytic cell has no shards to panic), with per-epoch slots
+        // to resume from. Chaos seed 7 panics no shard in epochs 0–1 of
+        // either cell's first attempt; epoch 2 of cell 1 panics on its
+        // first two attempts.
+        let mut spec = spec_2x1();
+        spec.error_model = "mc".into();
+        spec.epochs = 3;
+        spec.checkpoint_every = 1;
 
         // Fault-free reference run.
         let dir_a = temp_grid_dir("ref");
@@ -1217,7 +1227,7 @@ mod tests {
 
         // A different spec is refused for the same directory.
         let mut other = spec.clone();
-        other.epochs = 3;
+        other.epochs += 1;
         let mut wrong = Grid::new(
             other,
             dir_a.clone(),
@@ -1233,31 +1243,54 @@ mod tests {
         }
 
         // The same grid under seeded chaos injection — read faults,
-        // spawn faults, worker-side write faults, retries — must land
-        // byte-identical results.
+        // spawn faults, worker-side write faults, worker panics, cell
+        // retries — must land byte-identical results.
+        let chaos = |cell_retries, max_lost_cells| GridOptions {
+            chaos: Some(ChaosSchedule::standard(7)),
+            cell_retries,
+            max_lost_cells,
+            ..GridOptions::default()
+        };
         let dir_b = temp_grid_dir("chaos");
         let _ = std::fs::remove_dir_all(&dir_b);
-        let mut chaotic = Grid::new(
-            spec.clone(),
-            dir_b.clone(),
-            Launcher::InProcess { problems },
-            GridOptions {
-                chaos: Some(ChaosSchedule::standard(7)),
-                cell_retries: 6,
-                ..GridOptions::default()
-            },
-        )
-        .expect("grid");
-        let chaos_report = chaotic.run().expect("chaos run");
+        let chaos_report = in_process(&spec, &dir_b, &problems, chaos(6, 0))
+            .run()
+            .expect("chaos run");
         assert_eq!(chaos_report.done, 2);
         assert_eq!(
             std::fs::read(&chaos_report.summary_path).expect("summary"),
             reference,
             "chaos-injected grid diverged from the fault-free bytes"
         );
+        let attempts = attempts_in_telemetry(&dir_b);
+        assert!(attempts.iter().any(|&a| a > 1), "no cell retried: {attempts:?}");
 
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
+        // What the retries absorbed: with no retries and a loss budget
+        // for every cell, the same schedule's first attempts are
+        // recorded in lost markers, and one failed on an injected
+        // worker panic (attempt 0 derives the same worker chaos seed
+        // in both runs).
+        let dir_c = temp_grid_dir("chaos-once");
+        let _ = std::fs::remove_dir_all(&dir_c);
+        let mut once = in_process(&spec, &dir_c, &problems, chaos(0, 2));
+        let once_report = once.run().expect("no-retry run");
+        let reasons: Vec<String> = spec
+            .cells()
+            .iter()
+            .filter(|cell| once_report.lost.contains(&cell.id))
+            .map(|cell| {
+                let text = std::fs::read_to_string(once.lost_path(cell)).expect("marker");
+                serde_json::from_str::<LostMarker>(&text).expect("parse").reason
+            })
+            .collect();
+        assert!(
+            reasons.iter().any(|r| r.contains("injected worker panic")),
+            "no first attempt failed on a worker panic: {reasons:?}"
+        );
+
+        for dir in [dir_a, dir_b, dir_c] {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -1344,6 +1377,63 @@ mod tests {
             other => panic!("expected budget exhaustion, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir2);
+    }
+
+    /// The process watchdog, the only one the grid has: a worker that
+    /// never finishes is killed at the deadline and retried, then lost
+    /// or fatal by the budget. The worker script `exec`s its sleep so
+    /// the SIGKILL reaches the sleeping process itself.
+    #[cfg(unix)]
+    #[test]
+    fn watchdog_kills_hung_workers_and_retries_them() {
+        use std::os::unix::fs::PermissionsExt;
+
+        let spec = spec_2x1();
+        let dir = temp_grid_dir("watchdog");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let program = dir.join("hang.sh");
+        std::fs::write(&program, "#!/bin/sh\nexec sleep 5\n").expect("write script");
+        std::fs::set_permissions(&program, std::fs::Permissions::from_mode(0o755))
+            .expect("chmod");
+        let grid = |name: &str, max_lost_cells| {
+            let cells = dir.join(name);
+            let launcher = Launcher::Process {
+                program: program.clone(),
+            };
+            let options = GridOptions {
+                cell_retries: 1,
+                max_lost_cells,
+                watchdog_ms: 200,
+                ..GridOptions::default()
+            };
+            Grid::new(spec.clone(), cells, launcher, options).expect("grid")
+        };
+
+        match grid("strict", 0).run() {
+            Err(AccelError::Grid { stage, message }) => {
+                assert_eq!(stage, "cells");
+                assert!(message.contains("watchdog"), "{message}");
+            }
+            other => panic!("expected a watchdog failure, got {other:?}"),
+        }
+
+        let started = std::time::Instant::now();
+        let mut lenient = grid("lenient", 2);
+        let report = lenient.run().expect("degraded run");
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(4),
+            "watchdog took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(report.lost.len(), 2);
+        for cell in spec.cells() {
+            let text = std::fs::read_to_string(lenient.lost_path(&cell)).expect("marker");
+            let marker: LostMarker = serde_json::from_str(&text).expect("parse");
+            assert_eq!(marker.reason, "watchdog", "{}", cell.id);
+            assert_eq!(marker.attempts, 2, "{}", cell.id);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The byte-identity contract under the standard fault mix, over

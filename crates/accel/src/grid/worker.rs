@@ -205,10 +205,6 @@ impl Launcher {
                 }
                 if let Some(seed) = chaos_seed {
                     cmd.arg("--chaos-seed").arg(seed.to_string());
-                    // Under injected faults a worker needs headroom to
-                    // absorb them; seed-stable retries keep results
-                    // byte-identical regardless.
-                    cmd.arg("--shard-retries").arg("4");
                 }
                 let child = cmd.spawn().map_err(|e| AccelError::Grid {
                     stage: "spawn".into(),
@@ -228,10 +224,7 @@ impl Launcher {
                                 cell.model
                             ),
                         })?;
-                let mut config = spec.cell_config(cell)?;
-                if chaos_seed.is_some() {
-                    config.base.shard_retries = config.base.shard_retries.max(4);
-                }
+                let config = spec.cell_config(cell)?;
                 let artifact = artifact.to_path_buf();
                 let chaos = chaos_seed.map(ChaosSchedule::standard);
                 let handle = std::thread::spawn(move || -> Result<(), AccelError> {

@@ -55,8 +55,8 @@
 //! zero-dependency metric layer: per-MVM ECC counters
 //! (`ecc_clean` … `ecc_uncoded`, matching [`DecodeStats`]), per-lane
 //! error digits and magnitudes, `"mvm"`/`"program"`/`"shard"` spans,
-//! and JSONL events from [`sim::evaluate`] (`shard_done`,
-//! `shard_retry`) and [`campaign`] (`campaign_epoch`). Workers merge
+//! and JSONL events from [`sim::evaluate`] (`shard_done`) and
+//! [`campaign`] (`campaign_epoch`). Workers merge
 //! thread-local metric shards at join points, so totals are exact and
 //! deterministic; instrumentation never draws RNG values or enters
 //! checkpoint state. Without the feature every hook compiles to a

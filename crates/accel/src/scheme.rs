@@ -148,25 +148,10 @@ pub struct AccelConfig {
     /// Remap logical rows away from faulty cells before programming
     /// (the Xia-et-al. composition of [`crate::remap`]).
     pub remap: bool,
-    /// Worker-shard fault injection ([`chaos::ShardChaos`]): panics and
-    /// stalls at deterministic `(shard, attempt)` points. Always
+    /// Worker-shard fault injection ([`chaos::ShardChaos`]): mid-shard
+    /// panics at deterministic shards. Always
     /// [`chaos::ShardChaos::Off`] outside chaos runs and tests.
     pub shard_chaos: chaos::ShardChaos,
-    /// Per-shard watchdog deadline in nanoseconds (0 disables). A shard
-    /// exceeding it aborts at the next sample boundary and is retried
-    /// from its fixed seed, so a fired watchdog never changes results —
-    /// it only costs one of the bounded retries.
-    pub watchdog_ns: u64,
-    /// Seed-stable retries allowed per failing shard (panic or watchdog)
-    /// before the shard counts as failed. 1 reproduces the classic
-    /// single-retry behavior.
-    pub shard_retries: u32,
-    /// Graceful degradation: up to this many shards may fail all their
-    /// retries and be dropped — recorded as explicit
-    /// [`ShardGap`](crate::sim::ShardGap)s with rates computed over the
-    /// samples actually evaluated — instead of failing the run. 0 (the
-    /// default) keeps the strict abort-on-persistent-failure behavior.
-    pub max_lost_shards: usize,
     /// Input vectors evaluated per MVM pass (default 1). Every batch
     /// size runs the one `mvm_batch_into` kernel of
     /// [`CrossbarEngine`](crate::CrossbarEngine), which takes one RTN
@@ -191,9 +176,6 @@ impl AccelConfig {
             error_list: crate::mapping::mapping_error_list_config(),
             remap: false,
             shard_chaos: chaos::ShardChaos::Off,
-            watchdog_ns: 0,
-            shard_retries: 1,
-            max_lost_shards: 0,
             batch: 1,
         }
     }
@@ -447,9 +429,6 @@ mod tests {
     fn chaos_and_durability_default_off() {
         let c = AccelConfig::new(ProtectionScheme::None);
         assert_eq!(c.shard_chaos, chaos::ShardChaos::Off);
-        assert_eq!(c.watchdog_ns, 0);
-        assert_eq!(c.shard_retries, 1);
-        assert_eq!(c.max_lost_shards, 0);
         assert_eq!(c.batch, 1);
     }
 

@@ -9,30 +9,20 @@
 //! Internally the module is split along the scheduling seam:
 //! [`worker`](self) holds the pure per-shard evaluation function (a
 //! shard is a pure function of `(seed, sample range, config)`), while
-//! the scheduler owns thread fan-out, retry, and graceful degradation.
+//! the scheduler owns thread fan-out.
 //!
 //! # Crash safety
 //!
-//! Workers run under [`std::panic::catch_unwind`]. A failing shard is
-//! retried from its original seed — a shard is a pure function of
-//! `(seed, sample range, config)`, so a retry reproduces the original
-//! draw sequence bit-for-bit and a successful retry yields results
-//! identical to a run that never failed. The failure envelope is
-//! configurable on [`AccelConfig`]:
-//!
-//! - `shard_retries` bounds the seed-stable retries per shard (default
-//!   1, the classic single retry);
-//! - `watchdog_ns` sets a deadline on each shard's evaluation loop
-//!   (armed after crossbar programming, where the cooperative checks
-//!   live): a shard that exceeds it aborts at the next sample boundary
-//!   and is retried like a panic — a fired watchdog only costs a
-//!   retry, never changes results;
-//! - `max_lost_shards` opts into graceful degradation: shards that
-//!   exhaust their retries are dropped and recorded as [`ShardGap`]s
-//!   (rates then cover only the evaluated samples) instead of failing
-//!   the run with [`AccelError::WorkerPanic`];
-//! - `shard_chaos` injects deterministic panics/stalls mid-shard
-//!   ([`chaos::ShardChaos`]) so all of the above is testable.
+//! Each shard runs once under [`std::panic::catch_unwind`], so a panic
+//! comes out as [`AccelError::WorkerPanic`] naming the shard and its
+//! seed — a typed error, never an unwinding caller. Recovery belongs
+//! to the one supervisor above: a grid cell attempt that fails is
+//! retried under a fresh chaos seed and resumes from the campaign's
+//! checkpoint slots, and because a shard is a pure function of its
+//! seed, range and config the re-run epoch is bit-identical to one
+//! that never failed. `shard_chaos` on [`AccelConfig`] injects
+//! deterministic mid-shard panics ([`chaos::ShardChaos`]) so that path
+//! is testable.
 
 mod scheduler;
 mod worker;
@@ -45,9 +35,10 @@ use crate::DecodeStats;
 
 pub use scheduler::{evaluate, evaluate_with_model};
 
-/// A shard dropped under graceful degradation: its sample range was
-/// never evaluated and is recorded explicitly rather than silently
-/// folded into the rates.
+/// An unevaluated shard range. Nothing produces one any more (each
+/// shard runs to completion or fails the evaluation); the type stays
+/// because [`SimResult::gaps`] and the campaign checkpoint format
+/// (`EpochRecord::gaps`, always empty) still carry it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardGap {
     /// Index of the dropped shard (worker thread).
@@ -71,14 +62,12 @@ pub struct SimResult {
     /// (zero when the analog path is error-free, regardless of how hard
     /// the task is).
     pub flip_rate: f64,
-    /// Number of requested examples (evaluated = `samples -
-    /// lost_samples`).
+    /// Number of evaluated examples.
     pub samples: usize,
-    /// Samples dropped with lost shards under graceful degradation
-    /// (`max_lost_shards`); 0 unless degradation was opted into.
+    /// Always 0: every requested sample is evaluated or the evaluation
+    /// fails. Kept for the checkpoint and summary formats.
     pub lost_samples: usize,
-    /// The dropped shards, as explicit unevaluated sample ranges.
-    /// Empty in a fault-free or strict run.
+    /// Always empty, like `lost_samples`.
     pub gaps: Vec<ShardGap>,
     /// Aggregate ECU statistics over the run.
     pub stats: DecodeStats,
@@ -216,21 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_shard_panic_is_retried_to_identical_results() {
-        // The retry contract holds on the windowed loop too: chaos fires
-        // at the legacy per-image midpoint's window, the retry restarts
-        // the shard from its seed, and results match the fault-free run.
-        let (qnet, images, labels) = tiny_problem();
-        let mut config = AccelConfig::new(ProtectionScheme::data_aware(9))
-            .with_fault_rate(0.002)
-            .with_batch(4);
-        let clean = evaluate(&qnet, &images, &labels, &config, 11, 2).expect("clean run");
-        config.shard_chaos = chaos::ShardChaos::PanicOn { shard: 1, attempts: 1 };
-        let retried = evaluate(&qnet, &images, &labels, &config, 11, 2).expect("retried run");
-        assert_eq!(clean, retried);
-    }
-
-    #[test]
     fn top_k_scan_matches_tensor_top_k() {
         // Including ties, which must resolve to ascending index order.
         let cases: Vec<Vec<f32>> = vec![
@@ -284,117 +258,10 @@ mod tests {
     }
 
     #[test]
-    fn injected_panic_is_retried_to_identical_results() {
-        let (qnet, images, labels) = tiny_problem();
-        let mut config = AccelConfig::new(ProtectionScheme::data_aware(9)).with_fault_rate(0.002);
-        let clean = evaluate(&qnet, &images, &labels, &config, 11, 2).expect("clean run");
-        // Shard 1 panics mid-shard on its first attempt; the retry
-        // restarts it from its original seed, so the final results must
-        // be bit-identical to the panic-free run.
-        config.shard_chaos = chaos::ShardChaos::PanicOn { shard: 1, attempts: 1 };
-        let retried = evaluate(&qnet, &images, &labels, &config, 11, 2).expect("retried run");
-        assert_eq!(clean, retried);
-    }
-
-    #[test]
-    fn bounded_retries_extend_the_failure_envelope() {
-        let (qnet, images, labels) = tiny_problem();
-        let mut config = AccelConfig::new(ProtectionScheme::None).with_fault_rate(0.0);
-        let clean = evaluate(&qnet, &images, &labels, &config, 11, 2).expect("clean run");
-        // Three straight panics exceed the default single retry but not
-        // a 3-retry budget; the eventual success is bit-identical.
-        config.shard_chaos = chaos::ShardChaos::PanicOn { shard: 1, attempts: 3 };
-        assert!(matches!(
-            evaluate(&qnet, &images, &labels, &config, 11, 2),
-            Err(crate::AccelError::WorkerPanic { shard: 1, .. })
-        ));
-        config.shard_retries = 3;
-        let retried = evaluate(&qnet, &images, &labels, &config, 11, 2).expect("3-retry run");
-        assert_eq!(clean, retried);
-    }
-
-    #[test]
-    fn watchdog_timeout_is_retried_to_identical_results() {
-        let (qnet, images, labels) = tiny_problem();
-        // Small and single-threaded so the un-stalled attempt finishes
-        // well inside the deadline even on a loaded debug-build host.
-        let samples = 4;
-        let per = images.len() / labels.len();
-        let images = Tensor::from_vec(
-            vec![samples, 1, 28, 28],
-            images.data()[..samples * per].to_vec(),
-        );
-        let labels = &labels[..samples];
-        let mut config = AccelConfig::new(ProtectionScheme::None).with_fault_rate(0.0);
-        config.device.rtn_state_probability = 0.0;
-        config.device.programming_tolerance = 0.0;
-        config.device.bandwidth = 0.0;
-        let clean = evaluate(&qnet, &images, labels, &config, 11, 1).expect("clean run");
-        // Attempt 0 stalls 6 s mid-shard; the 2.5 s watchdog notices at
-        // the next sample boundary and aborts into a seed-stable retry,
-        // which does not stall and must reproduce the clean results.
-        // The deadline is wall-clock, so keep a wide margin over the
-        // un-stalled shard's nominal run time (tens of ms) and a retry
-        // budget: when the whole test suite loads the host, a clean
-        // attempt over the deadline just retries to identical results.
-        config.shard_chaos = chaos::ShardChaos::StallOn { shard: 0, ms: 6_000, attempts: 1 };
-        config.watchdog_ns = 2_500_000_000;
-        config.shard_retries = 3;
-        let retried = evaluate(&qnet, &images, labels, &config, 11, 1).expect("watchdog run");
-        assert_eq!(clean, retried);
-    }
-
-    #[test]
-    fn lost_shards_become_explicit_gaps() {
-        let (qnet, images, labels) = tiny_problem();
-        let mut config = AccelConfig::new(ProtectionScheme::None).with_fault_rate(0.0);
-        config.device.rtn_state_probability = 0.0;
-        config.device.programming_tolerance = 0.0;
-        config.device.bandwidth = 0.0;
-        config.shard_chaos = chaos::ShardChaos::PanicOn { shard: 1, attempts: u32::MAX };
-        config.max_lost_shards = 1;
-        let degraded = evaluate(&qnet, &images, &labels, &config, 11, 2).expect("degraded run");
-        let n = labels.len();
-        let chunk = n.div_ceil(2);
-        assert_eq!(
-            degraded.gaps,
-            vec![ShardGap { shard: 1, lo: chunk as u64, hi: n as u64 }]
-        );
-        assert_eq!(degraded.lost_samples, n - chunk);
-        assert_eq!(degraded.samples, n);
-        // Rates cover only the evaluated samples: they must match the
-        // surviving shard evaluated on its own.
-        let images_kept = Tensor::from_vec(
-            vec![chunk, 1, 28, 28],
-            images.data()[..chunk * (images.len() / n)].to_vec(),
-        );
-        let mut solo_config = config.clone();
-        solo_config.shard_chaos = chaos::ShardChaos::Off;
-        solo_config.max_lost_shards = 0;
-        let solo =
-            evaluate(&qnet, &images_kept, &labels[..chunk], &solo_config, 11, 1).expect("solo");
-        assert_eq!(degraded.misclassification, solo.misclassification);
-        assert_eq!(degraded.flip_rate, solo.flip_rate);
-        assert_eq!(degraded.stats, solo.stats);
-    }
-
-    #[test]
-    fn losing_every_shard_is_a_typed_error() {
-        let (qnet, images, labels) = tiny_problem();
-        let mut config = AccelConfig::new(ProtectionScheme::None).with_fault_rate(0.0);
-        config.shard_chaos = chaos::ShardChaos::PanicOn { shard: 0, attempts: u32::MAX };
-        config.max_lost_shards = 1;
-        assert_eq!(
-            evaluate(&qnet, &images, &labels, &config, 11, 1),
-            Err(crate::AccelError::AllShardsLost { lost: labels.len() })
-        );
-    }
-
-    #[test]
     fn persistent_panic_surfaces_shard_and_seed() {
         let (qnet, images, labels) = tiny_problem();
         let mut config = AccelConfig::new(ProtectionScheme::None).with_fault_rate(0.0);
-        config.shard_chaos = chaos::ShardChaos::PanicOn { shard: 1, attempts: u32::MAX };
+        config.shard_chaos = chaos::ShardChaos::PanicOn { shard: 1 };
         match evaluate(&qnet, &images, &labels, &config, 11, 2) {
             Err(crate::AccelError::WorkerPanic {
                 shard,

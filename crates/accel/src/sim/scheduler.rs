@@ -1,13 +1,12 @@
-//! The shard scheduler: thread fan-out, seed-stable retry, and
-//! graceful degradation around the pure worker function.
+//! The shard scheduler: thread fan-out around the pure worker
+//! function, with each shard's panic turned into a typed error.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use neural::{QuantizedNetwork, Tensor};
 
 use super::worker::{merge, panic_message, run_shard, ShardTallies};
-use super::{ShardGap, SimResult};
+use super::SimResult;
 use crate::analytic::ErrorModel;
 use crate::{AccelConfig, AccelError, DecodeStats};
 
@@ -23,12 +22,11 @@ use crate::{AccelConfig, AccelError, DecodeStats};
 /// bounds the worker count; each worker programs its own engines with a
 /// seed derived from `seed`.
 ///
-/// Worker panics (and watchdog timeouts) are caught; the failing shard
-/// is re-run from its original seed (bit-identical to a run that never
-/// panicked, since a shard is a pure function of seed + range +
-/// config) up to `config.shard_retries` times before the error is
-/// surfaced — or, with `config.max_lost_shards > 0`, dropped and
-/// recorded as a [`ShardGap`].
+/// Each shard runs once. A worker panic is caught and returned as
+/// [`AccelError::WorkerPanic`] naming the shard and its seed; the
+/// caller that owns recovery (a grid cell attempt) re-runs the work,
+/// and since a shard is a pure function of seed + range + config the
+/// re-run is bit-identical to a run that never panicked.
 ///
 /// # Examples
 ///
@@ -104,9 +102,7 @@ use crate::{AccelConfig, AccelError, DecodeStats};
 /// Returns [`AccelError::EmptyTestSet`] for zero labels,
 /// [`AccelError::ShapeMismatch`] when `images` does not hold one sample
 /// per label, [`AccelError::InvalidConfig`] for an inconsistent
-/// `config`, [`AccelError::WorkerPanic`] when a shard fails every
-/// allowed retry with no degradation budget left, and
-/// [`AccelError::AllShardsLost`] when degradation dropped every shard.
+/// `config`, and [`AccelError::WorkerPanic`] when a shard panics.
 pub fn evaluate(
     qnet: &QuantizedNetwork,
     images: &Tensor,
@@ -130,14 +126,7 @@ pub fn evaluate(
     let threads = threads.clamp(1, n);
 
     let chunk = n.div_ceil(threads);
-    let mut results: Vec<Result<ShardOutcome, AccelError>> = Vec::new();
-    // Shared graceful-degradation budget: shards claim a slot with a
-    // fetch_add so at most `max_lost_shards` are ever dropped, however
-    // the thread interleaving falls out. Which shards are *candidates*
-    // for dropping is deterministic (shards are pure functions of their
-    // seed), so with a budget at least as large as the failing-shard
-    // count the recorded gaps are deterministic too.
-    let lost_budget = AtomicUsize::new(0);
+    let mut results: Vec<Result<ShardTallies, AccelError>> = Vec::new();
 
     let scope_result = crossbeam::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -148,104 +137,47 @@ pub fn evaluate(
                 break;
             }
             let images_data = images.data();
-            let lost_budget = &lost_budget;
             let handle = scope.spawn(move |_| {
                 let shard_seed = seed.wrapping_add(t as u64);
-                let max_attempts = config.shard_retries.saturating_add(1);
-                let mut attempt = 0u32;
-                loop {
-                    let start_ns = obs::now_ns();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        run_shard(
-                            qnet,
-                            images_data,
-                            labels,
-                            per_image,
-                            config,
-                            shard_seed,
-                            lo,
-                            hi,
-                            t,
-                            attempt,
-                        )
-                    }));
-                    match outcome {
-                        Ok(tallies) => {
-                            obs::events::emit(
-                                obs::Event::new("shard_done")
-                                    .u64("shard", t as u64)
-                                    .u64("lo", lo as u64)
-                                    .u64("hi", hi as u64)
-                                    .u64("duration_ns", obs::now_ns().saturating_sub(start_ns)),
-                            );
-                            // Join point: merge this worker's metric
-                            // shard before the thread ends, so totals
-                            // are complete when `evaluate` returns.
-                            obs::flush_thread();
-                            return Ok(ShardOutcome::Done(tallies));
-                        }
-                        Err(payload) => {
-                            // Discard the partial metric shard first:
-                            // counters must match what a successful
-                            // attempt actually counted, never a mix of
-                            // abandoned attempts.
-                            obs::discard_thread();
-                            let message = panic_message(payload.as_ref());
-                            let reason = if message.starts_with("watchdog:") {
-                                "watchdog"
-                            } else {
-                                "panic"
-                            };
-                            if attempt + 1 < max_attempts {
-                                // Deterministic retry: the shard
-                                // restarts from `shard_seed`, so a
-                                // success here is bit-identical to a
-                                // first-try success. Flush immediately
-                                // so the retry bookkeeping survives the
-                                // next attempt's discard.
-                                obs::counter!(shard_retries).incr();
-                                attempt += 1;
-                                // The shard seed spans the full u64
-                                // range (epoch seeds are wrapping
-                                // golden-ratio offsets), wider than
-                                // JSON's exact-integer window — emit
-                                // it as a decimal string.
-                                obs::events::emit(
-                                    obs::Event::new("shard_retry")
-                                        .u64("shard", t as u64)
-                                        .str("seed", &shard_seed.to_string())
-                                        .u64("attempt", u64::from(attempt))
-                                        .str("reason", reason),
-                                );
-                                obs::flush_thread();
-                            } else if lost_budget.fetch_add(1, Ordering::SeqCst)
-                                < config.max_lost_shards
-                            {
-                                // Graceful degradation: drop the shard,
-                                // record the gap, keep the run alive.
-                                obs::counter!(shards_lost).incr();
-                                obs::events::emit(
-                                    obs::Event::new("shard_lost")
-                                        .u64("shard", t as u64)
-                                        .u64("lo", lo as u64)
-                                        .u64("hi", hi as u64)
-                                        .u64("attempts", u64::from(max_attempts))
-                                        .str("reason", reason),
-                                );
-                                obs::flush_thread();
-                                return Ok(ShardOutcome::Lost {
-                                    shard: t as u64,
-                                    lo: lo as u64,
-                                    hi: hi as u64,
-                                });
-                            } else {
-                                return Err(AccelError::WorkerPanic {
-                                    shard: t,
-                                    seed: shard_seed,
-                                    message,
-                                });
-                            }
-                        }
+                let start_ns = obs::now_ns();
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    run_shard(
+                        qnet,
+                        images_data,
+                        labels,
+                        per_image,
+                        config,
+                        shard_seed,
+                        lo,
+                        hi,
+                        t,
+                    )
+                }));
+                match outcome {
+                    Ok(tallies) => {
+                        obs::events::emit(
+                            obs::Event::new("shard_done")
+                                .u64("shard", t as u64)
+                                .u64("lo", lo as u64)
+                                .u64("hi", hi as u64)
+                                .u64("duration_ns", obs::now_ns().saturating_sub(start_ns)),
+                        );
+                        // Join point: merge this worker's metric shard
+                        // before the thread ends, so totals are
+                        // complete when `evaluate` returns.
+                        obs::flush_thread();
+                        Ok(tallies)
+                    }
+                    Err(payload) => {
+                        // Discard the partial metric shard: counters
+                        // must match what completed evaluations
+                        // counted, never an abandoned shard.
+                        obs::discard_thread();
+                        Err(AccelError::WorkerPanic {
+                            shard: t,
+                            seed: shard_seed,
+                            message: panic_message(payload.as_ref()),
+                        })
                     }
                 }
             });
@@ -275,33 +207,20 @@ pub fn evaluate(
     let mut top1 = 0usize;
     let mut top5 = 0usize;
     let mut flips = 0usize;
-    let mut lost = 0usize;
-    let mut gaps = Vec::new();
     for shard in results {
-        match shard? {
-            ShardOutcome::Done((t1, t5, f, s)) => {
-                top1 += t1;
-                top5 += t5;
-                flips += f;
-                stats = merge(stats, s);
-            }
-            ShardOutcome::Lost { shard, lo, hi } => {
-                lost += (hi - lo) as usize;
-                gaps.push(ShardGap { shard, lo, hi });
-            }
-        }
-    }
-    let evaluated = n - lost;
-    if evaluated == 0 {
-        return Err(AccelError::AllShardsLost { lost });
+        let (t1, t5, f, s) = shard?;
+        top1 += t1;
+        top5 += t5;
+        flips += f;
+        stats = merge(stats, s);
     }
     Ok(SimResult {
-        misclassification: top1 as f64 / evaluated as f64,
-        top5_misclassification: top5 as f64 / evaluated as f64,
-        flip_rate: flips as f64 / evaluated as f64,
+        misclassification: top1 as f64 / n as f64,
+        top5_misclassification: top5 as f64 / n as f64,
+        flip_rate: flips as f64 / n as f64,
         samples: n,
-        lost_samples: lost,
-        gaps,
+        lost_samples: 0,
+        gaps: Vec::new(),
         stats,
     })
 }
@@ -379,11 +298,4 @@ pub fn evaluate_with_model(
             }
         }
     }
-}
-
-/// What one worker shard ultimately produced: its tallies, or — under
-/// graceful degradation — an explicit gap.
-enum ShardOutcome {
-    Done(ShardTallies),
-    Lost { shard: u64, lo: u64, hi: u64 },
 }

@@ -2,7 +2,7 @@
 //!
 //! A shard is a pure function of `(seed, sample range, config)` — no
 //! shared mutable state, every RNG seeded from the shard seed — which
-//! is what makes the scheduler's deterministic retry sound. Everything
+//! is what makes re-running a failed evaluation sound. Everything
 //! in this file must stay side-effect-free apart from obs
 //! instrumentation (which never feeds seeded computation).
 
@@ -21,8 +21,8 @@ pub(super) const TOP_K: usize = 5;
 /// `shard_seed` and classifies samples `lo..hi`.
 ///
 /// A shard is a pure function of its arguments — no shared mutable
-/// state, every RNG seeded from `shard_seed` — which is what makes the
-/// deterministic retry in [`super::evaluate`] sound.
+/// state, every RNG seeded from `shard_seed` — so a re-run of a failed
+/// [`super::evaluate`] reproduces it bit-for-bit.
 #[allow(clippy::too_many_arguments)] // private helper: the shard closure's captures, made explicit
 pub(super) fn run_shard(
     qnet: &QuantizedNetwork,
@@ -34,25 +34,11 @@ pub(super) fn run_shard(
     lo: usize,
     hi: usize,
     shard: usize,
-    attempt: u32,
 ) -> ShardTallies {
     let _span = obs::span!("shard");
     let provider = CrossbarProvider::new(config.clone(), shard_seed);
     let mut engines = qnet.build_engines(&provider);
     let mut exact_engines = qnet.build_engines(&neural::ExactProvider);
-    // Watchdog epoch: armed once per attempt, *after* crossbar
-    // programming, because elapsed time is only checked cooperatively
-    // at the sample boundaries below — a deadline covering the
-    // (uncheckable, debug-build-expensive) programming phase could
-    // trip spuriously without ever detecting a hang there. The clock
-    // is read only when a deadline is armed, and its reading flows
-    // only into the abort decision — never into seeded computation —
-    // so results are bit-identical whether or not the watchdog trips.
-    let watchdog_start_ns = if config.watchdog_ns != 0 {
-        chaos::clock::now_ns()
-    } else {
-        0
-    };
     // Per-worker reusable buffers: after the first example
     // grows them to the network's high-water mark, the loop
     // body performs no heap allocation.
@@ -63,39 +49,27 @@ pub(super) fn run_shard(
     let mut top5_errors = 0usize;
     let mut flips = 0usize;
     let batch = config.batch.max(1);
-    // The cooperative control points — watchdog deadline and chaos
-    // injection — fire at submission boundaries: per image when
-    // `batch == 1`, per window otherwise. Chaos anchors on the legacy
-    // per-image midpoint so the same `ShardChaos` config faults the
-    // same logical position at every batch size.
+    // Chaos injection fires at a submission boundary: per image when
+    // `batch == 1`, per window otherwise. It anchors on the per-image
+    // midpoint so the same `ShardChaos` config faults the same logical
+    // position at every batch size, after partial tallies exist.
     let chaos_at = lo + (hi - lo) / 2;
     let mut wlo = lo;
     while wlo < hi {
-        if config.watchdog_ns != 0
-            && chaos::clock::now_ns().saturating_sub(watchdog_start_ns) > config.watchdog_ns
-        {
-            // The watchdog's abort channel: caught by evaluate's catch_unwind
-            // and converted into a seed-stable retry (panic_reachability
-            // sees the guard at the call edge).
-            panic!(
-                "watchdog: shard {shard} exceeded its {} ms deadline (attempt {attempt})",
-                config.watchdog_ns / 1_000_000
-            );
-        }
         let wend = (wlo + batch).min(hi);
-        // Chaos injection, mid-shard so a retry must also discard the
-        // partial tallies accumulated before the fault.
         if (wlo..wend).contains(&chaos_at) {
-            match config.shard_chaos.decide(shard as u64, attempt) {
-                Some(chaos::ExecFault::Panic) => {
-                    // Deterministic fault injection: caught by evaluate's
-                    // catch_unwind, which is the path under test.
-                    panic!("chaos: injected worker panic (shard {shard}, attempt {attempt})")
-                }
-                Some(chaos::ExecFault::Stall { ms }) => {
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                }
-                None => {}
+            if let Some(chaos::ExecFault::Panic) = config.shard_chaos.decide(shard as u64) {
+                // Announce the injection like every other chaos seam,
+                // so a failed attempt's event log names its cause.
+                obs::events::emit(
+                    obs::Event::new("chaos_fault")
+                        .str("seam", "shard")
+                        .u64("index", shard as u64)
+                        .str("fault", "panic"),
+                );
+                // Deterministic fault injection: caught by evaluate's
+                // catch_unwind and returned as a typed WorkerPanic.
+                panic!("chaos: injected worker panic (shard {shard})")
             }
         }
         let window = wend - wlo;

@@ -11,10 +11,8 @@
 //!   `EIO`/`ENOSPC` write errors, torn writes that truncate mid-byte,
 //!   and silent single-bit corruption ([`IoFault`], applied by
 //!   [`fs::write_atomic`] / [`fs::read`]);
-//! - **Execution faults** inside Monte-Carlo worker shards: panics and
-//!   stalls at parameterized shard/attempt points ([`ShardChaos`],
-//!   generalizing the ad-hoc panic hook that previously lived in
-//!   `accel::sim`);
+//! - **Execution faults** inside Monte-Carlo worker shards: seeded or
+//!   pinned mid-shard panics ([`ShardChaos`]);
 //! - a **schedule** tying it together: [`ChaosSchedule`] derives every
 //!   fault decision from a pure integer hash of
 //!   `(chaos_seed, seam, index)`, so the same seed replays the same
@@ -50,11 +48,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod crc;
 pub mod fs;
 mod schedule;
 
-pub use schedule::{
-    ChaosConfig, ChaosSchedule, ExecFault, IoErrorKind, IoFault, Seam, ShardChaos,
-};
+pub use schedule::{ChaosConfig, ChaosSchedule, ExecFault, IoErrorKind, IoFault, Seam, ShardChaos};

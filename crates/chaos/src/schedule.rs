@@ -127,86 +127,54 @@ impl IoFault {
 /// A fault to apply inside a Monte-Carlo worker shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecFault {
-    /// Panic mid-shard (exercises `catch_unwind` + seed-stable retry).
+    /// Panic mid-shard: the evaluation returns a typed worker-panic
+    /// error, and whoever runs the campaign (the grid's cell attempt)
+    /// retries it.
     Panic,
-    /// Sleep mid-shard for this many milliseconds (exercises the
-    /// per-shard watchdog deadline).
-    Stall {
-        /// Stall duration in milliseconds.
-        ms: u64,
-    },
 }
 
 /// Worker-shard fault injection policy, carried on `AccelConfig`.
 ///
-/// The scripted variants pin a fault to an exact `(shard, attempt)`
-/// point — what the unit tests use; `Seeded` rolls per
-/// `(shard, attempt)` from a seed — what a [`ChaosSchedule`] hands out
-/// per epoch. `Off` is the default and costs one branch per shard.
+/// `PanicOn` pins a fault to one shard — what the unit tests use;
+/// `Seeded` rolls per shard from a seed — what a [`ChaosSchedule`]
+/// hands out per epoch. `Off` is the default and costs one branch per
+/// shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ShardChaos {
     /// No injection (production default).
     #[default]
     Off,
-    /// Panic on the given shard for its first `attempts` attempts.
-    /// `attempts: 1` reproduces a transient fault (the retry
-    /// succeeds); `attempts: u32::MAX` a persistent one.
+    /// Panic on the given shard.
     PanicOn {
         /// Target shard index.
         shard: u64,
-        /// Number of leading attempts that panic.
-        attempts: u32,
     },
-    /// Stall on the given shard for its first `attempts` attempts.
-    StallOn {
-        /// Target shard index.
-        shard: u64,
-        /// Stall duration in milliseconds.
-        ms: u64,
-        /// Number of leading attempts that stall.
-        attempts: u32,
-    },
-    /// Roll per `(shard, attempt)`: panic with probability
-    /// `panic_permille`/1000, else stall with `stall_permille`/1000.
+    /// Roll per shard: panic with probability `panic_permille`/1000.
     Seeded {
-        /// Seed for the per-(shard, attempt) rolls (a per-epoch stream
-        /// already folded in by [`ChaosSchedule::shard_chaos`]).
+        /// Seed for the per-shard rolls (a per-epoch stream already
+        /// folded in by [`ChaosSchedule::shard_chaos`]).
         seed: u64,
         /// Permille probability of a panic.
         panic_permille: u32,
-        /// Permille probability of a stall (evaluated after panic).
-        stall_permille: u32,
-        /// Stall duration in milliseconds when a stall fires.
-        stall_ms: u64,
     },
 }
 
 impl ShardChaos {
-    /// The fault (if any) to inject into `shard` on retry `attempt`
-    /// (0 = first try). Pure: same arguments, same answer.
-    pub fn decide(&self, shard: u64, attempt: u32) -> Option<ExecFault> {
+    /// The fault (if any) to inject into `shard`. Pure: same
+    /// arguments, same answer.
+    pub fn decide(&self, shard: u64) -> Option<ExecFault> {
         match *self {
             ShardChaos::Off => None,
-            ShardChaos::PanicOn { shard: s, attempts } => {
-                (shard == s && attempt < attempts).then_some(ExecFault::Panic)
-            }
-            ShardChaos::StallOn { shard: s, ms, attempts } => {
-                (shard == s && attempt < attempts).then_some(ExecFault::Stall { ms })
-            }
+            ShardChaos::PanicOn { shard: s } => (shard == s).then_some(ExecFault::Panic),
             ShardChaos::Seeded {
                 seed,
                 panic_permille,
-                stall_permille,
-                stall_ms,
             } => {
-                let r = (roll(&[seed, shard, attempt as u64]) % 1000) as u32;
-                if r < panic_permille {
-                    Some(ExecFault::Panic)
-                } else if r < panic_permille.saturating_add(stall_permille) {
-                    Some(ExecFault::Stall { ms: stall_ms })
-                } else {
-                    None
-                }
+                // The trailing 0 is the retired in-process attempt
+                // word, kept so every seed still panics the shards it
+                // always panicked on a first try.
+                let r = (roll(&[seed, shard, 0]) % 1000) as u32;
+                (r < panic_permille).then_some(ExecFault::Panic)
             }
         }
     }
@@ -239,10 +207,6 @@ pub struct ChaosConfig {
     pub event_torn_permille: u32,
     /// Worker shard panics mid-shard.
     pub shard_panic_permille: u32,
-    /// Worker shard stalls mid-shard (for watchdog testing).
-    pub shard_stall_permille: u32,
-    /// Stall duration in milliseconds when a shard stall fires.
-    pub stall_ms: u64,
     /// Spawning a grid worker process fails outright (the attempt is
     /// charged against the cell's retry budget).
     pub spawn_error_permille: u32,
@@ -262,8 +226,6 @@ impl ChaosConfig {
             event_error_permille: 40,
             event_torn_permille: 40,
             shard_panic_permille: 100,
-            shard_stall_permille: 0,
-            stall_ms: 0,
             spawn_error_permille: 80,
         }
     }
@@ -347,14 +309,12 @@ impl ChaosSchedule {
     /// schedule's seed and the epoch, at the config's shard rates.
     pub fn shard_chaos(&self, epoch: u64) -> ShardChaos {
         let c = &self.config;
-        if c.shard_panic_permille == 0 && c.shard_stall_permille == 0 {
+        if c.shard_panic_permille == 0 {
             return ShardChaos::Off;
         }
         ShardChaos::Seeded {
             seed: roll(&[self.seed, 0x5AD_C4A05, epoch]),
             panic_permille: c.shard_panic_permille,
-            stall_permille: c.shard_stall_permille,
-            stall_ms: c.stall_ms,
         }
     }
 }
@@ -445,16 +405,12 @@ mod tests {
 
     #[test]
     fn scripted_shard_chaos_pins_exact_points() {
-        let once = ShardChaos::PanicOn { shard: 1, attempts: 1 };
-        assert_eq!(once.decide(1, 0), Some(ExecFault::Panic));
-        assert_eq!(once.decide(1, 1), None);
-        assert_eq!(once.decide(0, 0), None);
+        let pinned = ShardChaos::PanicOn { shard: 1 };
+        assert_eq!(pinned.decide(1), Some(ExecFault::Panic));
+        assert_eq!(pinned.decide(0), None);
+        assert_eq!(pinned.decide(2), None);
 
-        let stall = ShardChaos::StallOn { shard: 2, ms: 40, attempts: 1 };
-        assert_eq!(stall.decide(2, 0), Some(ExecFault::Stall { ms: 40 }));
-        assert_eq!(stall.decide(2, 1), None);
-
-        assert_eq!(ShardChaos::Off.decide(0, 0), None);
+        assert_eq!(ShardChaos::Off.decide(0), None);
     }
 
     #[test]
@@ -488,7 +444,10 @@ mod tests {
         let faults = (0..1000)
             .filter(|&i| after.io_fault(Seam::ProcessSpawn, i).is_some())
             .count();
-        assert!((1..700).contains(&faults), "spawn faulted {faults}/1000 rolls");
+        assert!(
+            (1..700).contains(&faults),
+            "spawn faulted {faults}/1000 rolls"
+        );
         for index in 0..1000 {
             assert!(matches!(
                 after.io_fault(Seam::ProcessSpawn, index),
@@ -515,20 +474,20 @@ mod tests {
 
     #[test]
     fn seeded_shard_chaos_rerolls_on_retry() {
-        let policy = ShardChaos::Seeded {
-            seed: 31,
-            panic_permille: 500,
-            stall_permille: 0,
-            stall_ms: 0,
+        // A retried grid cell runs under a freshly derived chaos seed,
+        // so its shards roll again: at a 50% panic rate, some shard
+        // must panic under one seed and pass under the next within a
+        // small window — the property cell retries rely on to converge.
+        let loud = ChaosConfig {
+            shard_panic_permille: 500,
+            ..ChaosConfig::default()
         };
-        // At 50% panic rate, some shard must panic on attempt 0 and
-        // pass on attempt 1 within a small window — the property the
-        // retry loop relies on to converge.
-        let recovered = (0..64).any(|s| {
-            policy.decide(s, 0) == Some(ExecFault::Panic) && policy.decide(s, 1).is_none()
-        });
+        let first = ChaosSchedule::new(31, loud).shard_chaos(0);
+        let retry = ChaosSchedule::new(32, loud).shard_chaos(0);
+        let recovered =
+            (0..64).any(|s| first.decide(s) == Some(ExecFault::Panic) && retry.decide(s).is_none());
         assert!(recovered, "no shard recovered on retry in 64 tries");
-        // And the per-epoch streams differ.
+        // The per-epoch streams differ, and a stream is stable.
         let sched = ChaosSchedule::new(
             13,
             ChaosConfig {
@@ -538,5 +497,10 @@ mod tests {
         );
         assert_ne!(sched.shard_chaos(0), sched.shard_chaos(1));
         assert_eq!(sched.shard_chaos(3), sched.shard_chaos(3));
+        // No panic rate, no shard chaos.
+        assert_eq!(
+            ChaosSchedule::new(13, ChaosConfig::default()).shard_chaos(0),
+            ShardChaos::Off
+        );
     }
 }

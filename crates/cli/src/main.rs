@@ -79,8 +79,6 @@ usage:
              [--checkpoint-every K] [--set KNOB=JSON]... [--out PATH]
              [--resume | --resume-or-new]
              [--metrics PATH] [--events PATH] [--chaos-seed S]
-             [--max-lost-shards N] [--watchdog-ms MS]
-             [--shard-retries N]
   reram-ecc campaign-grid <spec.json> [--dir D] [--workers N]
              [--in-process] [--merge-only] [--chaos-seed S]
              [--max-lost-cells N] [--cell-retries N]
@@ -138,17 +136,12 @@ campaign observability (see DESIGN.md §8):
                   crash left incomplete)
 
 campaign durability (see DESIGN.md, failure model & recovery):
-  --chaos-seed S       inject the standard deterministic fault mix at
-                       every I/O and worker seam, seeded by S; the
-                       final results must still match a clean run
-  --max-lost-shards N  graceful degradation: drop at most N failed
-                       worker shards campaign-wide, recording their
-                       sample ranges as explicit gaps (default 0)
-  --watchdog-ms MS     deadline on each shard's evaluation loop; a
-                       shard over it is killed at the next sample
-                       boundary and retried seed-stable (default: no
-                       deadline)
-  --shard-retries N    seed-stable retries per failed shard (default 1)
+  --chaos-seed S   inject the standard deterministic fault mix at
+                   every I/O and worker seam, seeded by S. I/O faults
+                   are absorbed; an injected worker panic fails the
+                   run naming the shard, and --resume without chaos
+                   then finishes byte-identical to a clean run
+                   (campaign-grid retries such a cell by itself)
 ";
 
 fn parse<T: std::str::FromStr>(args: &[String], i: usize, name: &str) -> Result<T, String> {
@@ -195,8 +188,16 @@ fn cmd_min_a(args: &[String]) -> Result<(), String> {
 
 fn cmd_search(args: &[String]) -> Result<(), String> {
     let check_bits: u32 = parse(args, 0, "check_bits")?;
-    let rows: u32 = if args.len() > 1 { parse(args, 1, "rows")? } else { 9 };
-    let p: f64 = if args.len() > 2 { parse(args, 2, "p_err")? } else { 0.05 };
+    let rows: u32 = if args.len() > 1 {
+        parse(args, 1, "rows")?
+    } else {
+        9
+    };
+    let p: f64 = if args.len() > 2 {
+        parse(args, 2, "p_err")?
+    } else {
+        0.05
+    };
     if !(0.0..=1.0).contains(&p) {
         return Err("p_err must be in [0, 1]".into());
     }
@@ -206,14 +207,11 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
             .collect(),
         16,
     );
-    let result = ancode::search::select_a_full(
-        check_bits,
-        3,
-        16,
-        &DataAwareConfig::default(),
-        |_| Ok(model.clone()),
-    )
-    .map_err(|e| e.to_string())?;
+    let result =
+        ancode::search::select_a_full(check_bits, 3, 16, &DataAwareConfig::default(), |_| {
+            Ok(model.clone())
+        })
+        .map_err(|e| e.to_string())?;
     println!(
         "best A = {} ({} candidates, coverage {:.5})",
         result.code.a(),
@@ -232,7 +230,9 @@ fn cmd_predict(args: &[String]) -> Result<(), String> {
         .iter()
         .map(|a| a.parse().map_err(|_| format!("invalid count: {a}")))
         .collect::<Result<_, _>>()?;
-    let bits = (composition.len() as u32).next_power_of_two().trailing_zeros();
+    let bits = (composition.len() as u32)
+        .next_power_of_two()
+        .trailing_zeros();
     let params = DeviceParams {
         bits_per_cell: bits.max(1),
         ..DeviceParams::default()
@@ -257,7 +257,10 @@ fn cmd_overheads(args: &[String]) -> Result<(), String> {
     }
     let r = accel::cost::overheads(bits);
     println!("ECU:   {:.4} mm²  {:.2} mW", r.ecu.area_mm2, r.ecu.power_mw);
-    println!("table: {:.4} mm²  {:.2} mW", r.table.area_mm2, r.table.power_mw);
+    println!(
+        "table: {:.4} mm²  {:.2} mW",
+        r.table.area_mm2, r.table.power_mw
+    );
     println!("tile area overhead:  {:.2}%", r.tile_area_fraction * 100.0);
     println!("chip area overhead:  {:.2}%", r.chip_area_fraction * 100.0);
     println!("chip power overhead: {:.2}%", r.chip_power_fraction * 100.0);
@@ -331,9 +334,6 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     let mut metrics: Option<String> = None;
     let mut events: Option<String> = None;
     let mut chaos_seed: Option<u64> = None;
-    let mut max_lost_shards = 0usize;
-    let mut watchdog_ms = 0u64;
-    let mut shard_retries = 1u32;
 
     let mut i = 2;
     while i < args.len() {
@@ -376,13 +376,6 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
             "--chaos-seed" => {
                 chaos_seed = Some(parsed(value("--chaos-seed")?, "chaos-seed")?);
             }
-            "--max-lost-shards" => {
-                max_lost_shards = parsed(value("--max-lost-shards")?, "max-lost-shards")?;
-            }
-            "--watchdog-ms" => watchdog_ms = parsed(value("--watchdog-ms")?, "watchdog-ms")?,
-            "--shard-retries" => {
-                shard_retries = parsed(value("--shard-retries")?, "shard-retries")?;
-            }
             "--set" => {
                 let set = value("--set")?;
                 let (knob, json) = set
@@ -415,10 +408,9 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     if batch == 0 {
         return Err("--batch must be positive".into());
     }
-    let mut base = AccelConfig::new(scheme).with_cell_bits(cell_bits).with_batch(batch);
-    base.watchdog_ns = watchdog_ms.saturating_mul(1_000_000);
-    base.shard_retries = shard_retries;
-    base.max_lost_shards = max_lost_shards;
+    let base = AccelConfig::new(scheme)
+        .with_cell_bits(cell_bits)
+        .with_batch(batch);
     let mut config = CampaignConfig::new(base, epochs, seed);
     config.threads = threads;
     config.writes_per_epoch = writes_per_epoch;
@@ -519,14 +511,6 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
             r.flip_rate * 100.0,
             r.corrected,
             r.uncorrectable
-        );
-    }
-    let lost_samples: u64 = campaign.state().completed.iter().map(|r| r.lost_samples).sum();
-    if lost_samples > 0 {
-        let gap_count: usize = campaign.state().completed.iter().map(|r| r.gaps.len()).sum();
-        println!(
-            "graceful degradation: {lost_samples} samples dropped across {gap_count} \
-             lost shard(s); per-epoch gaps are recorded in the checkpoint"
         );
     }
     println!("checkpoint: {}", out_path.display());
@@ -687,10 +671,8 @@ fn software_top5_error(wl: &mut Workload) -> f64 {
     for (i, &label) in wl.test.labels.iter().enumerate() {
         let mut one = shape.to_vec();
         one[0] = 1;
-        let image = neural::Tensor::from_vec(
-            one,
-            wl.test.images.data()[i * per..(i + 1) * per].to_vec(),
-        );
+        let image =
+            neural::Tensor::from_vec(one, wl.test.images.data()[i * per..(i + 1) * per].to_vec());
         let logits = wl.network.forward(&image);
         let top = neural::Tensor::from_vec(vec![logits.len()], logits.into_data()).top_k(5);
         misses += usize::from(!top.contains(&label));
@@ -863,7 +845,12 @@ mod tests {
         assert!(set("device.fault_rate=0.1").contains("unknown knob"));
         assert!(set("max_retries=true").contains("expected number"));
         let twice = cmd_campaign(&s(&[
-            "NoECC", "2", "--set", "remap=true", "--set", "remap=false",
+            "NoECC",
+            "2",
+            "--set",
+            "remap=true",
+            "--set",
+            "remap=false",
         ]));
         assert!(twice.unwrap_err().contains("set twice"));
         // batch 0 parses but fails AccelConfig validation downstream.
@@ -883,6 +870,15 @@ mod tests {
         for label in ["analytic", "mc", "auto"] {
             assert!(ErrorModel::from_label(label).is_some(), "{label}");
         }
+        // campaign has no shard retry, watchdog or loss-budget flag:
+        // campaign-grid's cell attempts are the one supervisor.
+        for flag in ["--shard-retries", "--watchdog-ms", "--max-lost-shards"] {
+            let refused = cmd_campaign(&s(&["NoECC", "2", flag, "1"])).unwrap_err();
+            assert!(
+                refused.contains(&format!("unknown flag {flag}")),
+                "{refused}"
+            );
+        }
     }
 
     #[test]
@@ -898,8 +894,18 @@ mod tests {
             events.display().to_string(),
         );
         let args = [
-            "NoECC", "2", "--samples", "3", "--train", "40", "--out", &out_s, "--metrics",
-            &metrics_s, "--events", &events_s,
+            "NoECC",
+            "2",
+            "--samples",
+            "3",
+            "--train",
+            "40",
+            "--out",
+            &out_s,
+            "--metrics",
+            &metrics_s,
+            "--events",
+            &events_s,
         ];
         assert_eq!(cmd_campaign(&s(&args)), Ok(()));
         // This test binary builds accel with the `obs` feature, so the
@@ -925,7 +931,16 @@ mod tests {
         let out = std::env::temp_dir().join(format!("cli-campaign-{}.json", std::process::id()));
         let out_s = out.display().to_string();
         // Tiny run: 2 epochs, 3 samples, 40 training digits.
-        let base = ["NoECC", "2", "--samples", "3", "--train", "40", "--out", &out_s];
+        let base = [
+            "NoECC",
+            "2",
+            "--samples",
+            "3",
+            "--train",
+            "40",
+            "--out",
+            &out_s,
+        ];
         assert_eq!(cmd_campaign(&s(&base)), Ok(()));
         assert!(out.exists());
         // Resuming a complete campaign is a no-op that succeeds.
@@ -934,8 +949,17 @@ mod tests {
         assert_eq!(cmd_campaign(&s(&with_resume)), Ok(()));
         // Resuming under different parameters is rejected.
         let mismatched = [
-            "NoECC", "2", "--samples", "3", "--train", "40", "--out", &out_s, "--resume",
-            "--seed", "99",
+            "NoECC",
+            "2",
+            "--samples",
+            "3",
+            "--train",
+            "40",
+            "--out",
+            &out_s,
+            "--resume",
+            "--seed",
+            "99",
         ];
         assert!(cmd_campaign(&s(&mismatched)).is_err());
         let _ = std::fs::remove_file(&out);

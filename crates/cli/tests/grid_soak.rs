@@ -6,7 +6,8 @@
 //! resumed with the same command line, produces a
 //! `grid_summary.json` byte-identical to an uninterrupted fault-free
 //! run. Cell artifacts, checkpoint slots, and the manifest absorb every
-//! kill; nothing is re-randomized by a retry.
+//! kill and every injected worker panic; nothing is re-randomized by a
+//! retry.
 //!
 //! Also here: merge resumability (the merge step regenerates the
 //! summary byte-identically from per-cell artifacts whatever state a
@@ -21,10 +22,12 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// Two cells (NoECC and ABN-9 on one tiny mlp2 workload), two epochs,
-/// per-epoch checkpoints — small enough for debug-mode soaks,
+/// Two cells (NoECC and ABN-9 on one tiny mlp2 workload), three
+/// epochs, per-epoch checkpoints — small enough for debug-mode soaks,
 /// structured enough that a kill lands mid-cell with real state in the
-/// A/B slots.
+/// A/B slots. Under chaos seed 7, epoch 2 of the ABN-9 cell panics on
+/// its first two attempts of each driver run, so the soak always
+/// retries a worker panic.
 const SPEC: &str = r#"{
   "version": 1,
   "models": ["mlp2"],
@@ -32,7 +35,7 @@ const SPEC: &str = r#"{
   "cell_bits": [2],
   "writes_per_epoch": [200000.0],
   "seeds": [41],
-  "epochs": 2,
+  "epochs": 3,
   "samples": 4,
   "train": 120,
   "threads": 1,
@@ -108,9 +111,7 @@ fn find_worker(dir: &Path) -> Option<u32> {
 }
 
 fn sigkill(pid: u32) {
-    let _ = Command::new("kill")
-        .args(["-9", &pid.to_string()])
-        .status();
+    let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
 }
 
 fn summary_bytes(dir: &Path) -> Vec<u8> {
@@ -185,6 +186,29 @@ fn kill_worker_and_driver_resume_is_byte_identical() {
     );
 
     validate_events_against_schema(&events);
+    // A worker announces an injected shard panic in its own event log
+    // before the panic fails its attempt; the cell retry recovered it.
+    let panics = worker_panic_lines(&chaos_dir);
+    assert!(panics > 0, "no worker attempt failed on an injected panic");
+}
+
+/// Counts injected shard-panic `chaos_fault` lines across the grid's
+/// per-cell worker event logs.
+fn worker_panic_lines(dir: &Path) -> usize {
+    let cells = std::fs::read_dir(dir.join("cells")).expect("read cells dir");
+    cells
+        .flatten()
+        .filter(|e| e.file_name().to_string_lossy().ends_with(".events.jsonl"))
+        .map(|e| std::fs::read_to_string(e.path()).expect("read worker event log"))
+        .map(|log| {
+            log.lines()
+                .filter(|l| {
+                    l.contains("\"type\":\"chaos_fault\",\"seam\":\"shard\"")
+                        && l.contains("\"fault\":\"panic\"")
+                })
+                .count()
+        })
+        .sum()
 }
 
 /// Merge resumability: whatever state a kill leaves the old summary in
@@ -202,13 +226,21 @@ fn merge_regenerates_summary_from_any_interrupted_state() {
     // Killed before the summary rename landed: no file at all.
     std::fs::remove_file(&summary).expect("remove summary");
     run_to_completion(&spec, &dir, &["--merge-only"]);
-    assert_eq!(summary_bytes(&dir), oracle, "merge after missing summary diverged");
+    assert_eq!(
+        summary_bytes(&dir),
+        oracle,
+        "merge after missing summary diverged"
+    );
 
     // A torn fragment (not reachable through the atomic writer, but
     // the merge must not trust whatever bytes it finds regardless).
     std::fs::write(&summary, &oracle[..oracle.len() / 2]).expect("write fragment");
     run_to_completion(&spec, &dir, &["--merge-only"]);
-    assert_eq!(summary_bytes(&dir), oracle, "merge over torn summary diverged");
+    assert_eq!(
+        summary_bytes(&dir),
+        oracle,
+        "merge over torn summary diverged"
+    );
 
     // A second merge over a complete summary is a byte-stable no-op.
     run_to_completion(&spec, &dir, &["--merge-only"]);

@@ -45,3 +45,13 @@ pub fn now_ns() -> u64 {
 pub fn now_ns() -> u64 {
     0
 }
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn monotonic_within_a_thread() {
+        let a = super::now_ns();
+        let b = super::now_ns();
+        assert!(b >= a);
+    }
+}

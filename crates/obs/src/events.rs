@@ -1,7 +1,7 @@
 //! The append-only JSONL event log.
 //!
 //! Events are discrete, *cold-path* records — one per campaign epoch,
-//! per completed shard, per retry — in contrast to the metrics shards,
+//! per completed shard, per injected fault — in contrast to the metrics shards,
 //! which absorb millions of hot-path updates. Allocation is therefore
 //! fine here, and every [`emit`] renders and writes one line
 //! immediately (no buffering), so a crashed run keeps every event up
@@ -12,7 +12,7 @@
 //! Each line is a flat JSON object:
 //!
 //! ```json
-//! {"v":5,"ts_ns":123456,"type":"shard_retry","shard":2,"seed":"13","attempt":1,"reason":"panic"}
+//! {"v":5,"ts_ns":123456,"type":"shard_done","shard":2,"lo":8,"hi":16,"duration_ns":41000}
 //! ```
 //!
 //! - `v` — schema version, [`crate::schema::VERSION`];

@@ -28,11 +28,11 @@
 
 /// Current schema version, written as `"v"` on every line.
 ///
-/// v2: `shard_retry.seed` re-typed u64 → string. Derived shard seeds
-/// span the full u64 range (epoch seeds are wrapping golden-ratio
-/// offsets from the campaign seed), which exceeds the 2^53 exact-
-/// integer window JSON numbers guarantee; a decimal string carries
-/// the exact value at any width.
+/// v2: the shard-retry event's `seed` re-typed u64 → string. Derived
+/// shard seeds span the full u64 range (epoch seeds are wrapping
+/// golden-ratio offsets from the campaign seed), which exceeds the
+/// 2^53 exact-integer window JSON numbers guarantee; a decimal string
+/// carries the exact value at any width.
 ///
 /// v3: a resident socket service's request lifecycle joined the
 /// schema (three request and engine-swap events) along with the
@@ -53,7 +53,13 @@
 /// v5: the grid dropped its lease files, and with them
 /// `lease_takeover` and the `generation` field of `grid_cell_done`.
 /// Bumped because a field was removed: a v4 reader would expect
-/// `generation` on every done cell.
+/// `generation` on every done cell. Later, the in-process shard
+/// retry and loss budget were removed, and with them the only
+/// producers of the shard-retry and shard-lost events. The version
+/// stays, as it did when the service events retired: no surviving
+/// event changed shape, and an absent retry line still means no retry
+/// happened. `chaos_fault` gained the `shard` seam and the `panic`
+/// fault value, which the additive rule covers.
 pub const VERSION: u64 = 5;
 
 /// JSON type of one event field.
@@ -113,16 +119,6 @@ const fn field(name: &'static str, kind: FieldKind) -> FieldSpec {
 /// - `shard_done` — one line per completed Monte-Carlo worker shard in
 ///   `accel::sim::evaluate`: sample range `[lo, hi)` and the shard's
 ///   wall duration.
-/// - `shard_retry` — one line per shard retry on the `catch_unwind`
-///   path: the shard that failed, the seed it reuses (a decimal
-///   *string*: derived shard seeds span the full u64 range, wider
-///   than JSON's exact-integer window), the attempt number being
-///   started (1 = first retry), and the failure `reason` (`"panic"`
-///   or `"watchdog"`).
-/// - `shard_lost` — one line per shard dropped under graceful
-///   degradation (`max_lost_shards`): the unevaluated sample range
-///   `[lo, hi)`, how many attempts were burned, and the final failure
-///   reason. The campaign records the same range as a gap.
 /// - `checkpoint_write_failed` — a periodic checkpoint write failed
 ///   every retry and the campaign continued without it (the previous
 ///   generation remains the recovery point).
@@ -130,10 +126,12 @@ const fn field(name: &'static str, kind: FieldKind) -> FieldSpec {
 ///   artifact (CRC or parse failure) and fell back to the newest
 ///   generation that verified; `used_generation` is the epoch count
 ///   recovery actually proceeds from.
-/// - `chaos_fault` — a `chaos::ChaosSchedule` injected a fault at an
-///   I/O seam: where (`seam`), which operation (`index`), and what
-///   (`fault`: `eio`/`enospc`/`torn`/`bitflip`). Emitted by the seam
-///   owner so chaos runs are self-documenting.
+/// - `chaos_fault` — a `chaos::ChaosSchedule` injected a fault at a
+///   seam: where (`seam`), which operation (`index`), and what
+///   (`fault`: `eio`/`enospc`/`torn`/`bitflip` at an I/O seam; at the
+///   `shard` seam, `panic`, with `index` the shard). Emitted by the
+///   seam owner so chaos runs are self-documenting — a worker whose
+///   epoch fails on an injected panic logs it here first.
 /// - `obs_overflow` — the one-time structured twin of the registry-cap
 ///   stderr warning: which registry overflowed (`what`: `counter` /
 ///   `series`), the first refused name, and the cap. At most one line
@@ -181,25 +179,6 @@ pub const EVENTS: &[EventSpec] = &[
             field("lo", U64),
             field("hi", U64),
             field("duration_ns", U64),
-        ],
-    },
-    EventSpec {
-        event_type: "shard_retry",
-        fields: &[
-            field("shard", U64),
-            field("seed", STR),
-            field("attempt", U64),
-            field("reason", STR),
-        ],
-    },
-    EventSpec {
-        event_type: "shard_lost",
-        fields: &[
-            field("shard", U64),
-            field("lo", U64),
-            field("hi", U64),
-            field("attempts", U64),
-            field("reason", STR),
         ],
     },
     EventSpec {

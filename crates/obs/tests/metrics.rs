@@ -165,10 +165,10 @@ mod enabled {
         let _g = guard();
         obs::events::log_to_memory();
         obs::events::emit(
-            obs::Event::new("shard_retry")
-                .u64("shard", 2)
-                .str("seed", "13")
-                .u64("attempt", 1),
+            obs::Event::new("chaos_fault")
+                .str("seam", "shard")
+                .u64("index", 2)
+                .str("fault", "panic"),
         );
         obs::events::emit(
             obs::Event::new("freeform")
@@ -181,7 +181,7 @@ mod enabled {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"v\":5,\"ts_ns\":"));
         assert!(lines[0].ends_with(
-            "\"type\":\"shard_retry\",\"shard\":2,\"seed\":\"13\",\"attempt\":1}"
+            "\"type\":\"chaos_fault\",\"seam\":\"shard\",\"index\":2,\"fault\":\"panic\"}"
         ));
         assert!(lines[1].contains("\"label\":\"quote\\\" slash\\\\ newline\\n\""));
         assert!(lines[1].contains("\"ratio\":0.25"));
