@@ -16,7 +16,7 @@
 //!
 //! - **cell artifacts** (final JSON + checkpoint slots) are the truth;
 //!   a retried cell resumes its own slots via
-//!   [`Campaign::new_or_resume`](crate::campaign::Campaign::new_or_resume);
+//!   [`Campaign::open`](crate::campaign::Campaign::open);
 //! - **lost-cell markers** (`cells/<id>.lost`) record the cells
 //!   dropped under the `max_lost_cells` budget, so a later
 //!   [`Grid::merge_only`] can tell a deliberate gap from unfinished
@@ -299,6 +299,31 @@ impl GridSpec {
         out
     }
 
+    /// The cell named `id`, or the spec's only cell when `id` is
+    /// `None`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccelError::Grid`] (stage `spec`) when no cell has that
+    /// id, or when `id` is `None` and the spec has more than one cell.
+    pub fn cell(&self, id: Option<&str>) -> Result<GridCell, AccelError> {
+        let mut cells = self.cells();
+        let found = match id {
+            Some(id) => cells.iter().position(|c| c.id == id),
+            None => (cells.len() == 1).then_some(0),
+        };
+        match found {
+            Some(i) => Ok(cells.swap_remove(i)),
+            None => Err(AccelError::Grid {
+                stage: "spec".into(),
+                message: match id {
+                    Some(id) => format!("no cell {id} in this spec"),
+                    None => format!("the spec has {} cells; name one", cells.len()),
+                },
+            }),
+        }
+    }
+
     /// Builds the campaign configuration for one cell, its variant's
     /// knobs applied through [`CampaignConfig::apply`].
     ///
@@ -534,9 +559,77 @@ fn worker_chaos_seed(grid_seed: u64, cell_index: u64, attempt: u32) -> u64 {
     mix(mix(grid_seed ^ cell_index.wrapping_mul(0x632B_E59B_D9B4_E019)) ^ (u64::from(attempt) + 1))
 }
 
-/// Path of a cell's final artifact inside the grid directory.
-fn artifact_path(dir: &Path, cell: &GridCell) -> PathBuf {
+/// Path of a cell's final artifact inside the grid directory; its
+/// checkpoint slots sit beside it as `.a` and `.b`.
+pub fn artifact_path(dir: &Path, cell: &GridCell) -> PathBuf {
     dir.join("cells").join(format!("{}.json", cell.id))
+}
+
+/// Path of a cell worker's event log inside the grid directory.
+pub fn events_path(dir: &Path, cell: &GridCell) -> PathBuf {
+    dir.join("cells").join(format!("{}.events.jsonl", cell.id))
+}
+
+/// Creates the grid layout in `dir` and pins it to `spec` through the
+/// driver's manifest check. A process worker calls this before it runs
+/// its cell, so a worker started by hand cannot write into another
+/// sweep's directory. The check rolls no chaos, so it leaves the
+/// worker's fault script as it is.
+///
+/// # Errors
+///
+/// Returns [`AccelError::Grid`] when the directory cannot be created,
+/// or its manifest pins another spec or cannot be read or written.
+pub fn pin_manifest(spec: &GridSpec, dir: &Path) -> Result<(), AccelError> {
+    ensure_dirs(dir)?;
+    ensure_manifest(spec, dir, &mut ChaosDice::new(None))
+}
+
+/// Creates the cells/ directory.
+fn ensure_dirs(dir: &Path) -> Result<(), AccelError> {
+    let cells = dir.join("cells");
+    // lint: allow(chaos_seam_coverage, idempotent mkdir -p of the grid layout; it leaves no partial artifact to tear and its failures surface as typed Grid errors)
+    std::fs::create_dir_all(&cells).map_err(|e| AccelError::Grid {
+        stage: "layout".into(),
+        message: format!("create {}: {e}", cells.display()),
+    })
+}
+
+/// Validates (or writes) the manifest: a digest mismatch means the
+/// directory belongs to a different sweep and the run is refused;
+/// a missing or corrupt manifest is rewritten, because it is
+/// derivable from the spec.
+fn ensure_manifest(spec: &GridSpec, dir: &Path, dice: &mut ChaosDice) -> Result<(), AccelError> {
+    let path = dir.join("manifest.json");
+    let digest = spec.digest()?;
+    let fail = |message: String| AccelError::Grid {
+        stage: "manifest".into(),
+        message,
+    };
+    match envelope::read(&path, dice, envelope::parse_json::<Manifest>) {
+        Ok(existing) if existing.spec_digest == digest => return Ok(()),
+        Ok(existing) => {
+            return Err(fail(format!(
+                "{} pins spec digest {:#010x}, but this spec digests to {:#010x}: \
+                 refusing to mix two sweeps in one directory",
+                path.display(),
+                existing.spec_digest,
+                digest
+            )))
+        }
+        Err(ReadError::Missing | ReadError::Corrupt(_)) => {}
+        // Unreadable: the directory's identity is unknown, and
+        // overwriting could pin a foreign sweep's cells to this spec.
+        Err(e) => return Err(fail(format!("{}: {e}", path.display()))),
+    }
+    let manifest = Manifest {
+        version: GRID_MANIFEST_VERSION,
+        spec_digest: digest,
+        cells: spec.cells().len() as u64,
+    };
+    let json =
+        serde_json::to_string_pretty(&manifest).map_err(|e| fail(format!("serialize: {e:?}")))?;
+    envelope::write(&path, json.as_bytes(), dice, Seam::FinalWrite).map_err(fail)
 }
 
 impl Grid {
@@ -561,55 +654,8 @@ impl Grid {
         })
     }
 
-    /// The directory layout, relative to the grid dir.
-    fn cells_dir(&self) -> PathBuf {
-        self.dir.join("cells")
-    }
-    fn manifest_path(&self) -> PathBuf {
-        self.dir.join("manifest.json")
-    }
-    fn events_path(&self, cell: &GridCell) -> PathBuf {
-        self.cells_dir().join(format!("{}.events.jsonl", cell.id))
-    }
     fn lost_path(&self, cell: &GridCell) -> PathBuf {
-        self.cells_dir().join(format!("{}.lost", cell.id))
-    }
-
-    /// Validates (or writes) the manifest: a digest mismatch means the
-    /// directory belongs to a different sweep and the run is refused;
-    /// a missing or corrupt manifest is rewritten, because it is
-    /// derivable from the spec.
-    fn ensure_manifest(&self, dice: &mut ChaosDice) -> Result<(), AccelError> {
-        let path = self.manifest_path();
-        let digest = self.spec.digest()?;
-        let fail = |message: String| AccelError::Grid {
-            stage: "manifest".into(),
-            message,
-        };
-        match envelope::read(&path, dice, envelope::parse_json::<Manifest>) {
-            Ok(existing) if existing.spec_digest == digest => return Ok(()),
-            Ok(existing) => {
-                return Err(fail(format!(
-                    "{} pins spec digest {:#010x}, but this spec digests to {:#010x}: \
-                     refusing to mix two sweeps in one directory",
-                    path.display(),
-                    existing.spec_digest,
-                    digest
-                )))
-            }
-            Err(ReadError::Missing | ReadError::Corrupt(_)) => {}
-            // Unreadable: the directory's identity is unknown, and
-            // overwriting could pin a foreign sweep's cells to this spec.
-            Err(e) => return Err(fail(format!("{}: {e}", path.display()))),
-        }
-        let manifest = Manifest {
-            version: GRID_MANIFEST_VERSION,
-            spec_digest: digest,
-            cells: self.spec.cells().len() as u64,
-        };
-        let json = serde_json::to_string_pretty(&manifest)
-            .map_err(|e| fail(format!("serialize: {e:?}")))?;
-        envelope::write(&path, json.as_bytes(), dice, Seam::FinalWrite).map_err(fail)
+        self.dir.join("cells").join(format!("{}.lost", cell.id))
     }
 
     /// The cell's final artifact, when it verifies as the cell's
@@ -635,9 +681,9 @@ impl Grid {
     /// complete.
     pub fn run(&mut self) -> Result<GridReport, AccelError> {
         let cells = self.spec.cells();
-        self.ensure_dirs()?;
+        ensure_dirs(&self.dir)?;
         let mut dice = self.dice.clone();
-        self.ensure_manifest(&mut dice)?;
+        ensure_manifest(&self.spec, &self.dir, &mut dice)?;
 
         let n = cells.len();
         let mut d = Dispatch {
@@ -680,9 +726,9 @@ impl Grid {
     /// cell that is neither.
     pub fn merge_only(&mut self) -> Result<GridReport, AccelError> {
         let cells = self.spec.cells();
-        self.ensure_dirs()?;
+        ensure_dirs(&self.dir)?;
         let mut dice = self.dice.clone();
-        self.ensure_manifest(&mut dice)?;
+        ensure_manifest(&self.spec, &self.dir, &mut dice)?;
         let mut states = Vec::with_capacity(cells.len());
         let mut lost = Vec::new();
         for cell in &cells {
@@ -767,13 +813,7 @@ impl Grid {
                     .options
                     .chaos
                     .map(|s| worker_chaos_seed(s.seed(), cell.index, attempt));
-                match self.launcher.launch(
-                    &self.spec,
-                    cell,
-                    &artifact_path(&self.dir, cell),
-                    &self.events_path(cell),
-                    chaos_seed,
-                ) {
+                match self.launcher.launch(&self.spec, cell, &self.dir, chaos_seed) {
                     Ok(handle) => {
                         let deadline = (self.options.watchdog_ms > 0
                             && matches!(self.launcher, Launcher::Process { .. }))
@@ -915,16 +955,6 @@ impl Grid {
                 .str("reason", reason),
         );
         Ok(())
-    }
-
-    /// Creates the cells/ directory.
-    fn ensure_dirs(&self) -> Result<(), AccelError> {
-        let dir = self.cells_dir();
-        // lint: allow(chaos_seam_coverage, idempotent mkdir -p of the grid layout; it leaves no partial artifact to tear and its failures surface as typed Grid errors)
-        std::fs::create_dir_all(&dir).map_err(|e| AccelError::Grid {
-            stage: "layout".into(),
-            message: format!("create {}: {e}", dir.display()),
-        })
     }
 }
 
@@ -1400,6 +1430,7 @@ mod tests {
             let cells = dir.join(name);
             let launcher = Launcher::Process {
                 program: program.clone(),
+                spec: dir.join("spec.json"),
             };
             let options = GridOptions {
                 cell_retries: 1,

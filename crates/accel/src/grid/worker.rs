@@ -1,18 +1,16 @@
 //! Grid worker launchers: one cell, one campaign, one worker.
 //!
 //! A worker owns exactly one cell attempt. In **process** mode the
-//! driver spawns a fresh `campaign` CLI invocation per attempt —
-//! crash isolation for free (SIGKILL the worker; its cell resumes from
-//! its own checkpoint slots) and the mode the grid soak kills things
-//! in. In **in-process** mode the worker is a thread running
-//! [`Campaign`] directly against
-//! pre-trained problems the caller supplies — no subprocess overhead,
-//! used by unit tests and callers embedding the grid in a larger
-//! program.
+//! driver spawns `<program> campaign <spec> <cell-id> --dir <dir>
+//! [--chaos-seed S]` per attempt — crash isolation for free (SIGKILL
+//! the worker; its cell resumes from its own checkpoint slots) and the
+//! mode the grid soak kills things in. In **in-process** mode the
+//! worker is a thread evaluating pre-trained problems the caller
+//! supplies — no subprocess overhead, used by unit tests and callers
+//! embedding the grid in a larger program.
 //!
-//! Both modes write the exact same artifacts through the exact same
-//! campaign substrate, so the driver cannot tell them apart by their
-//! results — only by what it can kill.
+//! Both modes run the cell through [`run_cell`], so the driver cannot
+//! tell them apart by their results — only by what it can kill.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -22,21 +20,55 @@ use std::sync::Arc;
 use chaos::ChaosSchedule;
 use neural::{QuantizedNetwork, Tensor};
 
-use super::{GridCell, GridSpec};
-use crate::campaign::Campaign;
+use super::{artifact_path, GridCell, GridSpec};
+use crate::campaign::{Campaign, CampaignState};
 use crate::AccelError;
 
 /// A pre-trained workload an in-process worker evaluates: quantized
 /// network, test images, test labels.
 pub type Problem = (QuantizedNetwork, Tensor, Vec<usize>);
 
+/// Opens, runs and finalizes one attempt of `cell`, the one cell runner
+/// of both launchers: the config comes from [`GridSpec::cell_config`],
+/// the campaign checkpoints to the cell's artifact in `dir` and resumes
+/// whatever of it verifies ([`Campaign::open`]), under `chaos` (the
+/// worker's fault schedule; `None` in production).
+///
+/// # Errors
+///
+/// Returns the campaign's error. Its finished epochs are saved to the
+/// checkpoint slots first, so the next attempt resumes them.
+pub fn run_cell(
+    spec: &GridSpec,
+    cell: &GridCell,
+    dir: &Path,
+    problem: &Problem,
+    chaos: Option<ChaosSchedule>,
+) -> Result<CampaignState, AccelError> {
+    let (qnet, images, labels) = problem;
+    let config = spec.cell_config(cell)?;
+    let mut campaign = Campaign::open(config, &artifact_path(dir, cell), chaos)?;
+    if let Err(e) = campaign.run(qnet, images, labels) {
+        // Best effort: the error being returned is the one that matters.
+        let _ = campaign.save_checkpoint();
+        return Err(e);
+    }
+    // A resume that found every epoch already in the slots has nothing
+    // to run; make sure the final artifact still lands.
+    campaign.finalize()?;
+    Ok(campaign.state().clone())
+}
+
 /// How the driver turns a queued cell into running work.
 pub enum Launcher {
-    /// Spawn `<program> campaign …` per attempt (the production mode;
-    /// killable, crash-isolated).
+    /// Spawn `<program> campaign <spec> <cell-id> --dir <dir>` per
+    /// attempt (the production mode; killable, crash-isolated).
     Process {
         /// Path of the CLI binary to spawn.
         program: PathBuf,
+        /// Path of the spec file the worker reads; it must hold the
+        /// driver's spec, which the worker's manifest check enforces.
+        spec: PathBuf,
     },
     /// Run the campaign on a thread against caller-supplied problems,
     /// keyed by model label (any of [`neural::workload::MODELS`]).
@@ -139,10 +171,10 @@ impl Handle {
 }
 
 impl Launcher {
-    /// Starts one attempt of `cell`, writing its final artifact to
-    /// `artifact` and its event log to `events`. `chaos_seed` seeds
-    /// the worker's own fault injection (derived per attempt by the
-    /// driver; `None` in production).
+    /// Starts one attempt of `cell`, whose artifacts live in the grid
+    /// directory `dir`. `chaos_seed` seeds the worker's own fault
+    /// injection (derived per attempt by the driver; `None` in
+    /// production).
     ///
     /// # Errors
     ///
@@ -153,56 +185,23 @@ impl Launcher {
         &self,
         spec: &GridSpec,
         cell: &GridCell,
-        artifact: &Path,
-        events: &Path,
+        dir: &Path,
         chaos_seed: Option<u64>,
     ) -> Result<Handle, AccelError> {
         match self {
-            Launcher::Process { program } => {
+            Launcher::Process {
+                program,
+                spec: spec_path,
+            } => {
                 let mut cmd = Command::new(program);
                 cmd.arg("campaign")
-                    .arg(&cell.scheme)
-                    .arg(spec.epochs.to_string())
-                    .arg("--model")
-                    .arg(&cell.model)
-                    .arg("--samples")
-                    .arg(spec.samples.to_string())
-                    .arg("--train")
-                    .arg(spec.train.to_string())
-                    .arg("--seed")
-                    .arg(cell.seed.to_string())
-                    .arg("--threads")
-                    .arg(spec.threads.to_string())
-                    .arg("--cell-bits")
-                    .arg(cell.cell_bits.to_string())
-                    // f64 Display is shortest-roundtrip, so the worker
-                    // parses back the exact spec value.
-                    .arg("--writes-per-epoch")
-                    .arg(format!("{}", cell.writes_per_epoch))
-                    .arg("--initial-writes")
-                    .arg(format!("{}", spec.initial_writes))
-                    .arg("--checkpoint-every")
-                    .arg(spec.checkpoint_every.to_string())
-                    .arg("--error-model")
-                    .arg(&spec.error_model)
-                    .arg("--out")
-                    .arg(artifact)
-                    .arg("--events")
-                    .arg(events)
-                    .arg("--resume-or-new")
+                    .arg(spec_path)
+                    .arg(&cell.id)
+                    .arg("--dir")
+                    .arg(dir)
                     .stdin(Stdio::null())
                     .stdout(Stdio::null())
                     .stderr(Stdio::null());
-                // The worker applies each override through the same
-                // `CampaignConfig::apply` that `GridSpec::cell_config`
-                // uses in-process.
-                for (knob, value) in cell.knobs() {
-                    let json = serde_json::to_string(value).map_err(|e| AccelError::Grid {
-                        stage: "spawn".into(),
-                        message: format!("knob {knob} of {}: {e:?}", cell.id),
-                    })?;
-                    cmd.arg("--set").arg(format!("{knob}={json}"));
-                }
                 if let Some(seed) = chaos_seed {
                     cmd.arg("--chaos-seed").arg(seed.to_string());
                 }
@@ -224,18 +223,10 @@ impl Launcher {
                                 cell.model
                             ),
                         })?;
-                let config = spec.cell_config(cell)?;
-                let artifact = artifact.to_path_buf();
+                let (spec, cell, dir) = (spec.clone(), cell.clone(), dir.to_path_buf());
                 let chaos = chaos_seed.map(ChaosSchedule::standard);
                 let handle = std::thread::spawn(move || -> Result<(), AccelError> {
-                    let (qnet, images, labels) = &*problem;
-                    let mut campaign =
-                        Campaign::new_or_resume_with_chaos(config, &artifact, chaos)?;
-                    campaign.run(qnet, images, labels)?;
-                    // A resume that found every epoch already in the
-                    // slots has nothing to run; make sure the final
-                    // artifact still lands.
-                    campaign.finalize()
+                    run_cell(&spec, &cell, &dir, &problem, chaos).map(drop)
                 });
                 Ok(Handle::Thread {
                     handle: Some(handle),

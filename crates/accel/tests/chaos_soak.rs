@@ -13,9 +13,8 @@
 //!
 //! The chaos seed is pinned: faults are a pure function of
 //! `(chaos_seed, seam, index)`, so this test exercises one fixed,
-//! locally-verified fault script rather than a flaky random one. A
-//! failing soak is therefore a one-line repro:
-//! `reram-ecc campaign --seed 41 --chaos-seed 7 ...`.
+//! locally-verified fault script rather than a flaky random one, and a
+//! failing soak fails the same way on every rerun.
 
 use std::path::{Path, PathBuf};
 
@@ -100,10 +99,7 @@ fn chaotic_lifecycle(
     let schedule = soak_schedule();
     let path = dir.join("campaign.json");
 
-    let mut first = Campaign::new(soak_config())
-        .expect("campaign")
-        .with_checkpoint(path.clone())
-        .with_chaos(schedule);
+    let mut first = Campaign::open(soak_config(), &path, Some(schedule)).expect("campaign");
     first
         .run_epochs(qnet, images, labels, 2)
         .expect("pre-kill epochs");
@@ -112,8 +108,8 @@ fn chaotic_lifecycle(
     // hold survives.
     drop(first);
 
-    let mut resumed = Campaign::resume_with_chaos(soak_config(), &path, Some(schedule))
-        .expect("resume under chaos");
+    let mut resumed =
+        Campaign::open(soak_config(), &path, Some(schedule)).expect("resume under chaos");
     assert!(
         resumed.completed_epochs() <= 2,
         "resume cannot know epochs the checkpoint never recorded"

@@ -5,7 +5,7 @@
 
 use accel::{AccelConfig, CrossbarProvider, ProtectionScheme};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use neural::{MvmEngine, MvmEngineProvider, QuantizedMatrix, Tensor};
+use neural::{MvmEngineProvider, QuantizedMatrix, Tensor};
 
 fn bench_engine(c: &mut Criterion) {
     let weights: Vec<f32> = (0..16 * 128)

@@ -13,9 +13,11 @@
 //!   composition under the Table I device model.
 //! - `overheads <check_bits>` — ECU area/power and tile/chip overheads.
 //! - `lifetime <rewrites_per_day> <fault_rate>` — endurance lifetime.
-//! - `campaign <scheme> <epochs> [flags]` — lifetime fault-injection
-//!   campaign: per-epoch misclassification as stuck-at faults
-//!   accumulate, with JSON checkpoints and `--resume`.
+//! - `campaign <spec.json> [cell-id] [flags]` — run one cell of a grid
+//!   spec: a lifetime fault-injection campaign (per-epoch
+//!   misclassification as stuck-at faults accumulate) that resumes
+//!   whatever of its checkpoint verifies. The grid's process workers
+//!   run exactly this.
 //! - `campaign-grid <spec.json> [flags]` — expand a JSON grid spec into
 //!   cells (models × schemes × cell-bits × fault-rates × seeds), fan
 //!   them across worker processes through the crash-safe checkpoint
@@ -24,12 +26,10 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use accel::analytic::ErrorModel;
-use accel::campaign::{Campaign, CampaignConfig};
-use accel::{AccelConfig, ProtectionScheme};
+use accel::grid::{self, GridSpec};
 use ancode::data_aware::DataAwareConfig;
 use ancode::{AbnCode, CorrectionPolicy, RowError, RowErrorModel};
-use neural::workload::{train_or_load, Workload, MODELS};
+use neural::workload::{train_or_load, Workload};
 use wideint::{I256, U256};
 use xbar::endurance::EnduranceParams;
 use xbar::DeviceParams;
@@ -71,78 +71,54 @@ usage:
   reram-ecc predict <count_level0> <count_level1> ...
   reram-ecc overheads <check_bits>
   reram-ecc lifetime <rewrites_per_day> <target_fault_rate>
-  reram-ecc campaign <scheme> <epochs> [--samples N] [--train N] [--seed S]
-             [--threads T] [--batch N] [--cell-bits B]
-             [--model mlp1|mlp2|cnn1|alexnet]
-             [--error-model analytic|mc|auto]
-             [--writes-per-epoch W] [--initial-writes W]
-             [--checkpoint-every K] [--set KNOB=JSON]... [--out PATH]
-             [--resume | --resume-or-new]
-             [--metrics PATH] [--events PATH] [--chaos-seed S]
+  reram-ecc campaign <spec.json> [<cell-id>] [--dir D] [--metrics PATH]
+             [--chaos-seed S]
   reram-ecc campaign-grid <spec.json> [--dir D] [--workers N]
              [--in-process] [--merge-only] [--chaos-seed S]
              [--max-lost-cells N] [--cell-retries N]
              [--watchdog-ms MS] [--events PATH]
 
-grid campaigns (see DESIGN.md, grid campaigns; README, Grid
-campaigns):
+grid specs (see DESIGN.md, grid campaigns; README, Grid campaigns):
   The spec JSON lists every axis explicitly: models, schemes,
   cell_bits, writes_per_epoch, seeds, plus scalar epochs/samples/
-  train/threads/checkpoint_every/initial_writes/error_model, and
-  optionally variants: a list of {name, set: {KNOB: VALUE, ...}},
-  the innermost axis, each applied like `campaign --set`. Each
-  cell is one `campaign` run; the driver spawns `reram-ecc campaign …
-  --resume-or-new` workers (or threads with --in-process); a cell is
-  done when its final artifact verifies, and the driver merges
-  `<dir>/grid_summary.json`. SIGKILL workers or the driver at will:
-  re-running the same command resumes and the merged summary is
-  byte-identical to an uninterrupted run. Run one driver per
-  directory. --max-lost-cells N drops at most N unrecoverable cells
-  (marked cells/<id>.lost, recorded in lost_cells); --merge-only
-  aggregates an already-finished directory without running anything
+  train/threads/checkpoint_every/initial_writes/error_model
+  (mc, analytic or auto), and optionally variants: a list of
+  {name, set: {KNOB: VALUE, ...}}, the innermost axis. The knobs are
+  device.rlo_delta_r, device.rtn_state_probability,
+  device.rtn_offset, policy (revert or keep-corrected), max_retries,
+  group_operands, error_list.max_rows_per_event and remap.
 
-campaign error model (see DESIGN.md, analytic error model):
-  --error-model M  mc (default): Monte-Carlo sampling, the ground
-                   truth for final numbers. analytic: closed-form
-                   moment propagation — milliseconds per epoch, valid
-                   only without retries/remap/chaos. auto: resolves to
-                   mc inside campaigns so recorded series stay
-                   byte-identical. The checkpoint records the resolved
-                   estimator, and --resume under another is refused
-
-campaign knobs:
-  --set KNOB=JSON  override one accelerator knob (repeatable; a
-                   grid variant passes its knobs this way). KNOB is
-                   one of device.rlo_delta_r,
-                   device.rtn_state_probability, device.rtn_offset,
-                   policy (the JSON string revert or keep-corrected),
-                   max_retries, group_operands,
-                   error_list.max_rows_per_event and remap; JSON is
-                   the value, e.g. --set remap=true. The checkpoint
-                   records the overrides, and --resume under others
-                   is refused
-
-campaign throughput:
-  --batch N       input vectors per MVM pass (default 1). Batching
-                  amortizes each stack's RTN snapshot and row read-outs
-                  across the batch; like --threads, it changes the
-                  noise draws but not the estimator
-
-campaign observability (see DESIGN.md §8):
-  --metrics PATH  write a final metric snapshot (Prometheus text, or
-                  JSON when PATH ends in .json)
-  --events PATH   stream per-epoch/per-shard JSONL events to PATH
-                  (with --resume, appends after truncating any line a
-                  crash left incomplete)
-
-campaign durability (see DESIGN.md, failure model & recovery):
+campaign: run one cell of a spec
+  Runs the cell named <cell-id> (the spec's only cell when omitted)
+  in the grid directory D (default results/grid): final artifact
+  D/cells/<id>.json, its .a/.b checkpoint slots, and the event log
+  D/cells/<id>.events.jsonl. It pins D/manifest.json to the spec and
+  always resumes whatever of the cell verifies, so re-running the
+  same command after a failure or a kill finishes byte-identical to
+  a clean run. campaign-grid's process workers run exactly this.
+  --metrics PATH   write a final metric snapshot (Prometheus text, or
+                   JSON when PATH ends in .json)
   --chaos-seed S   inject the standard deterministic fault mix at
                    every I/O and worker seam, seeded by S. I/O faults
                    are absorbed; an injected worker panic fails the
-                   run naming the shard, and --resume without chaos
-                   then finishes byte-identical to a clean run
-                   (campaign-grid retries such a cell by itself)
+                   run naming the shard, and a rerun without chaos
+                   finishes it
+
+campaign-grid: run every cell of a spec
+  The driver spawns one `campaign` worker per cell attempt (or a
+  thread with --in-process); a cell is done when its final artifact
+  verifies, and the driver merges D/grid_summary.json. SIGKILL
+  workers or the driver at will: re-running the same command resumes
+  and the merged summary is byte-identical to an uninterrupted run.
+  Run one driver per directory. --max-lost-cells N drops at most N
+  unrecoverable cells (marked cells/<id>.lost, recorded in
+  lost_cells); --merge-only aggregates an already-finished directory
+  without running anything
 ";
+
+/// The grid directory `campaign` and `campaign-grid` use without
+/// `--dir`.
+const DEFAULT_DIR: &str = "results/grid";
 
 fn parse<T: std::str::FromStr>(args: &[String], i: usize, name: &str) -> Result<T, String> {
     args.get(i)
@@ -299,43 +275,30 @@ fn workload(model: &str, train: usize, samples: usize) -> Result<Workload, Strin
     train_or_load(model, train, samples, Path::new("results/weights"))
 }
 
-/// Runs a lifetime fault-injection campaign on a trained network.
-///
-/// Trains or loads `--model` (sized by `--train`; see [`workload`]),
-/// then steps simulated wear forward for `<epochs>` epochs, evaluating
-/// `--samples` test examples at each epoch's stuck-at fault rate. The
-/// campaign state checkpoints to `--out` (default
-/// `results/campaign-<scheme>.json`) after every `--checkpoint-every`
-/// epochs; `--resume` continues an interrupted campaign from that file.
-/// On a mid-campaign error, completed epochs are saved before exiting
-/// non-zero, so partial results are never lost.
-fn cmd_campaign(args: &[String]) -> Result<(), String> {
-    let scheme_label = args.first().ok_or("missing argument <scheme>")?;
-    let scheme = ProtectionScheme::from_label(scheme_label).ok_or_else(|| {
-        format!("unknown scheme {scheme_label} (try NoECC, Static16, Static128, ABN-7..ABN-10)")
-    })?;
-    let epochs: u64 = parse(args, 1, "epochs")?;
+/// Reads and validates the grid spec at `path`.
+fn read_spec(path: &str) -> Result<GridSpec, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read spec {path}: {e}"))?;
+    GridSpec::from_json(&text).map_err(|e| e.to_string())
+}
 
-    let mut samples = 12usize;
-    let mut train_n = 200usize;
-    let mut seed = 7u64;
-    let mut threads = 1usize;
-    let mut batch = 1usize;
-    let mut cell_bits = 2u32;
-    let mut model = "mlp2".to_string();
-    let mut error_model = ErrorModel::Mc;
-    let mut writes_per_epoch = 2e5f64;
-    let mut initial_writes = 1e6f64;
-    let mut checkpoint_every = 1u64;
-    let mut knobs: Vec<(String, serde::Value)> = Vec::new();
-    let mut resume = false;
-    let mut resume_or_new = false;
-    let mut out: Option<String> = None;
+/// Runs one cell of a grid spec: the campaign a `campaign-grid`
+/// process worker runs, through [`accel::grid::worker::run_cell`].
+///
+/// Pins the grid directory's manifest to the spec, opens the cell's
+/// event log (appending after a crash-truncated line), trains or loads
+/// the cell's model (see [`workload`]), then resumes whatever of the
+/// cell's checkpoint verifies and runs the remaining epochs. On a
+/// mid-campaign error the finished epochs stay in the checkpoint
+/// slots, and re-running the same command resumes them.
+fn cmd_campaign(args: &[String]) -> Result<(), String> {
+    let spec_path = args.first().ok_or("missing argument <spec.json>")?;
+    let mut cell_id: Option<&str> = None;
+    let mut dir = PathBuf::from(DEFAULT_DIR);
     let mut metrics: Option<String> = None;
-    let mut events: Option<String> = None;
     let mut chaos_seed: Option<u64> = None;
 
-    let mut i = 2;
+    let mut i = 1;
     while i < args.len() {
         let flag = args[i].as_str();
         let value = |name: &str| -> Result<&String, String> {
@@ -343,165 +306,62 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
                 .ok_or_else(|| format!("flag {name} needs a value"))
         };
         match flag {
-            "--samples" => samples = parsed(value("--samples")?, "samples")?,
-            "--train" => train_n = parsed(value("--train")?, "train")?,
-            "--seed" => seed = parsed(value("--seed")?, "seed")?,
-            "--threads" => threads = parsed(value("--threads")?, "threads")?,
-            "--batch" => batch = parsed(value("--batch")?, "batch")?,
-            "--cell-bits" => cell_bits = parsed(value("--cell-bits")?, "cell-bits")?,
-            "--model" => {
-                model = value("--model")?.clone();
-                if !MODELS.contains(&model.as_str()) {
-                    return Err(format!("unknown model {model} (try {})", MODELS.join(", ")));
-                }
-            }
-            "--error-model" => {
-                let label = value("--error-model")?;
-                error_model = ErrorModel::from_label(label).ok_or_else(|| {
-                    format!("unknown error model {label} (try analytic, mc, auto)")
-                })?;
-            }
-            "--writes-per-epoch" => {
-                writes_per_epoch = parsed(value("--writes-per-epoch")?, "writes-per-epoch")?;
-            }
-            "--initial-writes" => {
-                initial_writes = parsed(value("--initial-writes")?, "initial-writes")?;
-            }
-            "--checkpoint-every" => {
-                checkpoint_every = parsed(value("--checkpoint-every")?, "checkpoint-every")?;
-            }
-            "--out" => out = Some(value("--out")?.clone()),
+            "--dir" => dir = PathBuf::from(value("--dir")?),
             "--metrics" => metrics = Some(value("--metrics")?.clone()),
-            "--events" => events = Some(value("--events")?.clone()),
-            "--chaos-seed" => {
-                chaos_seed = Some(parsed(value("--chaos-seed")?, "chaos-seed")?);
-            }
-            "--set" => {
-                let set = value("--set")?;
-                let (knob, json) = set
-                    .split_once('=')
-                    .ok_or_else(|| format!("--set {set}: expected KNOB=JSON"))?;
-                let value = serde_json::from_str(json)
-                    .map_err(|e| format!("--set {set}: value is not JSON: {e:?}"))?;
-                knobs.push((knob.to_string(), value));
-            }
-            "--resume" => {
-                resume = true;
+            "--chaos-seed" => chaos_seed = Some(parsed(value("--chaos-seed")?, "chaos-seed")?),
+            other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
+            id if cell_id.is_none() => {
+                cell_id = Some(id);
                 i += 1;
                 continue;
             }
-            "--resume-or-new" => {
-                resume_or_new = true;
-                i += 1;
-                continue;
-            }
-            other => return Err(format!("unknown flag {other}")),
+            extra => return Err(format!("unexpected argument {extra}")),
         }
         i += 2;
     }
-    if samples == 0 || train_n == 0 {
-        return Err("--samples and --train must be positive".into());
-    }
-    if resume && resume_or_new {
-        return Err("--resume and --resume-or-new are mutually exclusive".into());
-    }
-    if batch == 0 {
-        return Err("--batch must be positive".into());
-    }
-    let base = AccelConfig::new(scheme)
-        .with_cell_bits(cell_bits)
-        .with_batch(batch);
-    let mut config = CampaignConfig::new(base, epochs, seed);
-    config.threads = threads;
-    config.writes_per_epoch = writes_per_epoch;
-    config.initial_writes = initial_writes;
-    config.checkpoint_every = checkpoint_every;
-    config.error_model = error_model;
-    for (knob, value) in &knobs {
-        config.apply(knob, value).map_err(|e| e.to_string())?;
-    }
 
-    if !obs::enabled() && (metrics.is_some() || events.is_some()) {
-        eprintln!("[campaign] note: this binary was built without metrics; --metrics/--events will record nothing");
-    }
+    let spec = read_spec(spec_path)?;
+    let cell = spec.cell(cell_id).map_err(|e| e.to_string())?;
+    grid::pin_manifest(&spec, &dir).map_err(|e| e.to_string())?;
+    let events = grid::events_path(&dir, &cell);
+    // Append to an interrupted attempt's log, truncating a line a
+    // crash left incomplete.
+    obs::events::log_to_file_resume(&events)
+        .map_err(|e| format!("cannot open event log {}: {e}", events.display()))?;
     let chaos = chaos_seed.map(chaos::ChaosSchedule::standard);
-    if let Some(path) = &events {
-        let p = std::path::Path::new(path);
-        // On resume, append to the interrupted run's log (truncating a
-        // line a crash left incomplete) instead of clobbering it.
-        let opened = if resume || resume_or_new {
-            obs::events::log_to_file_resume(p)
-        } else {
-            obs::events::log_to_file(p)
-        };
-        opened.map_err(|e| format!("cannot open event log {path}: {e}"))?;
-        if let Some(schedule) = chaos {
-            // Chaos covers the event-log seam too: inject line-write
-            // faults from the same deterministic schedule.
-            obs::events::set_write_fault_hook(Some(Box::new(move |index| {
-                match schedule.io_fault(chaos::Seam::EventWrite, index) {
-                    Some(chaos::IoFault::Error(_)) => Some(obs::events::WriteFault::Error),
-                    Some(chaos::IoFault::Torn { roll }) => {
-                        Some(obs::events::WriteFault::Torn { roll })
-                    }
-                    Some(chaos::IoFault::BitFlip { .. }) | None => None,
-                }
-            })));
-        }
+    if let Some(schedule) = chaos {
+        // Chaos covers the event-log seam too: inject line-write
+        // faults from the same deterministic schedule.
+        obs::events::set_write_fault_hook(Some(Box::new(move |index| {
+            match schedule.io_fault(chaos::Seam::EventWrite, index) {
+                Some(chaos::IoFault::Error(_)) => Some(obs::events::WriteFault::Error),
+                Some(chaos::IoFault::Torn { roll }) => Some(obs::events::WriteFault::Torn { roll }),
+                Some(chaos::IoFault::BitFlip { .. }) | None => None,
+            }
+        })));
     }
 
-    let wl = workload(&model, train_n, samples)?;
-
-    let out_path =
-        PathBuf::from(out.unwrap_or_else(|| format!("results/campaign-{scheme_label}.json")));
-    let mut campaign = if resume {
-        Campaign::resume_with_chaos(config, &out_path, chaos).map_err(|e| e.to_string())?
-    } else if resume_or_new {
-        // Grid workers and other supervisors use this: resume when any
-        // verifiable artifact exists, start fresh when the path is
-        // empty or every artifact is corrupt (recomputable either way).
-        Campaign::new_or_resume_with_chaos(config, &out_path, chaos).map_err(|e| e.to_string())?
-    } else {
-        let mut fresh = Campaign::new(config)
-            .map_err(|e| e.to_string())?
-            .with_checkpoint(out_path.clone());
-        if let Some(schedule) = chaos {
-            fresh = fresh.with_chaos(schedule);
-        }
-        fresh
-    };
-    if campaign.completed_epochs() > 0 {
+    let wl = workload(&cell.model, spec.train as usize, spec.samples as usize)?;
+    let problem = (wl.quantized, wl.test.images, wl.test.labels);
+    let outcome = grid::worker::run_cell(&spec, &cell, &dir, &problem, chaos);
+    write_metrics_snapshot(metrics.as_deref());
+    obs::events::stop_logging();
+    let artifact = grid::artifact_path(&dir, &cell);
+    let state = outcome.map_err(|e| {
         eprintln!(
-            "[campaign] resuming after epoch {}",
-            campaign.completed_epochs() - 1
+            "[campaign] cell {} failed; its finished epochs stay in the checkpoint slots \
+             next to {} (rerun the same command to resume)",
+            cell.id,
+            artifact.display()
         );
-    }
-
-    if let Err(e) = campaign.run(&wl.quantized, &wl.test.images, &wl.test.labels) {
-        // Partial-result dump: completed epochs survive the failure.
-        // The event log already holds every line up to the failure
-        // (written through per event); just detach the sink.
-        let _ = campaign.save_checkpoint();
-        write_metrics_snapshot(metrics.as_deref());
-        obs::events::stop_logging();
-        eprintln!(
-            "[campaign] failed after {} completed epochs; partial results in the \
-             checkpoint slots next to {} (rerun with --resume)",
-            campaign.completed_epochs(),
-            out_path.display()
-        );
-        return Err(e.to_string());
-    }
-    // A resume that found every epoch already in the checkpoint slots
-    // has nothing to run; make sure the final artifact still lands
-    // (byte-identical rewrite when it already exists).
-    campaign.finalize().map_err(|e| e.to_string())?;
+        e.to_string()
+    })?;
 
     println!(
         "{:>5} {:>12} {:>10} {:>10} {:>8} {:>11} {:>14}",
         "epoch", "writes", "faults", "misclass", "flips", "corrected", "uncorrectable"
     );
-    for r in &campaign.state().completed {
+    for r in &state.completed {
         println!(
             "{:>5} {:>12.3e} {:>9.3}% {:>9.1}% {:>7.1}% {:>11} {:>14}",
             r.epoch,
@@ -513,15 +373,9 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
             r.uncorrectable
         );
     }
-    println!("checkpoint: {}", out_path.display());
-    write_metrics_snapshot(metrics.as_deref());
-    obs::events::stop_logging();
-    if obs::enabled() {
-        print_metrics_summary();
-    }
-    if let Some(path) = &events {
-        println!("event log:  {path}");
-    }
+    println!("artifact:   {}", artifact.display());
+    println!("event log:  {}", events.display());
+    print_metrics_summary();
     Ok(())
 }
 
@@ -531,10 +385,10 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
 /// or any of its workers — at any point is recoverable by re-running
 /// the same command.
 fn cmd_campaign_grid(args: &[String]) -> Result<(), String> {
-    use accel::grid::{Grid, GridOptions, GridSpec, Launcher};
+    use accel::grid::{Grid, GridOptions, Launcher};
 
     let spec_path = args.first().ok_or("missing argument <spec.json>")?;
-    let mut dir = PathBuf::from("results/grid");
+    let mut dir = PathBuf::from(DEFAULT_DIR);
     let mut workers = 2usize;
     let mut in_process = false;
     let mut merge_only = false;
@@ -579,9 +433,7 @@ fn cmd_campaign_grid(args: &[String]) -> Result<(), String> {
         return Err("--workers must be positive".into());
     }
 
-    let spec_text = std::fs::read_to_string(spec_path)
-        .map_err(|e| format!("cannot read spec {spec_path}: {e}"))?;
-    let spec = GridSpec::from_json(&spec_text).map_err(|e| e.to_string())?;
+    let spec = read_spec(spec_path)?;
     let cells = spec.cells();
     eprintln!(
         "[grid] {} cells ({} models × {} schemes × {} cell-bits × {} write rates × {} seeds \
@@ -629,7 +481,10 @@ fn cmd_campaign_grid(args: &[String]) -> Result<(), String> {
     } else {
         let program = std::env::current_exe()
             .map_err(|e| format!("cannot locate own binary for worker spawn: {e}"))?;
-        Launcher::Process { program }
+        Launcher::Process {
+            program,
+            spec: PathBuf::from(spec_path),
+        }
     };
 
     let options = GridOptions {
@@ -821,147 +676,144 @@ mod tests {
         assert!(cmd_decode(&s(&["19", "3"])).is_err());
     }
 
+    /// A one-cell spec: 2 epochs of NoECC on mlp2, 3 samples, 40
+    /// training digits, seed `seed`.
+    fn tiny_spec(seed: u64) -> String {
+        format!(
+            r#"{{"version": 1, "models": ["mlp2"], "schemes": ["NoECC"], "cell_bits": [2],
+"writes_per_epoch": [200000.0], "seeds": [{seed}], "epochs": 2, "samples": 3, "train": 40,
+"threads": 1, "checkpoint_every": 1, "initial_writes": 1000000.0, "error_model": "mc"}}"#
+        )
+    }
+
+    /// A fresh scratch directory holding `tiny_spec(seed)` as
+    /// `spec.json`; returns the directory and the spec path.
+    fn scratch(name: &str, seed: u64) -> (PathBuf, String) {
+        let dir = std::env::temp_dir().join(format!("cli-campaign-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let spec = dir.join("spec.json");
+        std::fs::write(&spec, tiny_spec(seed)).expect("write spec");
+        (dir, spec.display().to_string())
+    }
+
     #[test]
     fn campaign_validates_arguments() {
-        assert!(cmd_campaign(&s(&[])).is_err());
-        assert!(cmd_campaign(&s(&["BogusScheme", "2"])).is_err());
-        assert!(cmd_campaign(&s(&["NoECC"])).is_err());
-        assert!(cmd_campaign(&s(&["NoECC", "2", "--bogus-flag"])).is_err());
-        assert!(cmd_campaign(&s(&["NoECC", "2", "--samples"])).is_err());
-        assert!(cmd_campaign(&s(&["NoECC", "2", "--samples", "0"])).is_err());
-        assert!(cmd_campaign(&s(&["NoECC", "2", "--metrics"])).is_err());
-        assert!(cmd_campaign(&s(&["NoECC", "2", "--events"])).is_err());
-        assert!(cmd_campaign(&s(&["NoECC", "2", "--batch"])).is_err());
-        assert!(cmd_campaign(&s(&["NoECC", "2", "--batch", "zero"])).is_err());
-        // --model takes the workload recipe's model list, checked
-        // before any training work.
-        let bad = cmd_campaign(&s(&["NoECC", "2", "--model", "resnet"]));
-        assert!(bad.unwrap_err().contains("cnn1, alexnet"));
-        // --set takes KNOB=JSON through AccelConfig::apply, checked
-        // before any training work.
-        let set = |v: &str| cmd_campaign(&s(&["NoECC", "2", "--set", v])).unwrap_err();
-        assert!(set("remap").contains("KNOB=JSON"));
-        assert!(set("remap=yes").contains("not JSON"));
-        assert!(set("device.fault_rate=0.1").contains("unknown knob"));
-        assert!(set("max_retries=true").contains("expected number"));
-        let twice = cmd_campaign(&s(&[
-            "NoECC",
-            "2",
+        let (dir, spec) = scratch("args", 7);
+        let grid = dir.join("grid").display().to_string();
+        let run = |extra: &[&str]| {
+            let mut args = vec![spec.as_str()];
+            args.extend(extra);
+            cmd_campaign(&s(&args)).unwrap_err()
+        };
+        assert!(cmd_campaign(&s(&[])).unwrap_err().contains("<spec.json>"));
+        let missing = dir.join("missing.json").display().to_string();
+        assert!(cmd_campaign(&s(&[&missing]))
+            .unwrap_err()
+            .contains("cannot read spec"));
+        assert!(run(&["--dir"]).contains("needs a value"));
+        assert!(run(&["--metrics"]).contains("needs a value"));
+        assert!(run(&["--chaos-seed", "x"]).contains("invalid"));
+        assert!(run(&["a", "b"]).contains("unexpected argument b"));
+        assert!(run(&["no-such-cell", "--dir", &grid]).contains("no cell no-such-cell"));
+        // Everything about a cell comes from its spec: the flags that
+        // used to set it, and the shard-supervisor flags before them,
+        // are refused.
+        for flag in [
+            "--samples",
+            "--train",
+            "--seed",
+            "--threads",
+            "--batch",
+            "--cell-bits",
+            "--model",
+            "--error-model",
+            "--writes-per-epoch",
+            "--initial-writes",
+            "--checkpoint-every",
             "--set",
-            "remap=true",
-            "--set",
-            "remap=false",
-        ]));
-        assert!(twice.unwrap_err().contains("set twice"));
-        // batch 0 parses but fails AccelConfig validation downstream.
-        assert!(cmd_campaign(&s(&["NoECC", "2", "--batch", "0"])).is_err());
-        // An unopenable event-log path fails before any training work.
-        assert!(cmd_campaign(&s(&[
-            "NoECC",
-            "2",
+            "--out",
             "--events",
-            "/nonexistent-dir/events.jsonl"
-        ]))
-        .is_err());
-        // --error-model accepts exactly the three documented labels.
-        assert!(cmd_campaign(&s(&["NoECC", "2", "--error-model"])).is_err());
-        let bad = cmd_campaign(&s(&["NoECC", "2", "--error-model", "exact"]));
-        assert!(bad.unwrap_err().contains("unknown error model"));
-        for label in ["analytic", "mc", "auto"] {
-            assert!(ErrorModel::from_label(label).is_some(), "{label}");
-        }
-        // campaign has no shard retry, watchdog or loss-budget flag:
-        // campaign-grid's cell attempts are the one supervisor.
-        for flag in ["--shard-retries", "--watchdog-ms", "--max-lost-shards"] {
-            let refused = cmd_campaign(&s(&["NoECC", "2", flag, "1"])).unwrap_err();
+            "--resume",
+            "--resume-or-new",
+            "--shard-retries",
+            "--watchdog-ms",
+            "--max-lost-shards",
+        ] {
+            let refused = run(&[flag, "1"]);
             assert!(
                 refused.contains(&format!("unknown flag {flag}")),
                 "{refused}"
             );
         }
+        // A spec with more than one cell needs a cell id.
+        let two = tiny_spec(7).replace("[\"NoECC\"]", "[\"NoECC\", \"ABN-9\"]");
+        std::fs::write(&spec, two).expect("write spec");
+        assert!(run(&["--dir", &grid]).contains("has 2 cells; name one"));
+        // The directory is pinned to the spec that first ran in it.
+        std::fs::write(&spec, tiny_spec(7)).expect("write spec");
+        let cell = GridSpec::from_json(&tiny_spec(7)).expect("spec").cells()[0]
+            .id
+            .clone();
+        accel::grid::pin_manifest(&read_spec(&spec).expect("spec"), &dir.join("grid"))
+            .expect("pin");
+        std::fs::write(&spec, tiny_spec(8)).expect("write spec");
+        let other = GridSpec::from_json(&tiny_spec(8)).expect("spec").cells()[0]
+            .id
+            .clone();
+        assert_ne!(cell, other);
+        assert!(run(&[&other, "--dir", &grid]).contains("refusing to mix two sweeps"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn campaign_writes_metrics_and_events() {
         let _g = CAMPAIGN_GUARD.lock().unwrap_or_else(|p| p.into_inner());
-        let pid = std::process::id();
-        let out = std::env::temp_dir().join(format!("cli-campaign-obs-{pid}.json"));
-        let metrics = std::env::temp_dir().join(format!("cli-campaign-obs-{pid}.prom"));
-        let events = std::env::temp_dir().join(format!("cli-campaign-obs-{pid}.jsonl"));
-        let (out_s, metrics_s, events_s) = (
-            out.display().to_string(),
-            metrics.display().to_string(),
-            events.display().to_string(),
-        );
+        let (dir, spec) = scratch("obs", 7);
+        let grid = dir.join("grid");
+        let metrics = dir.join("metrics.prom");
         let args = [
-            "NoECC",
-            "2",
-            "--samples",
-            "3",
-            "--train",
-            "40",
-            "--out",
-            &out_s,
+            spec.as_str(),
+            "--dir",
+            &grid.display().to_string(),
             "--metrics",
-            &metrics_s,
-            "--events",
-            &events_s,
-        ];
-        assert_eq!(cmd_campaign(&s(&args)), Ok(()));
+            &metrics.display().to_string(),
+        ]
+        .map(String::from);
+        assert_eq!(cmd_campaign(&args), Ok(()));
         // This test binary builds accel with the `obs` feature, so the
         // sinks must hold real telemetry.
         let prom = std::fs::read_to_string(&metrics).expect("metrics snapshot written");
         assert!(prom.contains("ecc_clean"), "snapshot:\n{prom}");
         assert!(prom.contains("# TYPE mvm summary"), "snapshot:\n{prom}");
-        let log = std::fs::read_to_string(&events).expect("event log written");
+        let cell = read_spec(&spec).expect("spec").cell(None).expect("cell");
+        let log = std::fs::read_to_string(grid::events_path(&grid, &cell)).expect("event log");
         let epoch_lines = log
             .lines()
             .filter(|l| l.contains("\"type\":\"campaign_epoch\""))
             .count();
         assert_eq!(epoch_lines, 2, "log:\n{log}");
         assert!(log.contains("\"type\":\"shard_done\""), "log:\n{log}");
-        for path in [&out, &metrics, &events] {
-            let _ = std::fs::remove_file(path);
-        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn campaign_runs_and_resumes() {
         let _g = CAMPAIGN_GUARD.lock().unwrap_or_else(|p| p.into_inner());
-        let out = std::env::temp_dir().join(format!("cli-campaign-{}.json", std::process::id()));
-        let out_s = out.display().to_string();
-        // Tiny run: 2 epochs, 3 samples, 40 training digits.
-        let base = [
-            "NoECC",
-            "2",
-            "--samples",
-            "3",
-            "--train",
-            "40",
-            "--out",
-            &out_s,
-        ];
-        assert_eq!(cmd_campaign(&s(&base)), Ok(()));
-        assert!(out.exists());
-        // Resuming a complete campaign is a no-op that succeeds.
-        let mut with_resume: Vec<&str> = base.to_vec();
-        with_resume.push("--resume");
-        assert_eq!(cmd_campaign(&s(&with_resume)), Ok(()));
-        // Resuming under different parameters is rejected.
-        let mismatched = [
-            "NoECC",
-            "2",
-            "--samples",
-            "3",
-            "--train",
-            "40",
-            "--out",
-            &out_s,
-            "--resume",
-            "--seed",
-            "99",
-        ];
-        assert!(cmd_campaign(&s(&mismatched)).is_err());
-        let _ = std::fs::remove_file(&out);
+        let (dir, spec) = scratch("run", 7);
+        let grid = dir.join("grid").display().to_string();
+        let args = s(&[&spec, "--dir", &grid]);
+        assert_eq!(cmd_campaign(&args), Ok(()));
+        let cell = read_spec(&spec).expect("spec").cell(None).expect("cell");
+        let artifact = grid::artifact_path(Path::new(&grid), &cell);
+        let done = std::fs::read(&artifact).expect("artifact written");
+        // Re-running a complete cell resumes it: nothing to run, and
+        // the artifact's bytes do not move.
+        assert_eq!(cmd_campaign(&args), Ok(()));
+        assert_eq!(std::fs::read(&artifact).expect("artifact"), done);
+        // Another seed is another sweep, refused in this directory.
+        std::fs::write(&spec, tiny_spec(99)).expect("write spec");
+        assert!(cmd_campaign(&args).unwrap_err().contains("refusing to mix"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

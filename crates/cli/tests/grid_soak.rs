@@ -14,9 +14,13 @@
 //! kill left the old summary in) and field-by-field validation of the
 //! driver's recorded grid events against `obs::schema`.
 //!
-//! Each test owns its own grid directory under the system temp dir, so
+//! Also here: the two launchers agree — process workers and
+//! `--in-process` threads merge byte-identical summaries.
+//!
+//! Each test owns its own directories under the system temp dir, so
 //! the tests are parallel-safe; runs are deterministic, so directories
-//! are removed up front and rebuilt.
+//! are removed up front and rebuilt, and removed again when the test
+//! passes (a failing test leaves them for inspection).
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -83,8 +87,8 @@ fn run_to_completion(spec: &Path, dir: &Path, extra: &[&str]) {
 }
 
 /// Finds a live worker subprocess of the grid at `dir`: a `campaign`
-/// invocation writing its artifact under the grid directory (`--out`
-/// is a worker-only flag; the driver's own argv carries `--dir`).
+/// invocation (the driver's own argv starts with `campaign-grid`)
+/// whose `--dir` is the grid directory.
 fn find_worker(dir: &Path) -> Option<u32> {
     let needle = dir.to_str().expect("utf8 dir");
     let proc_dir = std::fs::read_dir("/proc").ok()?;
@@ -100,10 +104,7 @@ fn find_worker(dir: &Path) -> Option<u32> {
             .split(|&b| b == 0)
             .filter_map(|s| std::str::from_utf8(s).ok())
             .collect();
-        if argv.get(1) == Some(&"campaign")
-            && argv.iter().any(|a| *a == "--out")
-            && argv.iter().any(|a| a.contains(needle))
-        {
+        if argv.get(1) == Some(&"campaign") && argv.windows(2).any(|w| w == ["--dir", needle]) {
             return Some(pid);
         }
     }
@@ -190,6 +191,52 @@ fn kill_worker_and_driver_resume_is_byte_identical() {
     // before the panic fails its attempt; the cell retry recovered it.
     let panics = worker_panic_lines(&chaos_dir);
     assert!(panics > 0, "no worker attempt failed on an injected panic");
+
+    remove_all(&[&clean_dir, &chaos_dir, &soak_dir("spec"), &events]);
+}
+
+/// Removes every directory or file in `paths` (missing ones included).
+fn remove_all(paths: &[&Path]) {
+    for path in paths {
+        let _ = std::fs::remove_dir_all(path);
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+/// The launcher contract: a spec with a two-variant `set` axis merges
+/// byte-identical summaries whether its cells run as `campaign`
+/// worker processes or as `--in-process` threads.
+#[test]
+fn process_and_in_process_launchers_merge_identical_summaries() {
+    let spec_dir = soak_dir("launchers");
+    let _ = std::fs::remove_dir_all(&spec_dir);
+    std::fs::create_dir_all(&spec_dir).expect("create spec dir");
+    let spec = spec_dir.join("spec.json");
+    let variants = r#""error_model": "mc",
+  "variants": [
+    {"name": "base", "set": {}},
+    {"name": "p_rtn_0.22", "set": {"device.rtn_state_probability": 0.22}}
+  ]"#;
+    let text = SPEC
+        .replace(r#""error_model": "mc""#, variants)
+        .replace(r#""epochs": 3"#, r#""epochs": 2"#);
+    std::fs::write(&spec, text).expect("write spec");
+
+    let process = spec_dir.join("process");
+    let threads = spec_dir.join("threads");
+    run_to_completion(&spec, &process, &[]);
+    run_to_completion(&spec, &threads, &["--in-process"]);
+    let summary = summary_bytes(&process);
+    assert!(
+        String::from_utf8_lossy(&summary).contains("p_rtn_0.22"),
+        "the variant axis is missing from the summary"
+    );
+    assert_eq!(
+        summary,
+        summary_bytes(&threads),
+        "process and in-process launchers merged different summaries"
+    );
+    remove_all(&[&spec_dir]);
 }
 
 /// Counts injected shard-panic `chaos_fault` lines across the grid's
@@ -245,6 +292,7 @@ fn merge_regenerates_summary_from_any_interrupted_state() {
     // A second merge over a complete summary is a byte-stable no-op.
     run_to_completion(&spec, &dir, &["--merge-only"]);
     assert_eq!(summary_bytes(&dir), oracle, "repeated merge not idempotent");
+    remove_all(&[&dir, &soak_dir("merge_spec")]);
 }
 
 /// Field-by-field schema validation of the driver's event log: every

@@ -16,6 +16,12 @@ echo "=== rustfmt (ratchet: listed crates must stay cargo-fmt clean) ==="
 # must stay so; a crate joins the list once a change formats it.
 cargo fmt --check -p xbar -p wideint -p bench -p repro-chaos -p reram-ecc
 
+echo "=== compiler warnings (every target of the workspace builds warning-free) ==="
+warnings="$(cargo check --workspace --all-targets --quiet 2>&1 | grep '^warning:' || true)"
+[ -z "$warnings" ] || { echo "FAIL: cargo check --workspace --all-targets warns:" >&2;
+                        printf '%s\n' "$warnings" >&2; exit 1; }
+echo "no warnings"
+
 echo "=== release build ==="
 cargo build --release --quiet
 
@@ -93,13 +99,37 @@ done
 [ "$stale" -eq 0 ] || exit 1
 echo "doc identifiers all resolve"
 
-echo "=== stale doc flags (README flag tables must match the CLI) ==="
-# Every backticked `--flag` in a README.md table row must still be a
-# "--flag" literal the CLI parses, so a removed option cannot linger in
-# the docs.
+echo "=== stale doc flags (README flag tables and documented commands must match the CLI) ==="
+# Every backticked `--flag` in a README.md table row, and every `--flag`
+# after a `campaign` or `campaign-grid` subcommand on a command line
+# (with its `\`-continued lines) in a fenced block of README.md,
+# DESIGN.md or EXPERIMENTS.md, must still be a "--flag" literal the CLI
+# parses, so a removed option cannot linger in the docs. Only the code
+# above main.rs's test module counts: its tests name removed flags.
+cli_source="$(sed '/^#\[cfg(test)\]/,$d' crates/cli/src/main.rs)"
 for flag in $(grep -E '^\|' README.md | grep -oE '`--[a-z0-9-]+' | tr -d '`' | sort -u); do
-  if ! grep -qF -- "\"$flag\"" crates/cli/src/main.rs; then
+  if ! printf '%s\n' "$cli_source" | grep -qF -- "\"$flag\""; then
     echo "FAIL: README table documents $flag, which crates/cli/src/main.rs does not parse" >&2
+    stale=1
+  fi
+done
+command_flags="$(awk '
+  /^[[:space:]]*```/ { fence = !fence; line = ""; next }
+  fence {
+    line = line " " $0
+    if (sub(/\\[[:space:]]*(#.*)?$/, "", line)) next
+    if (match(line, /(^|[[:space:]])campaign(-grid)?([[:space:]]|$)/)) {
+      rest = substr(line, RSTART + RLENGTH)
+      while (match(rest, /--[a-z0-9-]+/)) {
+        print FILENAME ":" substr(rest, RSTART, RLENGTH)
+        rest = substr(rest, RSTART + RLENGTH)
+      }
+    }
+    line = ""
+  }' README.md DESIGN.md EXPERIMENTS.md | sort -u)"
+for entry in $command_flags; do
+  if ! printf '%s\n' "$cli_source" | grep -qF -- "\"${entry#*:}\""; then
+    echo "FAIL: ${entry%%:*} runs a campaign command with ${entry#*:}, which crates/cli/src/main.rs does not parse" >&2
     stale=1
   fi
 done
@@ -230,42 +260,53 @@ echo "analytic smoke passed"
 # directory, and a smoke-sized network must not land in the repo's.
 cli="$PWD/target/release/reram-ecc"
 
-echo "=== campaign smoke run (2 epochs, tiny net) ==="
-smoke_dir="$(mktemp -d)"
-(cd "$smoke_dir" && "$cli" campaign NoECC 2 --samples 3 --train 40 \
-  --out campaign-NoECC.json > /dev/null)
-test -s "$smoke_dir/campaign-NoECC.json" \
-  || { echo "FAIL: campaign smoke wrote no checkpoint" >&2; exit 1; }
-rm -rf "$smoke_dir"
-echo "campaign smoke run passed"
-
-echo "=== chaos smoke (a worker panic fails the campaign; a clean resume matches the clean run) ==="
-# Deterministic chaos (see crates/chaos + DESIGN.md "Failure model &
-# recovery"): --chaos-seed injects seeded faults at every checkpoint /
-# final-write / event seam plus mid-shard worker panics. The I/O faults
-# are absorbed (CRC'd A/B checkpoint slots, retries, read-back-verified
-# final write). A worker panic is not retried in-process: the campaign
-# exits non-zero naming the shard, its finished epochs stay in the
-# slots, and --resume without chaos must finish byte-identical to the
-# clean run. Seed 4 panics shard 0 of epoch 1, after epoch 0 landed.
-# campaign-grid retries such a cell by itself (grid smoke below). The
-# seed is pinned, so the fault script replays bit-for-bit.
+echo "=== campaign and chaos smoke (one spec cell; a worker panic fails it; a clean rerun matches) ==="
+# `campaign` runs one cell of a grid spec, exactly as a campaign-grid
+# process worker does. Deterministic chaos (see crates/chaos +
+# DESIGN.md "Failure model & recovery"): --chaos-seed injects seeded
+# faults at every checkpoint / final-write / event seam plus mid-shard
+# worker panics. The I/O faults are absorbed (CRC'd A/B checkpoint
+# slots, retries, read-back-verified final write). A worker panic is
+# not retried in-process: the campaign exits non-zero naming the shard,
+# its finished epochs stay in the slots, and rerunning the same command
+# without chaos must finish byte-identical to the clean run. Seed 4
+# panics shard 0 of epoch 1, after epoch 0 landed. campaign-grid
+# retries such a cell by itself (grid smoke below). The seed is
+# pinned, so the fault script replays bit-for-bit.
 chaos_dir="$(mktemp -d)"
-(cd "$chaos_dir" && "$cli" campaign NoECC 2 --samples 3 --train 40 \
-  --out clean.json > /dev/null)
-if (cd "$chaos_dir" && "$cli" campaign NoECC 2 --samples 3 --train 40 \
-  --chaos-seed 4 --out chaos.json > /dev/null 2> chaos.err); then
+cat > "$chaos_dir/spec.json" <<'EOF'
+{
+  "version": 1,
+  "models": ["mlp2"],
+  "schemes": ["NoECC"],
+  "cell_bits": [2],
+  "writes_per_epoch": [200000.0],
+  "seeds": [7],
+  "epochs": 2,
+  "samples": 3,
+  "train": 40,
+  "threads": 1,
+  "checkpoint_every": 1,
+  "initial_writes": 1000000.0,
+  "error_model": "mc"
+}
+EOF
+cell=000_mlp2_NoECC_2b_w200000_s7
+(cd "$chaos_dir" && "$cli" campaign spec.json --dir clean > /dev/null)
+test -s "$chaos_dir/clean/cells/$cell.json" \
+  || { echo "FAIL: campaign smoke wrote no cell artifact" >&2; exit 1; }
+if (cd "$chaos_dir" && "$cli" campaign spec.json --dir chaos --chaos-seed 4 \
+  > /dev/null 2> chaos.err); then
   echo "FAIL: chaos seed 4 should fail the campaign on a worker panic" >&2; exit 1
 fi
 grep -q "worker shard 0 .*injected worker panic" "$chaos_dir/chaos.err" \
   || { echo "FAIL: the chaos failure does not name the panicking shard:" >&2;
        cat "$chaos_dir/chaos.err" >&2; exit 1; }
-(cd "$chaos_dir" && "$cli" campaign NoECC 2 --samples 3 --train 40 \
-  --resume --out chaos.json > /dev/null)
-cmp "$chaos_dir/clean.json" "$chaos_dir/chaos.json" \
+(cd "$chaos_dir" && "$cli" campaign spec.json --dir chaos > /dev/null)
+cmp "$chaos_dir/clean/cells/$cell.json" "$chaos_dir/chaos/cells/$cell.json" \
   || { echo "FAIL: resumed chaos campaign diverged from the clean run" >&2; exit 1; }
 rm -rf "$chaos_dir"
-echo "chaos smoke passed"
+echo "campaign and chaos smoke passed"
 
 echo "=== grid smoke (campaign-grid, SIGKILL worker + driver, resume, byte-compare) ==="
 # The grid runner's kill-anything contract (DESIGN.md "Failure model &
@@ -297,8 +338,9 @@ EOF
 "$grid_bin" campaign-grid "$grid_dir/spec.json" --dir "$grid_dir/clean" \
   --workers 2 > /dev/null 2>&1
 # Interrupted run: SIGKILL the first worker that appears (a worker's
-# argv carries `--out <dir>/cells/...`; the driver's does not), then
-# SIGKILL the driver while cells are still in flight.
+# argv is `campaign <spec> <cell-id> --dir <dir>`; the driver's starts
+# with `campaign-grid`), then SIGKILL the driver while cells are still
+# in flight.
 "$grid_bin" campaign-grid "$grid_dir/spec.json" --dir "$grid_dir/chaos" \
   --workers 2 --chaos-seed 7 --cell-retries 6 --max-lost-cells 0 \
   > /dev/null 2>&1 &
@@ -306,7 +348,8 @@ grid_pid=$!
 worker_pid=""
 for _ in $(seq 1 1200); do
   for p in /proc/[0-9]*/cmdline; do
-    if tr '\0' ' ' < "$p" 2> /dev/null | grep -q -- "--out $grid_dir/chaos"; then
+    argv="$(tr '\0' ' ' < "$p" 2> /dev/null)" || continue
+    if [[ "$argv" == *" campaign $grid_dir/spec.json "*" --dir $grid_dir/chaos "* ]]; then
       worker_pid="${p#/proc/}"
       worker_pid="${worker_pid%/cmdline}"
       break 2
