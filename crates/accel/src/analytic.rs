@@ -656,7 +656,6 @@ fn accumulate_stack(
         }
     }
 
-
     // RTN event families: one per row and direction, probabilities
     // interpolated at each cycle's drive density.
     families.clear();
@@ -686,7 +685,6 @@ fn accumulate_stack(
             });
         }
     }
-
 
     // No-error product per cycle, across every family of the stack.
     let mut noerr = [1.0f64; 16];
@@ -1027,8 +1025,9 @@ pub fn predict_threaded(
                     let i = w * chunk + k;
                     let image = &data[i * per_image..(i + 1) * per_image];
                     let mut stats = StatsAcc::default();
-                    let (mis, top5, flip) =
-                        predict_sample(qnet, models, image, labels[i], cycles, &mut fwd, &mut stats);
+                    let (mis, top5, flip) = predict_sample(
+                        qnet, models, image, labels[i], cycles, &mut fwd, &mut stats,
+                    );
                     *slot = (mis, top5, flip, stats);
                 }
             });
@@ -1496,14 +1495,12 @@ mod tests {
         assert_eq!(poisson_binomial_at_least(&probs, 0), 1.0);
     }
 
-
     #[test]
     fn more_fault_means_more_flips() {
         let (qnet, images, labels) = tiny();
         let mut last = -1.0f64;
         for fault in [0.0, 1e-3, 1e-2, 1e-1] {
-            let config =
-                AccelConfig::new(ProtectionScheme::None).with_fault_rate(fault);
+            let config = AccelConfig::new(ProtectionScheme::None).with_fault_rate(fault);
             let r = predict(&qnet, &images, &labels, &config).expect("predict");
             assert!(
                 r.flip_rate >= last - 1e-12,

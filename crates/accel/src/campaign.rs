@@ -191,7 +191,8 @@ impl CampaignConfig {
 
     /// The deterministic evaluation seed for one epoch.
     fn epoch_seed(&self, epoch: u64) -> u64 {
-        self.seed.wrapping_add(epoch.wrapping_mul(EPOCH_SEED_STRIDE))
+        self.seed
+            .wrapping_add(epoch.wrapping_mul(EPOCH_SEED_STRIDE))
     }
 
     /// The state this config expects to find in a matching checkpoint.
@@ -1097,7 +1098,10 @@ mod tests {
         assert_eq!(resumed.completed_epochs(), 2);
         resumed.run(&qnet, &images, &labels).expect("resumed run");
         assert_eq!(resumed.state().to_json().expect("json"), reference_json);
-        assert_eq!(std::fs::read_to_string(&path).expect("final"), reference_json);
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("final"),
+            reference_json
+        );
         remove_artifacts(&path);
     }
 
@@ -1434,10 +1438,15 @@ mod tests {
             assert_eq!(fallbacks.len(), 2, "{lines:#?}");
             for artifact in [format!("{name}.a"), name.clone()] {
                 let line = format!("\"path\":\"{artifact}\"");
-                assert!(fallbacks.iter().any(|l| l.contains(&line)), "{fallbacks:#?}");
+                assert!(
+                    fallbacks.iter().any(|l| l.contains(&line)),
+                    "{fallbacks:#?}"
+                );
             }
             assert!(
-                fallbacks.iter().all(|l| l.contains("\"used_generation\":0")),
+                fallbacks
+                    .iter()
+                    .all(|l| l.contains("\"used_generation\":0")),
                 "{fallbacks:#?}"
             );
         }

@@ -18,7 +18,6 @@ use xbar::RtnSnapshot;
 use crate::mapping::{map_matrix, MappedMatrix, Stack};
 use crate::{AccelConfig, AccelError};
 
-
 /// Aggregate decode statistics across an engine's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeStats {
@@ -41,7 +40,11 @@ pub struct DecodeStats {
 impl DecodeStats {
     /// Total decoded group-cycles.
     pub fn total(&self) -> u64 {
-        self.clean + self.corrected + self.uncorrectable + self.miscorrected + self.silent_a
+        self.clean
+            + self.corrected
+            + self.uncorrectable
+            + self.miscorrected
+            + self.silent_a
             + self.uncoded
     }
 
@@ -151,7 +154,11 @@ impl MvmScratch {
     /// to `batch` vectors (at least one) is already allocation-free.
     fn for_mapped(mapped: &MappedMatrix, input_bits: u32, remap: bool, batch: usize) -> MvmScratch {
         let stacks = mapped.stacks.iter().flatten();
-        let max_rows = stacks.clone().map(|s| s.array.row_count()).max().unwrap_or(0);
+        let max_rows = stacks
+            .clone()
+            .map(|s| s.array.row_count())
+            .max()
+            .unwrap_or(0);
         let max_lanes = stacks.clone().map(|s| s.lanes).max().unwrap_or(0);
         let max_trap = stacks
             .map(|s| s.array.row_count() * s.array.rtn_delta_i().len())
@@ -607,7 +614,12 @@ mod tests {
         matrix
             .rows()
             .iter()
-            .map(|row| row.iter().zip(input).map(|(&w, &x)| w as i64 * x as i64).sum())
+            .map(|row| {
+                row.iter()
+                    .zip(input)
+                    .map(|(&w, &x)| w as i64 * x as i64)
+                    .sum()
+            })
             .collect()
     }
 
@@ -637,7 +649,11 @@ mod tests {
     fn noiseless_data_aware_is_exact() {
         let m = quantized(10, 8, 3);
         let input: Vec<u16> = (0..8).map(|i| (i * 777 % 65536) as u16).collect();
-        let out = run_engine(&m, noiseless_config(ProtectionScheme::data_aware(9)), &input);
+        let out = run_engine(
+            &m,
+            noiseless_config(ProtectionScheme::data_aware(9)),
+            &input,
+        );
         assert_eq!(out, exact_reference(&m, &input));
     }
 
@@ -779,10 +795,7 @@ mod tests {
         let with = run(3, 21);
         assert_eq!(without.retries, 0);
         // At this noise level untrusted decodes occur, so retries fire.
-        assert!(
-            with.retries > 0,
-            "expected retries at high noise: {with:?}"
-        );
+        assert!(with.retries > 0, "expected retries at high noise: {with:?}");
     }
 
     /// The retry policy's *accounting*, pinned. At a fixed noise seed
@@ -850,45 +863,101 @@ mod tests {
     #[test]
     fn golden_outputs_unchanged_by_scratch_refactor() {
         let m = quantized(12, 128, 42);
-        let input: Vec<u16> = (0..128u64).map(|i| ((i * 2654435761) % 65536) as u16).collect();
+        let input: Vec<u16> = (0..128u64)
+            .map(|i| ((i * 2654435761) % 65536) as u16)
+            .collect();
         let cases: [(ProtectionScheme, [i64; 12], [i64; 12]); 3] = [
             (
                 ProtectionScheme::data_aware(9),
                 [
-                    127397613401, 140241623513, 150974893452, 145492176081, 133099234345,
-                    126332532632, 134383177134, 149614365628, 147950518002, 140002878073,
-                    128593175221, 127480534038,
+                    127397613401,
+                    140241623513,
+                    150974893452,
+                    145492176081,
+                    133099234345,
+                    126332532632,
+                    134383177134,
+                    149614365628,
+                    147950518002,
+                    140002878073,
+                    128593175221,
+                    127480534038,
                 ],
                 [
-                    127397579708, 140241624298, 150974918568, 145492187822, 133099261188,
-                    126332531950, 134383160721, 150452593003, 147950511165, 140002864435,
-                    128593195512, 127480517658,
+                    127397579708,
+                    140241624298,
+                    150974918568,
+                    145492187822,
+                    133099261188,
+                    126332531950,
+                    134383160721,
+                    150452593003,
+                    147950511165,
+                    140002864435,
+                    128593195512,
+                    127480517658,
                 ],
             ),
             (
                 ProtectionScheme::Static16,
                 [
-                    127402659951, 140241620348, 150824310442, 145492148092, 133099249191,
-                    126324868202, 134381853124, 149486507552, 147954179462, 140003307914,
-                    128092591273, 127480509554,
+                    127402659951,
+                    140241620348,
+                    150824310442,
+                    145492148092,
+                    133099249191,
+                    126324868202,
+                    134381853124,
+                    149486507552,
+                    147954179462,
+                    140003307914,
+                    128092591273,
+                    127480509554,
                 ],
                 [
-                    127404727111, 140241620348, 150849096446, 145492156284, 133099249191,
-                    126307651072, 134368996396, 149490295168, 148378302924, 140014033770,
-                    128580727905, 127480509554,
+                    127404727111,
+                    140241620348,
+                    150849096446,
+                    145492156284,
+                    133099249191,
+                    126307651072,
+                    134368996396,
+                    149490295168,
+                    148378302924,
+                    140014033770,
+                    128580727905,
+                    127480509554,
                 ],
             ),
             (
                 ProtectionScheme::None,
                 [
-                    127416618775, 140241635686, 150976198632, 146333526592, 133233195190,
-                    126388499446, 134383400624, 149756160928, 147979718668, 139986167178,
-                    128584619103, 127475397746,
+                    127416618775,
+                    140241635686,
+                    150976198632,
+                    146333526592,
+                    133233195190,
+                    126388499446,
+                    134383400624,
+                    149756160928,
+                    147979718668,
+                    139986167178,
+                    128584619103,
+                    127475397746,
                 ],
                 [
-                    127397736211, 140241892496, 150974885864, 145492502336, 133098898471,
-                    126205881086, 134383153072, 149486511524, 147943311988, 139982504010,
-                    128573241407, 127486288143,
+                    127397736211,
+                    140241892496,
+                    150974885864,
+                    145492502336,
+                    133098898471,
+                    126205881086,
+                    134383153072,
+                    149486511524,
+                    147943311988,
+                    139982504010,
+                    128573241407,
+                    127486288143,
                 ],
             ),
         ];
@@ -908,7 +977,9 @@ mod tests {
     #[test]
     fn batch_of_one_is_bit_identical_to_scalar_kernel() {
         let m = quantized(12, 128, 42);
-        let input: Vec<u16> = (0..128u64).map(|i| ((i * 2654435761) % 65536) as u16).collect();
+        let input: Vec<u16> = (0..128u64)
+            .map(|i| ((i * 2654435761) % 65536) as u16)
+            .collect();
         for scheme in [
             ProtectionScheme::None,
             ProtectionScheme::Static16,
@@ -1026,7 +1097,9 @@ mod tests {
     fn batched_remap_scatter_restores_row_order_per_vector() {
         let m = quantized(24, 16, 10);
         let batch = 4;
-        let inputs: Vec<u16> = (0..batch as u64 * 16).map(|i| (i * 481 % 65536) as u16).collect();
+        let inputs: Vec<u16> = (0..batch as u64 * 16)
+            .map(|i| (i * 481 % 65536) as u16)
+            .collect();
         let mut config = noiseless_config(ProtectionScheme::data_aware(9));
         config.remap = true;
         let provider = CrossbarProvider::new(config, 7);
@@ -1119,15 +1192,126 @@ mod tests {
         [
             (
                 ProtectionScheme::data_aware(9),
-                [127397613401, 140241623513, 150974893452, 145492176081, 133099234345, 126332532632, 134383177134, 149614365628, 147950512434, 140002895501, 128593173074, 127480480891, 136577065875, 144575300764, 148474753110, 134514142764, 125202522581, 130106897541, 141901532053, 151191399323, 140157134948, 130995887123, 126962341212, 138183160748, 143785116701, 142642750140, 139708418145, 125859684502, 128219119360, 140499659146, 143153705781, 145015663490, 126097589476, 124312365663, 136244597395, 142619861026],
+                [
+                    127397613401,
+                    140241623513,
+                    150974893452,
+                    145492176081,
+                    133099234345,
+                    126332532632,
+                    134383177134,
+                    149614365628,
+                    147950512434,
+                    140002895501,
+                    128593173074,
+                    127480480891,
+                    136577065875,
+                    144575300764,
+                    148474753110,
+                    134514142764,
+                    125202522581,
+                    130106897541,
+                    141901532053,
+                    151191399323,
+                    140157134948,
+                    130995887123,
+                    126962341212,
+                    138183160748,
+                    143785116701,
+                    142642750140,
+                    139708418145,
+                    125859684502,
+                    128219119360,
+                    140499659146,
+                    143153705781,
+                    145015663490,
+                    126097589476,
+                    124312365663,
+                    136244597395,
+                    142619861026,
+                ],
             ),
             (
                 ProtectionScheme::Static16,
-                [127402659951, 140240191612, 150974885864, 145492148092, 133102350119, 126324885259, 134364740640, 149488451360, 147626251146, 140040946058, 128761338271, 127480509554, 136638331727, 144575308924, 148474306792, 134514134652, 125247687591, 130152057099, 141851246528, 150179669024, 140005054186, 130995888138, 127068929695, 138186996146, 143855128175, 142642772860, 139692251624, 125859691900, 127609445927, 140494130955, 143135783872, 145086272800, 126013784682, 124312354442, 136502788983, 142619771762],
+                [
+                    127402659951,
+                    140240191612,
+                    150974885864,
+                    145492148092,
+                    133102350119,
+                    126324885259,
+                    134364740640,
+                    149488451360,
+                    147626251146,
+                    140040946058,
+                    128761338271,
+                    127480509554,
+                    136638331727,
+                    144575308924,
+                    148474306792,
+                    134514134652,
+                    125247687591,
+                    130152057099,
+                    141851246528,
+                    150179669024,
+                    140005054186,
+                    130995888138,
+                    127068929695,
+                    138186996146,
+                    143855128175,
+                    142642772860,
+                    139692251624,
+                    125859691900,
+                    127609445927,
+                    140494130955,
+                    143135783872,
+                    145086272800,
+                    126013784682,
+                    124312354442,
+                    136502788983,
+                    142619771762,
+                ],
             ),
             (
                 ProtectionScheme::None,
-                [127416618775, 140260206902, 151188729896, 145492502592, 133169876519, 126340144302, 134387262892, 149486511392, 147909454428, 139982351754, 128593139455, 127480509554, 136182766999, 144589497782, 148643729960, 134531136832, 125190742823, 130171743022, 141918632620, 150134399520, 140148730877, 131066874122, 126962305279, 138187516914, 143254724631, 142643874358, 139721033288, 125860844096, 128365139879, 140553615790, 143188775340, 144589397792, 126095460957, 124106378890, 136244329279, 142620098418],
+                [
+                    127416618775,
+                    140260206902,
+                    151188729896,
+                    145492502592,
+                    133169876519,
+                    126340144302,
+                    134387262892,
+                    149486511392,
+                    147909454428,
+                    139982351754,
+                    128593139455,
+                    127480509554,
+                    136182766999,
+                    144589497782,
+                    148643729960,
+                    134531136832,
+                    125190742823,
+                    130171743022,
+                    141918632620,
+                    150134399520,
+                    140148730877,
+                    131066874122,
+                    126962305279,
+                    138187516914,
+                    143254724631,
+                    142643874358,
+                    139721033288,
+                    125860844096,
+                    128365139879,
+                    140553615790,
+                    143188775340,
+                    144589397792,
+                    126095460957,
+                    124106378890,
+                    136244329279,
+                    142620098418,
+                ],
             ),
         ]
     }

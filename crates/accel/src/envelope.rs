@@ -80,8 +80,8 @@ impl Envelope {
             .ok_or("no envelope header line")?;
         let header_text =
             std::str::from_utf8(&bytes[..nl]).map_err(|_| "envelope header is not UTF-8")?;
-        let header: Value = serde_json::from_str(header_text)
-            .map_err(|e| format!("bad envelope header: {e:?}"))?;
+        let header: Value =
+            serde_json::from_str(header_text).map_err(|e| format!("bad envelope header: {e:?}"))?;
         let required = |key: &str| -> Result<u64, String> {
             let value = header
                 .get(key)
@@ -300,16 +300,15 @@ mod tests {
         assert_eq!(std::fs::read(&path).expect("read"), payload);
         // A seam that faults every attempt exhausts the budget.
         let script = (0..=u64::from(IO_RETRIES))
-            .map(|i| {
-                (
-                    Seam::FinalWrite,
-                    i,
-                    IoFault::Error(chaos::IoErrorKind::Eio),
-                )
-            })
+            .map(|i| (Seam::FinalWrite, i, IoFault::Error(chaos::IoErrorKind::Eio)))
             .collect();
-        let err = write(&path, payload, &mut ChaosDice::scripted(script), Seam::FinalWrite)
-            .expect_err("every attempt faulted");
+        let err = write(
+            &path,
+            payload,
+            &mut ChaosDice::scripted(script),
+            Seam::FinalWrite,
+        )
+        .expect_err("every attempt faulted");
         assert!(err.contains("9 write attempts"), "{err}");
         let _ = std::fs::remove_file(&path);
     }

@@ -95,10 +95,7 @@ impl std::fmt::Display for AccelError {
                 shard,
                 seed,
                 message,
-            } => write!(
-                f,
-                "worker shard {shard} (seed {seed}) panicked: {message}"
-            ),
+            } => write!(f, "worker shard {shard} (seed {seed}) panicked: {message}"),
             AccelError::Checkpoint { path, message } => {
                 write!(f, "checkpoint {path}: {message}")
             }

@@ -333,12 +333,11 @@ impl GridSpec {
     /// to parse (impossible for cells produced by [`GridSpec::cells`]
     /// on a validated spec).
     pub fn cell_config(&self, cell: &GridCell) -> Result<CampaignConfig, AccelError> {
-        let scheme = ProtectionScheme::from_label(&cell.scheme).ok_or_else(|| {
-            AccelError::Grid {
+        let scheme =
+            ProtectionScheme::from_label(&cell.scheme).ok_or_else(|| AccelError::Grid {
                 stage: "spec".into(),
                 message: format!("unknown scheme {}", cell.scheme),
-            }
-        })?;
+            })?;
         let error_model =
             ErrorModel::from_label(&self.error_model).ok_or_else(|| AccelError::Grid {
                 stage: "spec".into(),
@@ -366,7 +365,10 @@ impl GridSpec {
     /// present. The one identity check behind "a cell is done".
     fn check_artifact(&self, cell: &GridCell, state: &CampaignState) -> Result<(), String> {
         let differs = |field: &str, want: &dyn std::fmt::Debug, got: &dyn std::fmt::Debug| {
-            Err(format!("{field}: cell {} wants {want:?}, artifact records {got:?}", cell.id))
+            Err(format!(
+                "{field}: cell {} wants {want:?}, artifact records {got:?}",
+                cell.id
+            ))
         };
         if state.scheme != cell.scheme {
             return differs("scheme", &cell.scheme, &state.scheme);
@@ -813,7 +815,10 @@ impl Grid {
                     .options
                     .chaos
                     .map(|s| worker_chaos_seed(s.seed(), cell.index, attempt));
-                match self.launcher.launch(&self.spec, cell, &self.dir, chaos_seed) {
+                match self
+                    .launcher
+                    .launch(&self.spec, cell, &self.dir, chaos_seed)
+                {
                     Ok(handle) => {
                         let deadline = (self.options.watchdog_ms > 0
                             && matches!(self.launcher, Launcher::Process { .. }))
@@ -944,8 +949,13 @@ impl Grid {
         };
         let json = serde_json::to_string_pretty(&marker)
             .map_err(|e| fail(format!("serialize lost marker: {e:?}")))?;
-        envelope::write(&self.lost_path(cell), json.as_bytes(), dice, Seam::FinalWrite)
-            .map_err(fail)?;
+        envelope::write(
+            &self.lost_path(cell),
+            json.as_bytes(),
+            dice,
+            Seam::FinalWrite,
+        )
+        .map_err(fail)?;
         d.lost.push(cell.id.clone());
         obs::events::emit(
             obs::Event::new("grid_cell_lost")
@@ -1066,13 +1076,25 @@ mod tests {
         let cases: Vec<(Box<dyn Fn(&mut GridSpec)>, &str)> = vec![
             (Box::new(|s| s.version = 99), "version"),
             (Box::new(|s| s.models.clear()), "non-empty"),
-            (Box::new(|s| s.models = vec!["resnet".into()]), "unknown model"),
-            (Box::new(|s| s.schemes = vec!["bogus".into()]), "unknown scheme"),
+            (
+                Box::new(|s| s.models = vec!["resnet".into()]),
+                "unknown model",
+            ),
+            (
+                Box::new(|s| s.schemes = vec!["bogus".into()]),
+                "unknown scheme",
+            ),
             (Box::new(|s| s.cell_bits = vec![9]), "cell_bits"),
-            (Box::new(|s| s.writes_per_epoch = vec![-1.0]), "writes_per_epoch"),
+            (
+                Box::new(|s| s.writes_per_epoch = vec![-1.0]),
+                "writes_per_epoch",
+            ),
             (Box::new(|s| s.seeds = vec![1u64 << 53]), "2^53"),
             (Box::new(|s| s.epochs = 0), "epochs"),
-            (Box::new(|s| s.error_model = "psychic".into()), "error_model"),
+            (
+                Box::new(|s| s.error_model = "psychic".into()),
+                "error_model",
+            ),
         ];
         for (mutate, needle) in cases {
             let mut bad = good.clone();
@@ -1101,7 +1123,10 @@ mod tests {
         mc.variants = vec![
             variant("base", "{}"),
             variant("p_rtn_0.22", r#"{"device.rtn_state_probability": 0.22}"#),
-            variant("retry-2", r#"{"policy": "revert", "max_retries": 2, "remap": true}"#),
+            variant(
+                "retry-2",
+                r#"{"policy": "revert", "max_retries": 2, "remap": true}"#,
+            ),
         ];
         assert!(mc.validate().is_ok());
 
@@ -1109,18 +1134,42 @@ mod tests {
             (mc.clone(), vec![variant("", "{}")], "variant name \"\""),
             (mc.clone(), vec![variant("../x", "{}")], "must match"),
             (mc.clone(), vec![variant("a b", "{}")], "must match"),
-            (mc.clone(), vec![variant("a", "{}"), variant("a", "{}")], "used twice"),
+            (
+                mc.clone(),
+                vec![variant("a", "{}"), variant("a", "{}")],
+                "used twice",
+            ),
             (mc.clone(), vec![variant("a", "[]")], "must be a knob"),
-            (mc.clone(), vec![variant("a", r#"{"fault_rate": 0.1}"#)], "unknown knob"),
-            (mc.clone(), vec![variant("a", r#"{"remap": 1}"#)], "expected bool"),
-            (mc.clone(), vec![variant("a", r#"{"max_retries": -1}"#)], "out of range"),
+            (
+                mc.clone(),
+                vec![variant("a", r#"{"fault_rate": 0.1}"#)],
+                "unknown knob",
+            ),
+            (
+                mc.clone(),
+                vec![variant("a", r#"{"remap": 1}"#)],
+                "expected bool",
+            ),
+            (
+                mc.clone(),
+                vec![variant("a", r#"{"max_retries": -1}"#)],
+                "out of range",
+            ),
             (
                 mc.clone(),
                 vec![variant("a", r#"{"remap": true, "remap": false}"#)],
                 "set twice",
             ),
-            (spec_2x1(), vec![variant("a", r#"{"remap": true}"#)], "analytic"),
-            (spec_2x1(), vec![variant("a", r#"{"max_retries": 1}"#)], "analytic"),
+            (
+                spec_2x1(),
+                vec![variant("a", r#"{"remap": true}"#)],
+                "analytic",
+            ),
+            (
+                spec_2x1(),
+                vec![variant("a", r#"{"max_retries": 1}"#)],
+                "analytic",
+            ),
         ];
         for (mut bad, variants, needle) in cases {
             bad.variants = variants;
@@ -1149,7 +1198,10 @@ mod tests {
             variant("base", "{}"),
             variant("p22", r#"{"device.rtn_state_probability": 0.22}"#),
         ];
-        assert_ne!(spec.digest().expect("digest"), plain.digest().expect("digest"));
+        assert_ne!(
+            spec.digest().expect("digest"),
+            plain.digest().expect("digest")
+        );
         let reparsed = GridSpec::from_json(&spec.to_json().expect("json")).expect("reparse");
         assert_eq!(reparsed, spec);
         let cells = spec.cells();
@@ -1165,7 +1217,10 @@ mod tests {
         );
         let base = spec.cell_config(&cells[0]).expect("config");
         let p22 = spec.cell_config(&cells[1]).expect("config");
-        assert_eq!(base, spec_2x1().cell_config(&plain.cells()[0]).expect("plain"));
+        assert_eq!(
+            base,
+            spec_2x1().cell_config(&plain.cells()[0]).expect("plain")
+        );
         assert_eq!(p22.base.device.rtn_state_probability, 0.22);
         assert_eq!(p22.set, spec.variants[1].set);
 
@@ -1248,12 +1303,18 @@ mod tests {
         // skips, and the summary bytes do not move.
         let report2 = grid.run().expect("rerun");
         assert_eq!(report2.skipped, 2);
-        assert_eq!(std::fs::read(&report2.summary_path).expect("summary"), reference);
+        assert_eq!(
+            std::fs::read(&report2.summary_path).expect("summary"),
+            reference
+        );
 
         // Merge-only over the finished directory reproduces the bytes.
         let report3 = grid.merge_only().expect("merge only");
         assert_eq!(report3.done, 2);
-        assert_eq!(std::fs::read(&report3.summary_path).expect("summary"), reference);
+        assert_eq!(
+            std::fs::read(&report3.summary_path).expect("summary"),
+            reference
+        );
 
         // A different spec is refused for the same directory.
         let mut other = spec.clone();
@@ -1293,7 +1354,10 @@ mod tests {
             "chaos-injected grid diverged from the fault-free bytes"
         );
         let attempts = attempts_in_telemetry(&dir_b);
-        assert!(attempts.iter().any(|&a| a > 1), "no cell retried: {attempts:?}");
+        assert!(
+            attempts.iter().any(|&a| a > 1),
+            "no cell retried: {attempts:?}"
+        );
 
         // What the retries absorbed: with no retries and a loss budget
         // for every cell, the same schedule's first attempts are
@@ -1310,7 +1374,9 @@ mod tests {
             .filter(|cell| once_report.lost.contains(&cell.id))
             .map(|cell| {
                 let text = std::fs::read_to_string(once.lost_path(cell)).expect("marker");
-                serde_json::from_str::<LostMarker>(&text).expect("parse").reason
+                serde_json::from_str::<LostMarker>(&text)
+                    .expect("parse")
+                    .reason
             })
             .collect();
         assert!(
@@ -1424,8 +1490,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let program = dir.join("hang.sh");
         std::fs::write(&program, "#!/bin/sh\nexec sleep 5\n").expect("write script");
-        std::fs::set_permissions(&program, std::fs::Permissions::from_mode(0o755))
-            .expect("chmod");
+        std::fs::set_permissions(&program, std::fs::Permissions::from_mode(0o755)).expect("chmod");
         let grid = |name: &str, max_lost_cells| {
             let cells = dir.join(name);
             let launcher = Launcher::Process {
@@ -1569,10 +1634,16 @@ mod tests {
         let rerun = grid.run().expect("rerun");
         assert_eq!(rerun.skipped, 2, "a done cell was re-run");
         assert_eq!(attempts_in_telemetry(&dir), [0, 0]);
-        assert_eq!(std::fs::read(&rerun.summary_path).expect("summary"), reference);
+        assert_eq!(
+            std::fs::read(&rerun.summary_path).expect("summary"),
+            reference
+        );
         let merged = grid.merge_only().expect("merge only");
         assert_eq!(merged.done, 2);
-        assert_eq!(std::fs::read(&merged.summary_path).expect("summary"), reference);
+        assert_eq!(
+            std::fs::read(&merged.summary_path).expect("summary"),
+            reference
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1600,7 +1671,10 @@ mod tests {
         assert_eq!((report.done, report.skipped), (2, 1));
         assert_eq!(attempts_in_telemetry(&dir), [1, 0]);
         assert_eq!(std::fs::read(&path).expect("artifact"), bytes);
-        assert_eq!(std::fs::read(&report.summary_path).expect("summary"), reference);
+        assert_eq!(
+            std::fs::read(&report.summary_path).expect("summary"),
+            reference
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -104,21 +104,20 @@ pub fn plan_network(
         let chunks = inp.div_ceil(hierarchy.array_cols);
         let cols_per_chunk = inp.div_ceil(chunks);
 
-        let (stacks_per_chunk, word_bits, coded_bits, decodes_per_stack) =
-            match &accel.scheme {
-                ProtectionScheme::None => (out, 16u32, 16u32, 0u64),
-                ProtectionScheme::Static16 => {
-                    let code = crate::scheme::static16_code(cell_bits);
-                    (out, 16, 16 + code.check_bits(), input_bits)
-                }
-                ProtectionScheme::Static128 => {
-                    let code = crate::scheme::static128_code(cell_bits);
-                    (out.div_ceil(8), 128, 128 + code.check_bits(), input_bits)
-                }
-                ProtectionScheme::DataAware { check_bits, .. } => {
-                    (out.div_ceil(8), 128, 128 + check_bits, input_bits)
-                }
-            };
+        let (stacks_per_chunk, word_bits, coded_bits, decodes_per_stack) = match &accel.scheme {
+            ProtectionScheme::None => (out, 16u32, 16u32, 0u64),
+            ProtectionScheme::Static16 => {
+                let code = crate::scheme::static16_code(cell_bits);
+                (out, 16, 16 + code.check_bits(), input_bits)
+            }
+            ProtectionScheme::Static128 => {
+                let code = crate::scheme::static128_code(cell_bits);
+                (out.div_ceil(8), 128, 128 + code.check_bits(), input_bits)
+            }
+            ProtectionScheme::DataAware { check_bits, .. } => {
+                (out.div_ceil(8), 128, 128 + check_bits, input_bits)
+            }
+        };
 
         let rows_per_stack = coded_bits.div_ceil(cell_bits) as usize;
         let data_rows_per_stack = word_bits.div_ceil(cell_bits) as usize;
@@ -273,8 +272,10 @@ mod tests {
             &AccelConfig::new(ProtectionScheme::data_aware(9)).with_cell_bits(4),
             &HierarchyConfig::default(),
         );
-        assert!(coded_4b.data_rows + coded_4b.check_rows
-            < unprotected_2b.data_rows + unprotected_2b.check_rows);
+        assert!(
+            coded_4b.data_rows + coded_4b.check_rows
+                < unprotected_2b.data_rows + unprotected_2b.check_rows
+        );
     }
 
     #[test]

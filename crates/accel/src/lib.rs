@@ -83,8 +83,8 @@ mod error;
 pub mod grid;
 pub mod hierarchy;
 pub mod mapping;
-mod scheme;
 pub mod remap;
+mod scheme;
 pub mod sim;
 
 pub use engine::{CrossbarEngine, CrossbarProvider, DecodeStats};

@@ -321,13 +321,7 @@ fn build_group_stack<R: Rng + ?Sized>(
         let da = DataAwareConfig {
             error_list: config.error_list,
         };
-        ancode::data_aware::build_code(
-            code.a(),
-            code.b(),
-            &model,
-            config.group.data_bits(),
-            &da,
-        )?
+        ancode::data_aware::build_code(code.a(), code.b(), &model, config.group.data_bits(), &da)?
     } else {
         code
     };
@@ -367,13 +361,9 @@ fn select_data_aware_code(
     let da = DataAwareConfig {
         error_list: config.error_list,
     };
-    let result = ancode::search::select_a(
-        &candidates,
-        b,
-        config.group.data_bits(),
-        &da,
-        |a| predicted_row_model(blocks, a, config, memo),
-    )?;
+    let result = ancode::search::select_a(&candidates, b, config.group.data_bits(), &da, |a| {
+        predicted_row_model(blocks, a, config, memo)
+    })?;
     Ok(result.code)
 }
 

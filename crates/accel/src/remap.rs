@@ -69,8 +69,7 @@ fn stack_score(mapped: &MappedMatrix, chunk: usize, stack_idx: usize) -> f64 {
             score += 10.0 * (1.0 + stack.slicer.row_lsb(r as u32) as f64 / 16.0);
         }
     }
-    score
-        + xbar_error_mass(mapped, chunk, stack_idx)
+    score + xbar_error_mass(mapped, chunk, stack_idx)
 }
 
 fn xbar_error_mass(mapped: &MappedMatrix, chunk: usize, stack_idx: usize) -> f64 {

@@ -29,9 +29,9 @@ mod worker;
 
 use serde::{Deserialize, Serialize};
 
+use crate::DecodeStats;
 #[allow(unused_imports)] // referenced by the module docs above
 use crate::{AccelConfig, AccelError};
-use crate::DecodeStats;
 
 pub use scheduler::{evaluate, evaluate_with_model};
 
@@ -138,7 +138,10 @@ mod tests {
         let single = evaluate(&qnet, &images, &labels, &config, 3, 1).expect("evaluate");
         for threads in [2, 4, 7] {
             let multi = evaluate(&qnet, &images, &labels, &config, 3, threads).expect("evaluate");
-            assert_eq!(single.misclassification, multi.misclassification, "{threads} threads");
+            assert_eq!(
+                single.misclassification, multi.misclassification,
+                "{threads} threads"
+            );
             assert_eq!(
                 single.top5_misclassification, multi.top5_misclassification,
                 "{threads} threads"
@@ -229,10 +232,7 @@ mod tests {
         let (qnet, images, labels) = tiny_problem();
         let config = AccelConfig::new(ProtectionScheme::data_aware(9)).with_fault_rate(0.0);
         // Two examples suffice to exercise the path.
-        let images_small = Tensor::from_vec(
-            vec![2, 1, 28, 28],
-            images.data()[..2 * 784].to_vec(),
-        );
+        let images_small = Tensor::from_vec(vec![2, 1, 28, 28], images.data()[..2 * 784].to_vec());
         let result = evaluate(&qnet, &images_small, &labels[..2], &config, 7, 1).expect("evaluate");
         assert!(result.stats.total() > 0);
         assert_eq!(result.samples, 2);

@@ -61,7 +61,9 @@ fn mvm_into_steady_state_is_allocation_free() {
         ProtectionScheme::data_aware(9),
     ];
     let m = quantized(12, 128, 42);
-    let input: Vec<u16> = (0..128u64).map(|i| ((i * 2654435761) % 65536) as u16).collect();
+    let input: Vec<u16> = (0..128u64)
+        .map(|i| ((i * 2654435761) % 65536) as u16)
+        .collect();
 
     for scheme in schemes {
         let label = scheme.label();

@@ -35,7 +35,9 @@ fn problem() -> (QuantizedNetwork, Tensor, Vec<usize>) {
     let n = 24;
     let images = Tensor::from_vec(
         vec![n, 200],
-        (0..n * 200).map(|i| ((i * 37) % 101) as f32 / 101.0).collect(),
+        (0..n * 200)
+            .map(|i| ((i * 37) % 101) as f32 / 101.0)
+            .collect(),
     );
     let labels: Vec<usize> = (0..n).map(|i| i % 64).collect();
     (qnet, images, labels)
@@ -102,10 +104,9 @@ fn auto_matches_analytic_when_supported() {
     let (qnet, images, labels) = problem();
     let config = AccelConfig::new(ProtectionScheme::data_aware(9)).with_fault_rate(1e-3);
     assert!(analytic::supports(&config));
-    let auto = accel::sim::evaluate_with_model(
-        &qnet, &images, &labels, &config, 7, 1, ErrorModel::Auto,
-    )
-    .expect("auto");
+    let auto =
+        accel::sim::evaluate_with_model(&qnet, &images, &labels, &config, 7, 1, ErrorModel::Auto)
+            .expect("auto");
     let an = analytic::predict(&qnet, &images, &labels, &config).expect("analytic");
     assert_eq!(auto, an);
 }
@@ -117,10 +118,9 @@ fn auto_falls_back_to_mc_byte_identically() {
     let mut config = AccelConfig::new(ProtectionScheme::data_aware(9)).with_fault_rate(1e-3);
     config.max_retries = 1;
     assert!(!analytic::supports(&config));
-    let auto = accel::sim::evaluate_with_model(
-        &qnet, &images, &labels, &config, 7, 1, ErrorModel::Auto,
-    )
-    .expect("auto");
+    let auto =
+        accel::sim::evaluate_with_model(&qnet, &images, &labels, &config, 7, 1, ErrorModel::Auto)
+            .expect("auto");
     let mc = accel::sim::evaluate(&qnet, &images, &labels, &config, 7, 1).expect("mc");
     // Full structural identity, not approximate agreement: `Auto` must
     // leave the recorded Monte-Carlo series untouched when it falls
@@ -135,7 +135,13 @@ fn forced_analytic_outside_envelope_is_refused() {
     config.max_retries = 1;
     assert!(matches!(
         accel::sim::evaluate_with_model(
-            &qnet, &images, &labels, &config, 7, 1, ErrorModel::Analytic,
+            &qnet,
+            &images,
+            &labels,
+            &config,
+            7,
+            1,
+            ErrorModel::Analytic,
         ),
         Err(AccelError::InvalidConfig(_))
     ));

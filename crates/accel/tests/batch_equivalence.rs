@@ -99,10 +99,10 @@ fn engine_accepts_batches_beyond_its_configured_size() {
     let m = matrix();
     let batch = 6;
     let ins = inputs(batch);
-    let mut small = CrossbarProvider::new(noiseless(ProtectionScheme::data_aware(9), 2), 7)
-        .build(&m);
-    let mut sized = CrossbarProvider::new(noiseless(ProtectionScheme::data_aware(9), batch), 7)
-        .build(&m);
+    let mut small =
+        CrossbarProvider::new(noiseless(ProtectionScheme::data_aware(9), 2), 7).build(&m);
+    let mut sized =
+        CrossbarProvider::new(noiseless(ProtectionScheme::data_aware(9), batch), 7).build(&m);
     let mut out_small = Vec::new();
     let mut out_sized = Vec::new();
     small.mvm_batch_into(&ins, batch, &mut out_small);
@@ -128,8 +128,15 @@ fn evaluate_handles_ragged_and_oversized_batches() {
     );
     let labels: Vec<usize> = (0..n).map(|i| i % 10).collect();
 
-    let base = evaluate(&qnet, &images, &labels, &noiseless(ProtectionScheme::None, 1), 3, 1)
-        .expect("batch 1");
+    let base = evaluate(
+        &qnet,
+        &images,
+        &labels,
+        &noiseless(ProtectionScheme::None, 1),
+        3,
+        1,
+    )
+    .expect("batch 1");
     // 5 examples: batch 2 leaves a ragged final window of 1; batch 3 a
     // window of 2; batch 9 exceeds the example count entirely.
     for batch in [2usize, 3, 9] {

@@ -193,7 +193,8 @@ fn soak_fault_transcript_is_deterministic() {
         "the pinned chaos seed must actually inject faults"
     );
     assert!(
-        a.iter().any(|l| l.contains("\"seam\":\"checkpoint_write\"")),
+        a.iter()
+            .any(|l| l.contains("\"seam\":\"checkpoint_write\"")),
         "transcript: {a:#?}"
     );
     assert_eq!(a, b, "fault transcript must replay bit-for-bit");

@@ -64,10 +64,13 @@ fn counter_totals_equal_evaluate_returns() {
         let config = AccelConfig::new(scheme.clone());
         for threads in [1usize, 3] {
             obs::reset();
-            let result =
-                evaluate(&qnet, &images, &labels, &config, 42, threads).expect("evaluate");
+            let result = evaluate(&qnet, &images, &labels, &config, 42, threads).expect("evaluate");
             let label = format!("{} / {threads} threads", config.scheme.label());
-            assert_eq!(obs::counter_value("ecc_clean"), result.stats.clean, "{label}");
+            assert_eq!(
+                obs::counter_value("ecc_clean"),
+                result.stats.clean,
+                "{label}"
+            );
             assert_eq!(
                 obs::counter_value("ecc_corrected"),
                 result.stats.corrected,
@@ -135,7 +138,11 @@ fn batched_counter_totals_stay_consistent_and_invariant() {
         let config = AccelConfig::new(ProtectionScheme::data_aware(9)).with_batch(batch);
         let result = evaluate(&qnet, &images, &labels, &config, 42, 2).expect("evaluate");
         let label = format!("batch {batch}");
-        assert_eq!(obs::counter_value("ecc_clean"), result.stats.clean, "{label}");
+        assert_eq!(
+            obs::counter_value("ecc_clean"),
+            result.stats.clean,
+            "{label}"
+        );
         assert_eq!(
             obs::counter_value("ecc_corrected"),
             result.stats.corrected,
