@@ -881,8 +881,9 @@ impl Campaign {
     /// # Errors
     ///
     /// Returns [`AccelError::Checkpoint`] when every attempt fails.
-    /// Callers inside the epoch loop treat that as non-fatal; the CLI's
-    /// partial-result dump path propagates it.
+    /// Callers inside the epoch loop treat that as non-fatal, and so
+    /// does [`crate::grid::worker::run_cell`] when it saves a failed
+    /// attempt's finished epochs.
     pub fn save_checkpoint(&mut self) -> Result<(), AccelError> {
         let Some(path) = self.checkpoint.clone() else {
             return Ok(());

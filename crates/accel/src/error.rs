@@ -57,7 +57,7 @@ pub enum AccelError {
         /// Underlying I/O or parse failure.
         message: String,
     },
-    /// `--resume` pointed at a checkpoint recorded under different
+    /// A campaign was opened on a checkpoint recorded under different
     /// campaign parameters than the ones requested.
     ResumeMismatch(String),
     /// The grid driver failed at a coordination step (spec parsing,

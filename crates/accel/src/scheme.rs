@@ -246,8 +246,8 @@ impl AccelConfig {
     }
 
     /// Overrides one named knob with a JSON value. This is the one way
-    /// a grid variant or `campaign --set` changes a configuration, so
-    /// both launchers of a grid cell build the same one.
+    /// a grid variant changes a configuration, so both launchers of a
+    /// grid cell build the same one.
     ///
     /// | knob | value |
     /// | --- | --- |

@@ -36,7 +36,7 @@ fn roll(words: &[u64]) -> u64 {
 pub enum Seam {
     /// Periodic campaign checkpoint writes (the A/B generation slots).
     CheckpointWrite,
-    /// Checkpoint reads during `--resume`.
+    /// Checkpoint reads when a campaign opens its artifacts to resume.
     CheckpointRead,
     /// The final campaign results file written on completion.
     FinalWrite,
