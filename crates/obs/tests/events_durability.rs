@@ -21,6 +21,15 @@ fn temp_path(name: &str) -> std::path::PathBuf {
     dir.join(name)
 }
 
+/// Removes a test's event log and, once it is empty, the shared temp
+/// directory.
+fn remove(path: &std::path::Path) {
+    let _ = std::fs::remove_file(path);
+    if let Some(dir) = path.parent() {
+        let _ = std::fs::remove_dir(dir);
+    }
+}
+
 /// The exact boundary value renders as an exact JSON integer — the
 /// largest one an IEEE-double parser round-trips.
 #[test]
@@ -86,7 +95,7 @@ fn resume_truncates_partial_trailing_line() {
     assert!(lines[1].contains("\"type\":\"resume_probe\""));
     assert!(lines[1].contains("\"epoch\":3"));
     assert!(contents.ends_with('\n'));
-    let _ = std::fs::remove_file(&path);
+    remove(&path);
 }
 
 /// Resume on a missing file just creates it (first run and resumed
@@ -101,7 +110,7 @@ fn resume_creates_missing_file() {
     events::stop_logging();
     let contents = std::fs::read_to_string(&path).expect("read log");
     assert_eq!(contents.lines().count(), 1);
-    let _ = std::fs::remove_file(&path);
+    remove(&path);
 }
 
 /// Injected write faults: an `Error` drops exactly one line, a `Torn`
@@ -146,5 +155,5 @@ fn write_faults_lose_at_most_one_line_each() {
     assert!(lines[1].ends_with("\"n\":2}"), "line: {:?}", lines[1]);
     assert!(lines[2].ends_with("\"n\":3}"), "line: {:?}", lines[2]);
     assert!(contents.ends_with('\n'));
-    let _ = std::fs::remove_file(&path);
+    remove(&path);
 }

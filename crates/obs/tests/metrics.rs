@@ -202,6 +202,7 @@ mod enabled {
         assert_eq!(contents.lines().count(), 1);
         assert!(contents.contains("\"type\":\"shard_done\""));
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]
