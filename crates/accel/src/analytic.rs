@@ -59,8 +59,8 @@
 //! of the ensemble, per-row residual shares under crowding,
 //! independence across rows and logits, first-order activation gating)
 //! define a *validity envelope* — see [`supports`] and DESIGN.md §11.
-//! Outside it, or for final numbers, use the Monte-Carlo path;
-//! [`ErrorModel::Auto`] makes that choice per configuration.
+//! Outside it, or for final numbers, use the Monte-Carlo path; a
+//! campaign names its estimator in [`ErrorModel`].
 //!
 //! # Examples
 //!
@@ -101,10 +101,10 @@ use crate::mapping::{map_matrix_with, RateMemo};
 use crate::sim::SimResult;
 use crate::{AccelConfig, AccelError, DecodeStats};
 
-/// Which error model an evaluation should use.
+/// Which error model evaluates a campaign.
 ///
-/// The string labels (`analytic`, `mc`, `auto`) are what the CLI's
-/// `--error-model` flag accepts.
+/// The string labels (`mc`, `analytic`) are what a grid spec's
+/// `error_model` field accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ErrorModel {
     /// Closed-form moment propagation ([`predict`]); milliseconds per
@@ -114,27 +114,22 @@ pub enum ErrorModel {
     /// truth for final numbers. The default.
     #[default]
     Mc,
-    /// Analytic when [`supports`] accepts the configuration, Monte-Carlo
-    /// otherwise.
-    Auto,
 }
 
 impl ErrorModel {
-    /// The CLI label of this model.
+    /// The label of this model.
     pub fn label(&self) -> &'static str {
         match self {
             ErrorModel::Analytic => "analytic",
             ErrorModel::Mc => "mc",
-            ErrorModel::Auto => "auto",
         }
     }
 
-    /// Parses a CLI label (`analytic`, `mc`, `auto`).
+    /// Parses a label (`analytic`, `mc`).
     pub fn from_label(label: &str) -> Option<ErrorModel> {
         match label {
             "analytic" => Some(ErrorModel::Analytic),
             "mc" => Some(ErrorModel::Mc),
-            "auto" => Some(ErrorModel::Auto),
             _ => None,
         }
     }

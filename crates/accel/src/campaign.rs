@@ -69,9 +69,9 @@ use neural::{QuantizedNetwork, Tensor};
 use serde::{Deserialize, Serialize, Value};
 use xbar::endurance::EnduranceParams;
 
-use crate::analytic::ErrorModel;
+use crate::analytic::{self, ErrorModel};
 use crate::envelope::{self, Envelope, ReadError};
-use crate::sim::{evaluate_with_model, ShardGap, SimResult};
+use crate::sim::{self, ShardGap, SimResult};
 use crate::{AccelConfig, AccelError, ProtectionScheme};
 
 /// Checkpoint format version, bumped on incompatible schema changes.
@@ -114,13 +114,9 @@ pub struct CampaignConfig {
     /// Write a checkpoint every this many epochs (the final epoch is
     /// always checkpointed). 0 disables periodic checkpoints.
     pub checkpoint_every: u64,
-    /// Which error model evaluates each epoch. Campaign checkpoints
-    /// are byte-compared across resumes, so a series must stay
-    /// single-estimator: [`ErrorModel::Auto`] resolves to Monte-Carlo
-    /// here (never per-epoch switching), and the analytic fast path
-    /// must be requested explicitly. The resolved estimator is
-    /// recorded in [`CampaignState::error_model`], and resuming under a
-    /// different one is refused.
+    /// Which error model evaluates every epoch. It is recorded in
+    /// [`CampaignState::error_model`], and resuming under another one
+    /// is refused: one series never mixes estimators.
     pub error_model: ErrorModel,
     /// The knob overrides [`CampaignConfig::apply`] made to `base`, as
     /// an ordered JSON object (empty by default). Recorded in
@@ -180,13 +176,98 @@ impl CampaignConfig {
         self.endurance.failure_probability(self.writes_at(epoch))
     }
 
-    /// The estimator every epoch runs: [`ErrorModel::Auto`] resolves
-    /// to Monte-Carlo (see [`CampaignConfig::error_model`]).
-    fn estimator(&self) -> ErrorModel {
-        match self.error_model {
-            ErrorModel::Analytic => ErrorModel::Analytic,
-            ErrorModel::Mc | ErrorModel::Auto => ErrorModel::Mc,
+    /// Checks everything a campaign needs of its configuration: the
+    /// base accelerator config ([`AccelConfig::validate`]), a scheme
+    /// whose label survives the checkpoint round-trip, a seed below
+    /// 2^53 (JSON numbers must round-trip through `f64` exactly), a
+    /// finite positive wear rate, at least one thread, and, under the
+    /// analytic estimator, a base config inside its validity envelope
+    /// ([`analytic::supports`]). A grid spec is valid when this passes
+    /// for each of its cells.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccelError::InvalidConfig`] naming the first failing
+    /// field.
+    pub fn validate(&self) -> Result<(), AccelError> {
+        self.base.validate()?;
+        let invalid = |detail: String| Err(AccelError::InvalidConfig(detail));
+        let label = self.base.scheme.label();
+        if ProtectionScheme::from_label(&label).as_ref() != Some(&self.base.scheme) {
+            return invalid(format!(
+                "scheme {label} does not survive a checkpoint label round-trip"
+            ));
         }
+        if self.seed >= (1u64 << 53) {
+            return invalid(format!(
+                "seed {} is not below 2^53, so it cannot round-trip through JSON",
+                self.seed
+            ));
+        }
+        if !self.writes_per_epoch.is_finite() || self.writes_per_epoch <= 0.0 {
+            return invalid(format!(
+                "writes_per_epoch {} must be finite and positive",
+                self.writes_per_epoch
+            ));
+        }
+        if self.threads == 0 {
+            return invalid("threads must be positive".into());
+        }
+        if self.error_model == ErrorModel::Analytic && !analytic::supports(&self.base) {
+            return invalid(
+                "error_model analytic is valid only with the revert policy, no retries, \
+                 no remap, 16 input bits and no shard chaos"
+                    .into(),
+            );
+        }
+        Ok(())
+    }
+
+    /// Accepts `state` only when it was recorded under this config:
+    /// every field of [`CampaignState`] but `samples` and `completed`
+    /// must equal what a fresh campaign records, and the state may
+    /// claim no more epochs than it plans. The one identity
+    /// comparison: [`Campaign::open`] resumes only what passes it, and
+    /// a grid cell is done only when its artifact passes it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccelError::ResumeMismatch`] naming the first field
+    /// that differs.
+    pub fn check(&self, state: &CampaignState) -> Result<(), AccelError> {
+        let want = self.fresh_state().to_value();
+        let got = state.to_value();
+        // A key missing from one tree is a `#[serde(default)]` field
+        // left at its default, which renders as `{}`.
+        let render = |v: Option<&Value>| {
+            serde_json::to_string(v.unwrap_or(&Value::default())).unwrap_or_default()
+        };
+        let fields = want
+            .as_object()
+            .into_iter()
+            .chain(got.as_object())
+            .flatten();
+        for (key, _) in fields {
+            if matches!(key.as_str(), "samples" | "completed") {
+                continue;
+            }
+            let (w, g) = (want.get(key), got.get(key));
+            if w != g {
+                return Err(AccelError::ResumeMismatch(format!(
+                    "{key}: campaign wants {}, checkpoint has {}",
+                    render(w),
+                    render(g)
+                )));
+            }
+        }
+        if state.completed.len() as u64 > state.epochs {
+            return Err(AccelError::ResumeMismatch(format!(
+                "checkpoint claims {} completed epochs of {}",
+                state.completed.len(),
+                state.epochs
+            )));
+        }
+        Ok(())
     }
 
     /// The deterministic evaluation seed for one epoch.
@@ -210,7 +291,7 @@ impl CampaignConfig {
             max_endurance_writes: self.endurance.max_writes,
             seed: self.seed,
             threads: self.threads as u64,
-            error_model: self.estimator().label().to_string(),
+            error_model: self.error_model.label().to_string(),
             samples: 0,
             completed: Vec::new(),
         }
@@ -311,8 +392,7 @@ pub struct CampaignState {
     pub seed: u64,
     /// Worker threads per evaluation.
     pub threads: u64,
-    /// Label of the estimator every epoch ran (`mc` or `analytic`;
-    /// `auto` is recorded as the `mc` it resolves to).
+    /// Label of the estimator every epoch ran (`mc` or `analytic`).
     pub error_model: String,
     /// Test-set size (0 until the first epoch runs).
     pub samples: u64,
@@ -524,25 +604,10 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Returns [`AccelError::InvalidConfig`] when the base accelerator
-    /// config fails validation, the scheme label is not round-trippable
-    /// (it must be, for checkpoints), or the seed exceeds 2^53 (JSON
-    /// numbers must round-trip through `f64` exactly).
+    /// Returns [`AccelError::InvalidConfig`] when
+    /// [`CampaignConfig::validate`] refuses the config.
     pub fn new(config: CampaignConfig) -> Result<Campaign, AccelError> {
-        config.base.validate()?;
-        if ProtectionScheme::from_label(&config.base.scheme.label()).as_ref()
-            != Some(&config.base.scheme)
-        {
-            return Err(AccelError::InvalidConfig(format!(
-                "scheme {} does not survive a checkpoint label round-trip",
-                config.base.scheme.label()
-            )));
-        }
-        if config.seed >= (1u64 << 53) {
-            return Err(AccelError::InvalidConfig(
-                "campaign seeds must stay below 2^53 to round-trip through JSON".into(),
-            ));
-        }
+        config.validate()?;
         let state = config.fresh_state();
         Ok(Campaign {
             config,
@@ -569,11 +634,9 @@ impl Campaign {
     /// # Errors
     ///
     /// Returns [`AccelError::InvalidConfig`] as [`Campaign::new`] does,
-    /// and [`AccelError::ResumeMismatch`] when a verified artifact was
-    /// recorded under other campaign parameters (scheme, cell bits,
-    /// remap, knob overrides, epoch schedule, endurance range, seed,
-    /// threads, estimator): it is another campaign's work, and
-    /// recomputing would silently overwrite it.
+    /// and [`AccelError::ResumeMismatch`] when [`CampaignConfig::check`]
+    /// refuses the verified artifact: it is another campaign's work,
+    /// and recomputing would silently overwrite it.
     pub fn open(
         config: CampaignConfig,
         path: &Path,
@@ -626,75 +689,9 @@ impl Campaign {
             campaign.dice = ChaosDice::new(chaos);
             return Ok(campaign);
         };
-        campaign.check_resumable(&state)?;
+        campaign.config.check(&state)?;
         campaign.state = state;
         Ok(campaign)
-    }
-
-    /// Accepts `state` only when it was recorded under this campaign's
-    /// parameters and claims no more epochs than it plans.
-    fn check_resumable(&self, state: &CampaignState) -> Result<(), AccelError> {
-        let expected = &self.state;
-        let mismatch = |field: &str, want: &dyn std::fmt::Debug, got: &dyn std::fmt::Debug| {
-            Err(AccelError::ResumeMismatch(format!(
-                "{field}: campaign wants {want:?}, checkpoint has {got:?}"
-            )))
-        };
-        if state.scheme != expected.scheme {
-            return mismatch("scheme", &expected.scheme, &state.scheme);
-        }
-        if state.cell_bits != expected.cell_bits {
-            return mismatch("cell_bits", &expected.cell_bits, &state.cell_bits);
-        }
-        if state.remap != expected.remap {
-            return mismatch("remap", &expected.remap, &state.remap);
-        }
-        if state.set != expected.set {
-            return mismatch("set", &expected.set, &state.set);
-        }
-        if state.epochs != expected.epochs {
-            return mismatch("epochs", &expected.epochs, &state.epochs);
-        }
-        if state.initial_writes != expected.initial_writes {
-            return mismatch(
-                "initial_writes",
-                &expected.initial_writes,
-                &state.initial_writes,
-            );
-        }
-        if state.writes_per_epoch != expected.writes_per_epoch {
-            return mismatch(
-                "writes_per_epoch",
-                &expected.writes_per_epoch,
-                &state.writes_per_epoch,
-            );
-        }
-        if state.min_endurance_writes != expected.min_endurance_writes
-            || state.max_endurance_writes != expected.max_endurance_writes
-        {
-            return mismatch(
-                "endurance range",
-                &(expected.min_endurance_writes, expected.max_endurance_writes),
-                &(state.min_endurance_writes, state.max_endurance_writes),
-            );
-        }
-        if state.seed != expected.seed {
-            return mismatch("seed", &expected.seed, &state.seed);
-        }
-        if state.threads != expected.threads {
-            return mismatch("threads", &expected.threads, &state.threads);
-        }
-        if state.error_model != expected.error_model {
-            return mismatch("error_model", &expected.error_model, &state.error_model);
-        }
-        if state.completed.len() as u64 > state.epochs {
-            return Err(AccelError::ResumeMismatch(format!(
-                "checkpoint claims {} completed epochs of {}",
-                state.completed.len(),
-                state.epochs
-            )));
-        }
-        Ok(())
     }
 
     /// Sets the checkpoint path for periodic saves during
@@ -790,18 +787,20 @@ impl Campaign {
             // returns, so the total is current at both reads).
             let eval_start_ns = obs::now_ns();
             let program_ns_before = obs::span_total_ns("program");
-            // `Auto` resolved to Monte-Carlo at campaign level (see
-            // `CampaignConfig::error_model`): per-epoch switching would
-            // mix estimators inside one byte-compared series.
-            let result = evaluate_with_model(
-                qnet,
-                images,
-                labels,
-                &config,
-                self.config.epoch_seed(epoch),
-                self.config.threads,
-                self.config.estimator(),
-            )?;
+            let threads = self.config.threads;
+            let result = match self.config.error_model {
+                ErrorModel::Mc => sim::evaluate(
+                    qnet,
+                    images,
+                    labels,
+                    &config,
+                    self.config.epoch_seed(epoch),
+                    threads,
+                ),
+                ErrorModel::Analytic => {
+                    analytic::predict_threaded(qnet, images, labels, &config, threads)
+                }
+            }?;
             let eval_ns = obs::now_ns().saturating_sub(eval_start_ns);
             let program_ns = obs::span_total_ns("program").saturating_sub(program_ns_before);
             self.state.samples = labels.len() as u64;
@@ -1204,28 +1203,7 @@ mod tests {
         remove_artifacts(&path);
     }
 
-    /// `Auto` is resolved to Monte-Carlo at campaign level: per-epoch
-    /// estimator switching would mix estimators inside one
-    /// byte-compared series. An `Auto` campaign must therefore produce
-    /// a state byte-identical to an explicit `Mc` campaign.
-    #[test]
-    fn auto_campaign_is_byte_identical_to_mc() {
-        let (qnet, images, labels) = tiny_problem();
-        let mc_config = small_campaign(ProtectionScheme::None, 3);
-        let mut auto_config = mc_config.clone();
-        auto_config.error_model = ErrorModel::Auto;
-
-        let mut mc = Campaign::new(mc_config).expect("campaign");
-        mc.run(&qnet, &images, &labels).expect("mc run");
-        let mut auto = Campaign::new(auto_config).expect("campaign");
-        auto.run(&qnet, &images, &labels).expect("auto run");
-        assert_eq!(
-            auto.state().to_json().expect("json"),
-            mc.state().to_json().expect("json"),
-        );
-    }
-
-    /// Checkpoints record the resolved estimator, so an analytic
+    /// Checkpoints record the estimator, so an analytic
     /// campaign resumes like a Monte-Carlo one — but only under the
     /// estimator that produced its epochs: anything else would mix
     /// estimators inside one series.
@@ -1249,17 +1227,14 @@ mod tests {
             .expect("partial run");
         drop(campaign);
 
-        // A different estimator is a mismatch; `auto` resolves to
-        // `mc`, so it is refused too.
-        for model in [ErrorModel::Mc, ErrorModel::Auto] {
-            let mut other = config.clone();
-            other.error_model = model;
-            match open(other, &path) {
-                Err(AccelError::ResumeMismatch(msg)) => {
-                    assert!(msg.contains("error_model"), "message: {msg}");
-                }
-                other => panic!("expected ResumeMismatch, got {other:?}"),
+        // A different estimator is a mismatch.
+        let mut other = config.clone();
+        other.error_model = ErrorModel::Mc;
+        match open(other, &path) {
+            Err(AccelError::ResumeMismatch(msg)) => {
+                assert!(msg.contains("error_model"), "message: {msg}");
             }
+            other => panic!("expected ResumeMismatch, got {other:?}"),
         }
         // The same estimator resumes and finishes byte-identically.
         let mut resumed = open(config, &path).expect("resume");
@@ -1300,12 +1275,36 @@ mod tests {
             Campaign::new(bad),
             Err(AccelError::InvalidConfig(_))
         ));
-        let mut big_seed = CampaignConfig::new(AccelConfig::new(ProtectionScheme::None), 2, 1);
-        big_seed.seed = 1u64 << 53;
-        assert!(matches!(
-            Campaign::new(big_seed),
-            Err(AccelError::InvalidConfig(_))
-        ));
+        let good = CampaignConfig::new(AccelConfig::new(ProtectionScheme::None), 2, 1);
+        let cases: Vec<(Box<dyn Fn(&mut CampaignConfig)>, &str)> = vec![
+            (Box::new(|c| c.seed = 1u64 << 53), "2^53"),
+            (Box::new(|c| c.base.device.bits_per_cell = 6), "cell_bits"),
+            (
+                Box::new(|c| c.base.scheme = ProtectionScheme::data_aware(11)),
+                "ABN-11",
+            ),
+            (Box::new(|c| c.writes_per_epoch = 0.0), "writes_per_epoch"),
+            (
+                Box::new(|c| c.writes_per_epoch = f64::INFINITY),
+                "writes_per_epoch",
+            ),
+            (Box::new(|c| c.threads = 0), "threads"),
+            (
+                Box::new(|c| {
+                    c.error_model = ErrorModel::Analytic;
+                    c.base.remap = true;
+                }),
+                "analytic",
+            ),
+        ];
+        for (mutate, needle) in cases {
+            let mut bad = good.clone();
+            mutate(&mut bad);
+            match Campaign::new(bad) {
+                Err(AccelError::InvalidConfig(m)) => assert!(m.contains(needle), "{m}"),
+                other => panic!("expected InvalidConfig for {needle}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ use std::path::{Path, PathBuf};
 use chaos::{ChaosSchedule, Seam};
 use serde::{Deserialize, Serialize, Value};
 
-use crate::analytic::{self, ErrorModel};
+use crate::analytic::ErrorModel;
 use crate::campaign::{self, CampaignConfig, CampaignState, ChaosDice};
 use crate::envelope::{self, ReadError};
 use crate::{AccelConfig, AccelError, ProtectionScheme};
@@ -79,7 +79,7 @@ pub struct GridSpec {
     /// Full-array rewrites per epoch — the wear schedule that sweeps
     /// the fault-rate axis (via the endurance model).
     pub writes_per_epoch: Vec<f64>,
-    /// Base RNG seeds (each below 2^53, the JSON-exact window).
+    /// Base RNG seeds.
     pub seeds: Vec<u64>,
     /// Lifetime epochs per cell.
     pub epochs: u64,
@@ -93,8 +93,7 @@ pub struct GridSpec {
     pub checkpoint_every: u64,
     /// Writes absorbed before epoch 0.
     pub initial_writes: f64,
-    /// Error model for every cell: `analytic`, `mc`, or `auto` (the
-    /// PR 9 envelope; `auto` resolves to Monte-Carlo inside campaigns).
+    /// Error model for every cell: `mc` or `analytic`.
     pub error_model: String,
     /// Named knob-override sets, the innermost axis: every other axis
     /// point runs once per variant. Empty (the default) runs the
@@ -145,12 +144,20 @@ impl GridSpec {
         })
     }
 
-    /// Validates every axis and scalar field.
+    /// Validates the spec: a spec is valid when every cell's
+    /// configuration is ([`CampaignConfig::validate`], after
+    /// [`GridSpec::cell_config`]), so the ranges of cell bits, schemes,
+    /// seeds, wear rates, threads, knobs and the analytic envelope are
+    /// the config's. Checked here are only what no cell config can
+    /// check: the version, non-empty axes, model names, `epochs`,
+    /// `samples` and `train`, variant names and `set` objects, and
+    /// scheme labels written as the scheme writes itself (`ABN-9`, not
+    /// `ABN-09`), which the artifacts record.
     ///
     /// # Errors
     ///
     /// Returns [`AccelError::Grid`] (stage `spec`) naming the first
-    /// offending field.
+    /// offending field, and the cell for a refused cell config.
     pub fn validate(&self) -> Result<(), AccelError> {
         let fail = |message: String| {
             Err(AccelError::Grid {
@@ -181,27 +188,10 @@ impl GridSpec {
             }
         }
         for label in &self.schemes {
-            if ProtectionScheme::from_label(label).is_none() {
-                return fail(format!(
-                    "unknown scheme {label} (try NoECC, Static16, Static128, ABN-7..ABN-10)"
-                ));
-            }
-        }
-        for &bits in &self.cell_bits {
-            if !(1..=8).contains(&bits) {
-                return fail(format!("cell_bits {bits} outside 1..=8"));
-            }
-        }
-        for &w in &self.writes_per_epoch {
-            if !w.is_finite() || w <= 0.0 {
-                return fail(format!("writes_per_epoch {w} must be finite and positive"));
-            }
-        }
-        for &seed in &self.seeds {
-            if seed >= (1u64 << 53) {
-                return fail(format!(
-                    "seed {seed} exceeds 2^53 and cannot round-trip through JSON"
-                ));
+            if let Some(scheme) = ProtectionScheme::from_label(label) {
+                if scheme.label() != *label {
+                    return fail(format!("scheme {label} must be written {}", scheme.label()));
+                }
             }
         }
         if self.epochs == 0 {
@@ -210,15 +200,6 @@ impl GridSpec {
         if self.samples == 0 || self.train == 0 {
             return fail("samples and train must be positive".into());
         }
-        if self.threads == 0 {
-            return fail("threads must be positive".into());
-        }
-        let Some(error_model) = ErrorModel::from_label(&self.error_model) else {
-            return fail(format!(
-                "unknown error_model {} (try analytic, mc, auto)",
-                self.error_model
-            ));
-        };
         for (i, variant) in self.variants.iter().enumerate() {
             let name = &variant.name;
             let legal = |c: char| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-');
@@ -228,20 +209,13 @@ impl GridSpec {
             if self.variants[..i].iter().any(|v| &v.name == name) {
                 return fail(format!("variant name {name} is used twice"));
             }
-            let Some(knobs) = variant.set.as_object() else {
+            if variant.set.as_object().is_none() {
                 return fail(format!("variant {name}: set must be a knob → value object"));
-            };
-            let mut config = CampaignConfig::new(AccelConfig::new(ProtectionScheme::None), 1, 0);
-            for (knob, value) in knobs {
-                if let Err(e) = config.apply(knob, value) {
-                    return fail(format!("variant {name}: {e}"));
-                }
             }
-            if error_model == ErrorModel::Analytic && !analytic::supports(&config.base) {
-                return fail(format!(
-                    "variant {name}: error_model analytic is valid only with the revert \
-                     policy, no retries and no remap"
-                ));
+        }
+        for cell in self.cells() {
+            if let Err(e) = self.cell_config(&cell)?.validate() {
+                return fail(format!("cell {}: {e}", cell.id));
             }
         }
         Ok(())
@@ -325,25 +299,40 @@ impl GridSpec {
     }
 
     /// Builds the campaign configuration for one cell, its variant's
-    /// knobs applied through [`CampaignConfig::apply`].
+    /// knobs applied through [`CampaignConfig::apply`]. It is not
+    /// validated here: [`GridSpec::validate`] validates every cell's,
+    /// and [`Campaign::new`](crate::campaign::Campaign::new) validates
+    /// the one it runs.
     ///
     /// # Errors
     ///
-    /// Returns [`AccelError::Grid`] when the cell's labels or knobs fail
-    /// to parse (impossible for cells produced by [`GridSpec::cells`]
-    /// on a validated spec).
+    /// Returns [`AccelError::Grid`] (stage `spec`) when the cell's
+    /// labels or knobs fail to parse (impossible for cells produced by
+    /// [`GridSpec::cells`] on a validated spec).
     pub fn cell_config(&self, cell: &GridCell) -> Result<CampaignConfig, AccelError> {
-        let scheme =
-            ProtectionScheme::from_label(&cell.scheme).ok_or_else(|| AccelError::Grid {
-                stage: "spec".into(),
-                message: format!("unknown scheme {}", cell.scheme),
-            })?;
-        let error_model =
-            ErrorModel::from_label(&self.error_model).ok_or_else(|| AccelError::Grid {
-                stage: "spec".into(),
-                message: format!("unknown error_model {}", self.error_model),
-            })?;
-        let base = AccelConfig::new(scheme).with_cell_bits(cell.cell_bits as u32);
+        let fail = |message: String| AccelError::Grid {
+            stage: "spec".into(),
+            message,
+        };
+        let scheme = ProtectionScheme::from_label(&cell.scheme).ok_or_else(|| {
+            fail(format!(
+                "unknown scheme {} (try NoECC, Static16, Static128, ABN-7..ABN-10)",
+                cell.scheme
+            ))
+        })?;
+        let error_model = ErrorModel::from_label(&self.error_model).ok_or_else(|| {
+            fail(format!(
+                "unknown error_model {} (try analytic, mc)",
+                self.error_model
+            ))
+        })?;
+        let bits = u32::try_from(cell.cell_bits).map_err(|_| {
+            fail(format!(
+                "cell_bits {} does not fit in 32 bits",
+                cell.cell_bits
+            ))
+        })?;
+        let base = AccelConfig::new(scheme).with_cell_bits(bits);
         let mut config = CampaignConfig::new(base, self.epochs, cell.seed);
         config.threads = self.threads as usize;
         config.writes_per_epoch = cell.writes_per_epoch;
@@ -351,54 +340,27 @@ impl GridSpec {
         config.checkpoint_every = self.checkpoint_every;
         config.error_model = error_model;
         for (knob, value) in cell.knobs() {
-            config.apply(knob, value).map_err(|e| AccelError::Grid {
-                stage: "spec".into(),
-                message: format!("cell {}: {e}", cell.id),
-            })?;
+            config
+                .apply(knob, value)
+                .map_err(|e| fail(format!("cell {}: {e}", cell.id)))?;
         }
         Ok(config)
     }
 
-    /// Accepts `state` only as `cell`'s complete record: the scheme,
-    /// seed, cell bits, knob overrides, wear schedule and epoch count
-    /// it records must all be the cell's, and every epoch must be
-    /// present. The one identity check behind "a cell is done".
-    fn check_artifact(&self, cell: &GridCell, state: &CampaignState) -> Result<(), String> {
-        let differs = |field: &str, want: &dyn std::fmt::Debug, got: &dyn std::fmt::Debug| {
-            Err(format!(
-                "{field}: cell {} wants {want:?}, artifact records {got:?}",
-                cell.id
-            ))
-        };
-        if state.scheme != cell.scheme {
-            return differs("scheme", &cell.scheme, &state.scheme);
-        }
-        if state.seed != cell.seed {
-            return differs("seed", &cell.seed, &state.seed);
-        }
-        if state.cell_bits != cell.cell_bits {
-            return differs("cell_bits", &cell.cell_bits, &state.cell_bits);
-        }
-        let set = cell
-            .variant
-            .as_ref()
-            .map_or_else(Value::default, |v| v.set.clone());
-        if state.set != set {
-            return differs("set", &set, &state.set);
-        }
-        if state.writes_per_epoch != cell.writes_per_epoch {
-            return differs(
-                "writes_per_epoch",
-                &cell.writes_per_epoch,
-                &state.writes_per_epoch,
-            );
-        }
-        if state.epochs != self.epochs || state.completed.len() as u64 != self.epochs {
-            return differs(
-                "epochs (planned, completed)",
-                &(self.epochs, self.epochs),
-                &(state.epochs, state.completed.len()),
-            );
+    /// Accepts `state` as `cell`'s complete record: recorded under the
+    /// cell's configuration ([`CampaignConfig::check`], the comparison
+    /// a resume makes) with every epoch present. What "a cell is done"
+    /// means.
+    fn check_done(&self, cell: &GridCell, state: &CampaignState) -> Result<(), String> {
+        self.cell_config(cell)
+            .and_then(|config| config.check(state))
+            .map_err(|e| e.to_string())?;
+        if state.completed.len() as u64 != state.epochs {
+            return Err(format!(
+                "epochs: {} of {} completed",
+                state.completed.len(),
+                state.epochs
+            ));
         }
         Ok(())
     }
@@ -661,11 +623,11 @@ impl Grid {
     }
 
     /// The cell's final artifact, when it verifies as the cell's
-    /// complete record (see [`GridSpec::check_artifact`]).
+    /// complete record (see [`GridSpec::check_done`]).
     fn verified_artifact(&self, cell: &GridCell, dice: &mut ChaosDice) -> Option<CampaignState> {
         envelope::read(&artifact_path(&self.dir, cell), dice, |bytes| {
             let state = campaign::parse_state(bytes)?;
-            self.spec.check_artifact(cell, &state)?;
+            self.spec.check_done(cell, &state)?;
             Ok(state)
         })
         .ok()
@@ -1085,15 +1047,35 @@ mod tests {
                 "unknown scheme",
             ),
             (Box::new(|s| s.cell_bits = vec![9]), "cell_bits"),
+            (Box::new(|s| s.cell_bits = vec![6]), "cell_bits"),
+            (Box::new(|s| s.cell_bits = vec![2, 0]), "cell_bits"),
+            (Box::new(|s| s.cell_bits = vec![1 << 32]), "cell_bits"),
+            (
+                Box::new(|s| s.schemes = vec!["ABN-6".into()]),
+                "scheme ABN-6",
+            ),
+            (
+                Box::new(|s| s.schemes = vec!["NoECC".into(), "ABN-11".into()]),
+                "scheme ABN-11",
+            ),
+            (
+                Box::new(|s| s.schemes = vec!["ABN-09".into()]),
+                "scheme ABN-09",
+            ),
             (
                 Box::new(|s| s.writes_per_epoch = vec![-1.0]),
                 "writes_per_epoch",
             ),
             (Box::new(|s| s.seeds = vec![1u64 << 53]), "2^53"),
             (Box::new(|s| s.epochs = 0), "epochs"),
+            (Box::new(|s| s.threads = 0), "threads"),
             (
                 Box::new(|s| s.error_model = "psychic".into()),
                 "error_model",
+            ),
+            (
+                Box::new(|s| s.error_model = "auto".into()),
+                "error_model auto (try analytic, mc)",
             ),
         ];
         for (mutate, needle) in cases {
@@ -1227,9 +1209,9 @@ mod tests {
         // An artifact records its overrides, so another variant's
         // artifact is refused before anything else about it is read.
         let state = Campaign::new(p22).expect("campaign").state().clone();
-        let refused = spec.check_artifact(&cells[0], &state).unwrap_err();
-        assert!(refused.starts_with("set:"), "{refused}");
-        let incomplete = spec.check_artifact(&cells[1], &state).unwrap_err();
+        let refused = spec.check_done(&cells[0], &state).unwrap_err();
+        assert!(refused.contains(": set: campaign wants {}"), "{refused}");
+        let incomplete = spec.check_done(&cells[1], &state).unwrap_err();
         assert!(incomplete.starts_with("epochs"), "{incomplete}");
     }
 
@@ -1599,7 +1581,7 @@ mod tests {
         let mut flipped = artifact.clone();
         flipped[digit] ^= 1;
         let parsed = campaign::parse_state(&flipped).expect("flipped artifact still parses");
-        assert!(spec.check_artifact(&cells[0], &parsed).is_ok());
+        assert!(spec.check_done(&cells[0], &parsed).is_ok());
         assert_ne!(flipped, artifact);
 
         for step in ["merge_only", "rerun"] {
@@ -1616,6 +1598,33 @@ mod tests {
                 reference,
                 "{step} let a flipped read into the summary"
             );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The done-check is the resume comparison: an artifact that
+    /// differs from its cell's config in any recorded field is not the
+    /// cell's record, even in a field the cell id does not name.
+    #[test]
+    fn done_check_refuses_an_artifact_of_another_configuration() {
+        let problems = tiny_problems();
+        let spec = spec_2x1();
+        let (dir, _) = clean_run(&spec, &problems, "done-check");
+        let cell = &spec.cells()[0];
+        let text = std::fs::read(artifact_path(&dir, cell)).expect("artifact");
+        let state = campaign::parse_state(&text).expect("artifact parses");
+        assert!(spec.check_done(cell, &state).is_ok());
+
+        let cases: [(fn(&mut CampaignState), &str); 3] = [
+            (|s| s.threads += 1, "threads"),
+            (|s| s.initial_writes = 1e6, "initial_writes"),
+            (|s| s.error_model = "mc".into(), "error_model"),
+        ];
+        for (mutate, field) in cases {
+            let mut other = state.clone();
+            mutate(&mut other);
+            let refused = spec.check_done(cell, &other).unwrap_err();
+            assert!(refused.contains(&format!(": {field}: ")), "{refused}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

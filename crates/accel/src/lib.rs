@@ -19,8 +19,7 @@
 //!   threads) and reports misclassification rates;
 //! - [`analytic`] predicts the same rates in closed form — moment
 //!   propagation through every pipeline stage instead of sampling —
-//!   with an [`analytic::ErrorModel`] policy for choosing between the
-//!   two per configuration;
+//!   and a campaign picks one of the two by [`analytic::ErrorModel`];
 //! - [`cost`] reproduces the area/power/latency accounting of Table IV
 //!   and §VIII-B;
 //! - [`hierarchy`] plans networks onto the tile/IMA/array hierarchy and

@@ -195,7 +195,7 @@ impl AccelConfig {
         let invalid = |detail: String| Err(crate::AccelError::InvalidConfig(detail));
         if self.device.bits_per_cell == 0 || self.device.bits_per_cell > 5 {
             return invalid(format!(
-                "bits_per_cell must be 1-5, got {}",
+                "cell_bits must be 1-5, got {}",
                 self.device.bits_per_cell
             ));
         }
@@ -217,7 +217,8 @@ impl AccelConfig {
         if let ProtectionScheme::DataAware { check_bits, .. } = self.scheme {
             if !(7..=10).contains(&check_bits) {
                 return invalid(format!(
-                    "data-aware check_bits must be 7-10, got {check_bits}"
+                    "scheme {} must have 7-10 check bits",
+                    self.scheme.label()
                 ));
             }
         }

@@ -33,7 +33,7 @@ use crate::DecodeStats;
 #[allow(unused_imports)] // referenced by the module docs above
 use crate::{AccelConfig, AccelError};
 
-pub use scheduler::{evaluate, evaluate_with_model};
+pub use scheduler::evaluate;
 
 /// An unevaluated shard range. Nothing produces one any more (each
 /// shard runs to completion or fails the evaluation); the type stays

@@ -7,7 +7,6 @@ use neural::{QuantizedNetwork, Tensor};
 
 use super::worker::{merge, panic_message, run_shard, ShardTallies};
 use super::SimResult;
-use crate::analytic::ErrorModel;
 use crate::{AccelConfig, AccelError, DecodeStats};
 
 /// Evaluates a quantized network on the noisy accelerator over a test
@@ -223,79 +222,4 @@ pub fn evaluate(
         gaps: Vec::new(),
         stats,
     })
-}
-
-/// Evaluates with an explicit [`ErrorModel`] choice.
-///
-/// [`ErrorModel::Mc`] is [`evaluate`] verbatim — same seeds, same
-/// shard fan-out, bit-identical results. [`ErrorModel::Analytic`]
-/// dispatches to the closed-form fast path
-/// ([`crate::analytic::predict`]; `seed` and `threads` are unused — the
-/// prediction is deterministic single-pass). [`ErrorModel::Auto`]
-/// picks analytic when the configuration is inside the validity
-/// envelope ([`crate::analytic::supports`]) and falls back to
-/// Monte-Carlo otherwise; the choice is recorded in the
-/// `error_model_*` obs counters.
-///
-/// # Examples
-///
-/// The auto policy falls back to Monte-Carlo for configurations the
-/// analytic derivation does not cover (here: ECU re-read retries), and
-/// the fallback is bit-identical to calling [`evaluate`] directly:
-///
-/// ```
-/// use accel::analytic::ErrorModel;
-/// use accel::{sim, AccelConfig, ProtectionScheme};
-/// use neural::{Dense, Network, QuantizedNetwork, Tensor};
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-/// let net = Network::new(vec![Box::new(Dense::new(8, 4, &mut rng))]);
-/// let qnet = QuantizedNetwork::from_network(&net);
-/// let images = Tensor::from_vec(vec![3, 8], vec![0.25; 24]);
-/// let labels = vec![0usize, 1, 2];
-///
-/// let mut config = AccelConfig::new(ProtectionScheme::data_aware(9));
-/// config.max_retries = 2; // outside the analytic envelope
-/// let auto =
-///     sim::evaluate_with_model(&qnet, &images, &labels, &config, 42, 2, ErrorModel::Auto)?;
-/// let mc = sim::evaluate(&qnet, &images, &labels, &config, 42, 2)?;
-/// assert_eq!(auto.misclassification, mc.misclassification);
-/// assert_eq!(auto.stats, mc.stats);
-/// # Ok::<(), accel::AccelError>(())
-/// ```
-///
-/// # Errors
-///
-/// As [`evaluate`] for the Monte-Carlo path; additionally
-/// [`AccelError::InvalidConfig`] when [`ErrorModel::Analytic`] is
-/// forced on a configuration outside the envelope.
-pub fn evaluate_with_model(
-    qnet: &QuantizedNetwork,
-    images: &Tensor,
-    labels: &[usize],
-    config: &AccelConfig,
-    seed: u64,
-    threads: usize,
-    model: ErrorModel,
-) -> Result<SimResult, AccelError> {
-    match model {
-        ErrorModel::Analytic => {
-            obs::counter!(error_model_analytic).incr();
-            crate::analytic::predict_threaded(qnet, images, labels, config, threads)
-        }
-        ErrorModel::Mc => {
-            obs::counter!(error_model_mc).incr();
-            evaluate(qnet, images, labels, config, seed, threads)
-        }
-        ErrorModel::Auto => {
-            if crate::analytic::supports(config) {
-                obs::counter!(error_model_analytic).incr();
-                crate::analytic::predict_threaded(qnet, images, labels, config, threads)
-            } else {
-                obs::counter!(error_model_auto_fallback).incr();
-                evaluate(qnet, images, labels, config, seed, threads)
-            }
-        }
-    }
 }

@@ -8,12 +8,10 @@
 //! - Averaging Monte-Carlo runs over more seeds converges toward the
 //!   analytic expectation (the analytic result is the noise-marginal
 //!   the sampler estimates).
-//! - `ErrorModel::Auto` equals the analytic path exactly when the
-//!   configuration is inside the envelope, and is *byte-identical* to
-//!   the seeded Monte-Carlo path when it is not.
+//! - The analytic path refuses a configuration outside its envelope.
 //! - Flip rate is monotone in the stuck-at fault rate (property test).
 
-use accel::analytic::{self, ErrorModel};
+use accel::analytic;
 use accel::{AccelConfig, AccelError, ProtectionScheme};
 use neural::{Dense, Network, QuantizedNetwork, Tensor};
 use proptest::prelude::*;
@@ -100,49 +98,12 @@ fn mc_seed_average_converges_toward_analytic() {
 }
 
 #[test]
-fn auto_matches_analytic_when_supported() {
-    let (qnet, images, labels) = problem();
-    let config = AccelConfig::new(ProtectionScheme::data_aware(9)).with_fault_rate(1e-3);
-    assert!(analytic::supports(&config));
-    let auto =
-        accel::sim::evaluate_with_model(&qnet, &images, &labels, &config, 7, 1, ErrorModel::Auto)
-            .expect("auto");
-    let an = analytic::predict(&qnet, &images, &labels, &config).expect("analytic");
-    assert_eq!(auto, an);
-}
-
-#[test]
-fn auto_falls_back_to_mc_byte_identically() {
-    let (qnet, images, labels) = problem();
-    // Retries take the configuration outside the analytic envelope.
-    let mut config = AccelConfig::new(ProtectionScheme::data_aware(9)).with_fault_rate(1e-3);
-    config.max_retries = 1;
-    assert!(!analytic::supports(&config));
-    let auto =
-        accel::sim::evaluate_with_model(&qnet, &images, &labels, &config, 7, 1, ErrorModel::Auto)
-            .expect("auto");
-    let mc = accel::sim::evaluate(&qnet, &images, &labels, &config, 7, 1).expect("mc");
-    // Full structural identity, not approximate agreement: `Auto` must
-    // leave the recorded Monte-Carlo series untouched when it falls
-    // back, down to the decode statistics.
-    assert_eq!(auto, mc);
-}
-
-#[test]
 fn forced_analytic_outside_envelope_is_refused() {
     let (qnet, images, labels) = problem();
     let mut config = AccelConfig::new(ProtectionScheme::data_aware(9));
     config.max_retries = 1;
     assert!(matches!(
-        accel::sim::evaluate_with_model(
-            &qnet,
-            &images,
-            &labels,
-            &config,
-            7,
-            1,
-            ErrorModel::Analytic,
-        ),
+        analytic::predict_threaded(&qnet, &images, &labels, &config, 1),
         Err(AccelError::InvalidConfig(_))
     ));
 }

@@ -82,7 +82,7 @@ grid specs (see DESIGN.md, grid campaigns; README, Grid campaigns):
   The spec JSON lists every axis explicitly: models, schemes,
   cell_bits, writes_per_epoch, seeds, plus scalar epochs/samples/
   train/threads/checkpoint_every/initial_writes/error_model
-  (mc, analytic or auto), and optionally variants: a list of
+  (mc or analytic), and optionally variants: a list of
   {name, set: {KNOB: VALUE, ...}}, the innermost axis. The knobs are
   device.rlo_delta_r, device.rtn_state_probability,
   device.rtn_offset, policy (revert or keep-corrected), max_retries,

@@ -100,13 +100,18 @@ done
 echo "doc identifiers all resolve"
 
 echo "=== stale doc flags (README flag tables and documented commands must match the CLI) ==="
-# Every backticked `--flag` in a README.md table row, and every `--flag`
-# after a `campaign` or `campaign-grid` subcommand on a command line
-# (with its `\`-continued lines) in a fenced block of README.md,
-# DESIGN.md or EXPERIMENTS.md, must still be a "--flag" literal the CLI
-# parses, so a removed option cannot linger in the docs. Only the code
-# above main.rs's test module counts: its tests name removed flags.
+# Every backticked `--flag` in a README.md table row must still be a
+# "--flag" literal the CLI parses, and every `--flag` after a `campaign`
+# or `campaign-grid` subcommand on a command line (with its
+# `\`-continued lines) in a fenced block of README.md, DESIGN.md or
+# EXPERIMENTS.md must be one that subcommand parses: a literal inside
+# `fn cmd_campaign` or `fn cmd_campaign_grid`. So a removed option
+# cannot linger in the docs, nor one subcommand's flag on the other's
+# command line. Only the code above main.rs's test module counts: its
+# tests name removed flags.
 cli_source="$(sed '/^#\[cfg(test)\]/,$d' crates/cli/src/main.rs)"
+campaign_source="$(printf '%s\n' "$cli_source" | sed -n '/^fn cmd_campaign(/,/^}/p')"
+campaign_grid_source="$(printf '%s\n' "$cli_source" | sed -n '/^fn cmd_campaign_grid(/,/^}/p')"
 for flag in $(grep -E '^\|' README.md | grep -oE '`--[a-z0-9-]+' | tr -d '`' | sort -u); do
   if ! printf '%s\n' "$cli_source" | grep -qF -- "\"$flag\""; then
     echo "FAIL: README table documents $flag, which crates/cli/src/main.rs does not parse" >&2
@@ -119,17 +124,23 @@ command_flags="$(awk '
     line = line " " $0
     if (sub(/\\[[:space:]]*(#.*)?$/, "", line)) next
     if (match(line, /(^|[[:space:]])campaign(-grid)?([[:space:]]|$)/)) {
+      cmd = (substr(line, RSTART, RLENGTH) ~ /-grid/) ? "campaign-grid" : "campaign"
       rest = substr(line, RSTART + RLENGTH)
       while (match(rest, /--[a-z0-9-]+/)) {
-        print FILENAME ":" substr(rest, RSTART, RLENGTH)
+        print FILENAME ":" cmd ":" substr(rest, RSTART, RLENGTH)
         rest = substr(rest, RSTART + RLENGTH)
       }
     }
     line = ""
   }' README.md DESIGN.md EXPERIMENTS.md | sort -u)"
 for entry in $command_flags; do
-  if ! printf '%s\n' "$cli_source" | grep -qF -- "\"${entry#*:}\""; then
-    echo "FAIL: ${entry%%:*} runs a campaign command with ${entry#*:}, which crates/cli/src/main.rs does not parse" >&2
+  doc="${entry%%:*}"
+  cmd="${entry#*:}"
+  flag="${cmd#*:}"
+  cmd="${cmd%%:*}"
+  if [ "$cmd" = campaign ]; then source="$campaign_source"; else source="$campaign_grid_source"; fi
+  if ! printf '%s\n' "$source" | grep -qF -- "\"$flag\""; then
+    echo "FAIL: $doc runs \`$cmd\` with $flag, which fn cmd_${cmd//-/_} in crates/cli/src/main.rs does not parse" >&2
     stale=1
   fi
 done
@@ -307,6 +318,44 @@ cmp "$chaos_dir/clean/cells/$cell.json" "$chaos_dir/chaos/cells/$cell.json" \
   || { echo "FAIL: resumed chaos campaign diverged from the clean run" >&2; exit 1; }
 rm -rf "$chaos_dir"
 echo "campaign and chaos smoke passed"
+
+echo "=== spec refusal smoke (a cell config no campaign accepts fails the spec before training) ==="
+# A spec is valid when every cell's CampaignConfig::validate passes
+# (DESIGN.md §9.4), so 6-bit cells are refused by the spec check under
+# either launcher: a non-zero exit naming cell_bits, before any model
+# trains (no `training on` line) or any cell directory is made.
+refuse_dir="$(mktemp -d)"
+cat > "$refuse_dir/spec.json" <<'EOF'
+{
+  "version": 1,
+  "models": ["mlp2"],
+  "schemes": ["NoECC"],
+  "cell_bits": [6],
+  "writes_per_epoch": [200000.0],
+  "seeds": [7],
+  "epochs": 2,
+  "samples": 3,
+  "train": 40,
+  "threads": 1,
+  "checkpoint_every": 1,
+  "initial_writes": 1000000.0,
+  "error_model": "mc"
+}
+EOF
+for launcher in "" --in-process; do
+  if (cd "$refuse_dir" && "$cli" campaign-grid spec.json --dir grid $launcher \
+    > out.txt 2> err.txt); then
+    echo "FAIL: campaign-grid $launcher accepted a spec with 6-bit cells" >&2; exit 1
+  fi
+  grep -q "cell_bits" "$refuse_dir/err.txt" \
+    || { echo "FAIL: the refusal does not name cell_bits:" >&2; cat "$refuse_dir/err.txt" >&2; exit 1; }
+  if grep -q "training on" "$refuse_dir/out.txt" "$refuse_dir/err.txt" \
+    || [ -e "$refuse_dir/grid/cells" ]; then
+    echo "FAIL: campaign-grid $launcher trained or laid out cells before refusing the spec" >&2; exit 1
+  fi
+done
+rm -rf "$refuse_dir"
+echo "spec refusal smoke passed"
 
 echo "=== grid smoke (campaign-grid, SIGKILL worker + driver, resume, byte-compare) ==="
 # The grid runner's kill-anything contract (DESIGN.md "Failure model &
