@@ -1514,6 +1514,47 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[test]
+    fn process_worker_stderr_reaches_the_lost_marker_and_the_grid_error() {
+        // `sh campaign <spec> <cell-id> --dir <dir>` fails at once: sh
+        // cannot open a script named `campaign`, and says so on stderr.
+        let mut spec = spec_2x1();
+        spec.schemes = vec!["NoECC".into()];
+        let dir = temp_grid_dir("stderr-tail");
+        let _ = std::fs::remove_dir_all(&dir);
+        let grid = |name: &str, max_lost_cells| {
+            let launcher = Launcher::Process {
+                program: "sh".into(),
+                spec: dir.join("spec.json"),
+            };
+            let options = GridOptions {
+                cell_retries: 0,
+                max_lost_cells,
+                ..GridOptions::default()
+            };
+            Grid::new(spec.clone(), dir.join(name), launcher, options).expect("grid")
+        };
+        // The exit status alone names neither the script nor the error.
+        let says_why = |text: &str| text.contains("campaign") && text.contains("No such file");
+
+        let mut lenient = grid("lenient", 1);
+        let report = lenient.run().expect("degraded run");
+        assert_eq!(report.lost.len(), 1);
+        let text = std::fs::read_to_string(lenient.lost_path(&spec.cells()[0])).expect("marker");
+        let marker: LostMarker = serde_json::from_str(&text).expect("parse");
+        assert!(marker.reason.starts_with("exit: "), "{}", marker.reason);
+        assert!(says_why(&marker.reason), "{}", marker.reason);
+
+        match grid("strict", 0).run() {
+            Err(AccelError::Grid { stage, message }) => {
+                assert_eq!(stage, "cells");
+                assert!(says_why(&message), "{message}");
+            }
+            other => panic!("expected a lost-cell failure, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// The byte-identity contract under the standard fault mix, over
     /// 32 chaos seeds: a run, a rerun of the finished directory, and a
     /// merge-only pass must each land the fault-free summary. The I/O

@@ -436,28 +436,6 @@ fn row_model_from_array(
     RowErrorModel::new(rows, operand_bits)
 }
 
-/// The worst-case device-parameter row model for a `DeviceParams` —
-/// used by tests and diagnostics.
-pub fn worst_case_row_model(device: &DeviceParams, rows: u32, operand_bits: u32) -> RowErrorModel {
-    let comp: Vec<u32> = {
-        let mut c = vec![0u32; device.levels() as usize];
-        if let Some(top) = c.last_mut() {
-            *top = 128;
-        }
-        c
-    };
-    let rate = rowerr::predict_composition(&comp, device);
-    let row_errors = (0..rows)
-        .map(|r| RowError {
-            lsb_bit: r * device.bits_per_cell,
-            p_high: rate.p_high,
-            p_low: rate.p_low,
-            stuck: false,
-        })
-        .collect();
-    RowErrorModel::new(row_errors, operand_bits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -152,12 +152,14 @@ pub struct AccelConfig {
     /// panics at deterministic shards. Always
     /// [`chaos::ShardChaos::Off`] outside chaos runs and tests.
     pub shard_chaos: chaos::ShardChaos,
-    /// Input vectors evaluated per MVM pass (default 1). Every batch
-    /// size runs the one `mvm_batch_into` kernel of
+    /// Examples evaluated per network pass (default 1). Every engine
+    /// call runs the one `mvm_batch_into` kernel of
     /// [`CrossbarEngine`](crate::CrossbarEngine), which takes one RTN
-    /// snapshot and one set of conductance planes per batch. Like
-    /// `REPRO_THREADS`, changing the batch changes the noise draws but
-    /// not the estimator.
+    /// snapshot and one set of conductance planes per call. A dense
+    /// layer makes one call per batch; a conv layer makes one call per
+    /// example holding all of its im2col patches, at every batch size.
+    /// Like `REPRO_THREADS`, changing the batch changes the noise draws
+    /// but not the estimator.
     pub batch: usize,
 }
 

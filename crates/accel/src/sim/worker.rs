@@ -73,22 +73,12 @@ pub(super) fn run_shard(
             }
         }
         let window = wend - wlo;
-        let logits_all = if window == 1 {
-            // Batch-of-1 (including a ragged final window of one) takes
-            // the original per-image path, draw-for-draw.
-            qnet.run_with(
-                &images_data[wlo * per_image..wend * per_image],
-                &mut engines,
-                &mut scratch,
-            )
-        } else {
-            qnet.run_batch_with(
-                &images_data[wlo * per_image..wend * per_image],
-                window,
-                &mut engines,
-                &mut scratch,
-            )
-        };
+        let logits_all = qnet.run_batch_with(
+            &images_data[wlo * per_image..wend * per_image],
+            window,
+            &mut engines,
+            &mut scratch,
+        );
         let out_dim = logits_all.len() / window;
         for v in 0..window {
             let i = wlo + v;

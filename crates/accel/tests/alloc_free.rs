@@ -1,4 +1,5 @@
-//! The allocation sanitizer: proves `CrossbarEngine::mvm_into` performs
+//! The allocation sanitizer: proves `CrossbarEngine::mvm_into`, its
+//! batched kernel and a whole `QuantizedNetwork::run_with` pass perform
 //! **zero** heap allocations in steady state, turning PR 1's allocation
 //! audit from documentation into an enforced invariant.
 //!
@@ -23,7 +24,7 @@
 
 use accel::alloc_count::CountingAllocator;
 use accel::{assert_no_alloc, AccelConfig, CrossbarProvider, ProtectionScheme};
-use neural::{MvmEngine, MvmEngineProvider, QuantizedMatrix, Tensor};
+use neural::{MvmEngineProvider, QuantizedMatrix, Tensor};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -121,6 +122,54 @@ fn mvm_batch_into_steady_state_is_allocation_free() {
             );
         }
         assert_eq!(out.len(), batch * 12, "{label} output dimension");
+    }
+}
+
+#[test]
+fn network_pass_steady_state_is_allocation_free() {
+    // The whole network pass the Monte-Carlo workers run per sample:
+    // im2col, activation quantization, one conv call carrying every
+    // patch, pooling, de-biasing and a dense call, all on crossbar
+    // engines and one reused `RunScratch`.
+    use neural::{
+        Conv2d, ConvGeometry, Dense, Flatten, MaxPool2, Network, QuantizedNetwork, Relu, RunScratch,
+    };
+    use rand::SeedableRng;
+
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
+    let geo = ConvGeometry {
+        in_channels: 1,
+        out_channels: 4,
+        kernel: 3,
+        padding: 1,
+        in_hw: (6, 6),
+    };
+    let net = Network::new(vec![
+        Box::new(Conv2d::new(geo, &mut rng)),
+        Box::new(Relu::new()),
+        Box::new(MaxPool2::new(4, 6, 6)),
+        Box::new(Flatten::new()),
+        Box::new(Dense::new(4 * 3 * 3, 5, &mut rng)),
+    ]);
+    let qnet = QuantizedNetwork::from_network(&net);
+    let input: Vec<f32> = (0..36).map(|i| ((i * 7 % 11) as f32) / 11.0).collect();
+
+    for scheme in [ProtectionScheme::None, ProtectionScheme::data_aware(9)] {
+        let label = scheme.label();
+        let provider = CrossbarProvider::new(AccelConfig::new(scheme), 1234);
+        let mut engines = qnet.build_engines(&provider);
+        let mut scratch = RunScratch::new();
+
+        qnet.run_with(&input, &mut engines, &mut scratch);
+        qnet.run_with(&input, &mut engines, &mut scratch);
+
+        for call in 0..3 {
+            assert_no_alloc!(
+                format_args!("{label} steady-state run_with call {call}"),
+                qnet.run_with(&input, &mut engines, &mut scratch)
+            );
+        }
+        assert_eq!(qnet.run_with(&input, &mut engines, &mut scratch).len(), 5);
     }
 }
 

@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use crate::stats::{sample_binomial, sample_normal, Deferred, NormalSource, Z_MAX};
+use crate::stats::{sample_binomial, Deferred, NormalSource, Z_MAX};
 use crate::{Adc, DeviceParams, InputMask};
 
 /// A programming request the crossbar fabric cannot satisfy.
@@ -165,8 +165,6 @@ pub struct CrossbarArray {
     adc: Adc,
     /// Per-level nominal programmed resistance (after RTN offset).
     r_prog: Vec<f64>,
-    /// Per-level RTN ΔR/R at the programmed resistance.
-    delta_r: Vec<f64>,
     /// Per-level current drop (A) when a cell's trap is occupied.
     delta_i: Vec<f64>,
 }
@@ -228,7 +226,6 @@ impl CrossbarArray {
 
         // Per-level programmed resistance with the RTN offset applied.
         let mut r_prog = Vec::with_capacity(levels as usize);
-        let mut delta_r = Vec::with_capacity(levels as usize);
         let mut delta_i = Vec::with_capacity(levels as usize);
         for level in 0..levels {
             let r_target = 1.0 / params.conductance(level);
@@ -241,7 +238,6 @@ impl CrossbarArray {
             let r = r_target * (1.0 - offset);
             let d = rtn.delta_r_over_r(r);
             r_prog.push(r);
-            delta_r.push(d);
             delta_i.push(params.v_read / r * (d / (1.0 + d)));
         }
 
@@ -280,7 +276,6 @@ impl CrossbarArray {
             params: params.clone(),
             adc: Adc::new(params),
             r_prog,
-            delta_r,
             delta_i,
         })
     }
@@ -308,11 +303,6 @@ impl CrossbarArray {
     /// Per-level RTN current drop when trapped (A).
     pub fn rtn_delta_i(&self) -> &[f64] {
         &self.delta_i
-    }
-
-    /// Per-level RTN `ΔR/R` at the programmed (offset) resistance.
-    pub fn rtn_delta_r(&self) -> &[f64] {
-        &self.delta_r
     }
 
     /// Per-level nominal programmed resistance (Ω), after the RTN
@@ -687,18 +677,6 @@ impl CrossbarArray {
             );
             out.push(u64::from(code));
         }
-    }
-
-    /// Samples the raw analog row current (A) — used by the transient
-    /// simulator and for distribution studies.
-    pub fn sample_row_current<R: Rng + ?Sized>(
-        &self,
-        row: usize,
-        mask: &InputMask,
-        rng: &mut R,
-    ) -> f64 {
-        let (current, sigma) = self.sample_rtn_current(row, mask, rng);
-        sample_normal(rng, current, sigma)
     }
 
     /// Draws fresh RTN occupancy for row `row` under `mask` and returns
