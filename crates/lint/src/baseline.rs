@@ -241,7 +241,10 @@ mod tests {
         assert!(Baseline::parse("\"orphan\" = 3").is_err());
         assert!(Baseline::parse("[ok]\nunquoted = 3").is_err());
         assert!(Baseline::parse("[ok]\n\"f\" = banana").is_err());
-        assert!(Baseline::parse("# comment only\n").unwrap().counts.is_empty());
+        assert!(Baseline::parse("# comment only\n")
+            .unwrap()
+            .counts
+            .is_empty());
     }
 
     #[test]
@@ -286,6 +289,9 @@ mod tests {
         // A violation in a file the baseline has never seen.
         let fresh = vec![violation(LintId::FloatEq, "b.rs", 1)];
         let drifts = compare(&Baseline::default(), &fresh);
-        assert!(matches!(&drifts[..], [Drift::Regression { baseline: 0, .. }]));
+        assert!(matches!(
+            &drifts[..],
+            [Drift::Regression { baseline: 0, .. }]
+        ));
     }
 }

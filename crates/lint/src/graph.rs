@@ -136,11 +136,7 @@ impl Graph {
             }
             _ => {}
         }
-        if let Some(u) = files[gf.file_id]
-            .uses
-            .iter()
-            .find(|u| u.alias == segs[0])
-        {
+        if let Some(u) = files[gf.file_id].uses.iter().find(|u| u.alias == segs[0]) {
             let mut full = u.segments.clone();
             full.extend(segs.iter().skip(1).cloned());
             if matches!(full[0].as_str(), "std" | "core" | "alloc") {
@@ -150,7 +146,10 @@ impl Graph {
         }
         // Crate-qualified path into this or another workspace crate.
         if self.crate_exists(files, &segs[0]) {
-            let (head, rest) = segs.split_first().map(|(h, r)| (h.clone(), r.to_vec())).unwrap();
+            let (head, rest) = segs
+                .split_first()
+                .map(|(h, r)| (h.clone(), r.to_vec()))
+                .unwrap();
             if rest.is_empty() {
                 return Vec::new();
             }
@@ -220,7 +219,10 @@ impl Graph {
             }
         }
         while let Some(id) = queue.pop_front() {
-            let entry = origin[id].as_ref().map(|o| o.entry.clone()).unwrap_or_default();
+            let entry = origin[id]
+                .as_ref()
+                .map(|o| o.entry.clone())
+                .unwrap_or_default();
             let caller_qname = self.fns[id].item.qname.clone();
             let calls = self.fns[id].item.calls.clone();
             for call in &calls {
@@ -277,11 +279,17 @@ mod tests {
     fn cross_crate_and_method_edges_resolve() {
         let files = fixture();
         let g = Graph::build(&files);
-        let origin = g.reachable(&files, &["accel::sim::evaluate", "accel::campaign::Campaign::run"]);
+        let origin = g.reachable(
+            &files,
+            &["accel::sim::evaluate", "accel::campaign::Campaign::run"],
+        );
         let by = |q: &str| origin[g.fn_by_qname(q).unwrap()].clone();
 
         // evaluate → plan → ancode::an::encode → table.
-        assert_eq!(by("accel::sim::plan").unwrap().entry, "accel::sim::evaluate");
+        assert_eq!(
+            by("accel::sim::plan").unwrap().entry,
+            "accel::sim::evaluate"
+        );
         assert_eq!(by("ancode::an::encode").unwrap().via, "accel::sim::plan");
         assert!(by("ancode::an::table").is_some());
         // Campaign::run → step (method) → helpers::finish.

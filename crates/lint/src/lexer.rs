@@ -327,11 +327,7 @@ fn lex_raw(source: &str) -> Lexed {
 /// identifiers `r#ident` starting at `chars[i]`. Returns the token kind
 /// and the exclusive end index, or `None` when the prefix is an
 /// ordinary identifier.
-fn scan_prefixed_literal(
-    chars: &[char],
-    i: usize,
-    line: &mut u32,
-) -> Option<(TokenKind, usize)> {
+fn scan_prefixed_literal(chars: &[char], i: usize, line: &mut u32) -> Option<(TokenKind, usize)> {
     let n = chars.len();
     let c = chars[i];
     if !matches!(c, 'r' | 'b') {
@@ -361,8 +357,8 @@ fn scan_prefixed_literal(
             return None;
         }
         j += 1; // opening quote
-        // Scan to `"` followed by `hashes` hashes; no escapes in raw
-        // strings.
+                // Scan to `"` followed by `hashes` hashes; no escapes in raw
+                // strings.
         loop {
             if j >= n {
                 return Some((TokenKind::Str, n));
@@ -370,7 +366,14 @@ fn scan_prefixed_literal(
             if chars[j] == '\n' {
                 *line += 1;
             }
-            if chars[j] == '"' && chars[j + 1..].iter().take(hashes).filter(|&&h| h == '#').count() == hashes {
+            if chars[j] == '"'
+                && chars[j + 1..]
+                    .iter()
+                    .take(hashes)
+                    .filter(|&&h| h == '#')
+                    .count()
+                    == hashes
+            {
                 j += 1 + hashes;
                 return Some((TokenKind::Str, j));
             }
@@ -434,10 +437,7 @@ pub fn mark_test_regions(tokens: &mut [Token]) {
         }
         // Skip any further attributes stacked on the same item.
         let mut j = attr_end;
-        while j < tokens.len()
-            && tokens[j].kind == TokenKind::Punct
-            && tokens[j].text == "#"
-        {
+        while j < tokens.len() && tokens[j].kind == TokenKind::Punct && tokens[j].text == "#" {
             match attribute_extent(tokens, j) {
                 Some(end) => j = end,
                 None => break,
@@ -551,7 +551,10 @@ mod tests {
     #[test]
     fn nested_block_comments_are_one_comment() {
         let lexed = lex("a /* outer /* inner */ still comment */ b");
-        assert_eq!(idents("a /* outer /* inner */ still comment */ b"), ["a", "b"]);
+        assert_eq!(
+            idents("a /* outer /* inner */ still comment */ b"),
+            ["a", "b"]
+        );
         assert_eq!(lexed.comments.len(), 1);
         assert!(lexed.comments[0].text.contains("inner"));
     }
@@ -560,7 +563,11 @@ mod tests {
     fn line_comments_stop_at_newline() {
         let lexed = lex("x // comment .unwrap()\ny");
         assert_eq!(
-            lexed.tokens.iter().map(|t| t.text.as_str()).collect::<Vec<_>>(),
+            lexed
+                .tokens
+                .iter()
+                .map(|t| t.text.as_str())
+                .collect::<Vec<_>>(),
             ["x", "y"]
         );
         assert_eq!(lexed.tokens[1].line, 2);
@@ -620,7 +627,10 @@ mod tests {
             })
             .collect();
         // 1, 1.5, 0, 3, 2e-3, 1f32, 0x1E, 10u64, 1.
-        assert_eq!(floats, [false, true, false, false, true, true, false, false, true]);
+        assert_eq!(
+            floats,
+            [false, true, false, false, true, true, false, false, true]
+        );
     }
 
     #[test]
@@ -665,14 +675,22 @@ mod tests {
     #[test]
     fn cfg_all_test_counts_as_test_region() {
         let src = "#[cfg(all(test, unix))]\nfn helper() { a.unwrap(); }";
-        let unwrap = lex(src).tokens.into_iter().find(|t| t.text == "unwrap").unwrap();
+        let unwrap = lex(src)
+            .tokens
+            .into_iter()
+            .find(|t| t.text == "unwrap")
+            .unwrap();
         assert!(unwrap.in_test);
     }
 
     #[test]
     fn cfg_feature_is_not_a_test_region() {
         let src = "#[cfg(feature = \"test-utils\")]\nfn helper() { a.unwrap(); }";
-        let unwrap = lex(src).tokens.into_iter().find(|t| t.text == "unwrap").unwrap();
+        let unwrap = lex(src)
+            .tokens
+            .into_iter()
+            .find(|t| t.text == "unwrap")
+            .unwrap();
         assert!(!unwrap.in_test);
     }
 

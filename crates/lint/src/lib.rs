@@ -107,15 +107,18 @@ pub fn workspace_files(root: &Path) -> Result<Vec<String>, ToolError> {
 }
 
 fn walk(root: &Path, dir: &Path, files: &mut Vec<String>) -> Result<(), ToolError> {
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| ToolError(format!("reading {}: {e}", dir.display())))?;
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| ToolError(format!("reading {}: {e}", dir.display())))?;
     for entry in entries {
         let entry = entry.map_err(|e| ToolError(format!("reading {}: {e}", dir.display())))?;
         let path = entry.path();
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if matches!(name.as_ref(), "tests" | "benches" | "target" | "third_party") {
+            if matches!(
+                name.as_ref(),
+                "tests" | "benches" | "target" | "third_party"
+            ) {
                 continue;
             }
             walk(root, &path, files)?;
@@ -154,7 +157,11 @@ pub fn collect_violations(
             .map_err(|e| ToolError(format!("reading {rel}: {e}")))?;
         let lexed = lexer::lex(&source);
         all.extend(lints::check_file(&rel, &lexed));
-        parsed.push(parser::parse_file(&rel, &parser::crate_name_of(&rel), &lexed));
+        parsed.push(parser::parse_file(
+            &rel,
+            &parser::crate_name_of(&rel),
+            &lexed,
+        ));
         files.push((rel, lexed));
     }
     for v in cross::check_workspace(&files, &parsed, opts) {
@@ -206,8 +213,9 @@ pub fn run_check(
         root.join(baseline_path)
     };
     let baseline = match std::fs::read_to_string(&resolved) {
-        Ok(text) => Baseline::parse(&text)
-            .map_err(|e| ToolError(format!("{}: {e}", resolved.display())))?,
+        Ok(text) => {
+            Baseline::parse(&text).map_err(|e| ToolError(format!("{}: {e}", resolved.display())))?
+        }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::default(),
         Err(e) => return Err(ToolError(format!("reading {}: {e}", resolved.display()))),
     };
@@ -371,11 +379,7 @@ pub fn run(args: &[String], cwd: &Path, out: &mut dyn std::io::Write) -> i32 {
     }
 }
 
-fn run_inner(
-    args: &[String],
-    cwd: &Path,
-    out: &mut dyn std::io::Write,
-) -> Result<i32, ToolError> {
+fn run_inner(args: &[String], cwd: &Path, out: &mut dyn std::io::Write) -> Result<i32, ToolError> {
     let mut command: Option<&str> = None;
     let mut root_arg: Option<PathBuf> = None;
     let mut baseline_arg: Option<PathBuf> = None;
@@ -387,14 +391,16 @@ fn run_inner(
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--root" => {
-                root_arg = Some(PathBuf::from(iter.next().ok_or_else(|| {
-                    ToolError("--root requires a path".to_string())
-                })?));
+                root_arg =
+                    Some(PathBuf::from(iter.next().ok_or_else(|| {
+                        ToolError("--root requires a path".to_string())
+                    })?));
             }
             "--baseline" => {
-                baseline_arg = Some(PathBuf::from(iter.next().ok_or_else(|| {
-                    ToolError("--baseline requires a path".to_string())
-                })?));
+                baseline_arg =
+                    Some(PathBuf::from(iter.next().ok_or_else(|| {
+                        ToolError("--baseline requires a path".to_string())
+                    })?));
             }
             "--format" => {
                 let fmt = iter
@@ -412,9 +418,7 @@ fn run_inner(
             }
             "--panic-indexing" => opts.panic_indexing = true,
             "check" | "baseline" | "list" if command.is_none() => command = Some(arg),
-            other => {
-                return Err(ToolError(format!("unknown argument `{other}` ({usage})")))
-            }
+            other => return Err(ToolError(format!("unknown argument `{other}` ({usage})"))),
         }
     }
     let root = match root_arg {

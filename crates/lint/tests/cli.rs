@@ -57,7 +57,10 @@ fn seeded_panic_reachability_fails_and_baseline_suppresses_it() {
         "missing origin trace:\n{out}"
     );
     // The cfg(test) unwrap must not be reported.
-    assert!(!out.contains("sim.rs:5"), "test-region unwrap leaked:\n{out}");
+    assert!(
+        !out.contains("sim.rs:5"),
+        "test-region unwrap leaked:\n{out}"
+    );
 
     // Record the baseline: check now passes (exit 0).
     let (code, out) = run_lint(&root, &["baseline"]);
@@ -163,7 +166,10 @@ fn schema_drift_cross_checks_emit_sites_against_schema() {
     );
     let (code, out) = run_lint(&root, &["check"]);
     assert_eq!(code, 1, "drifted emit site not caught:\n{out}");
-    assert!(out.contains("crates/accel/src/sim.rs:1: schema_drift"), "{out}");
+    assert!(
+        out.contains("crates/accel/src/sim.rs:1: schema_drift"),
+        "{out}"
+    );
     assert!(out.contains("requires `.str(\"reason\", ..)`"), "{out}");
 
     // An emit site matching the schema pins the zero-finding state.

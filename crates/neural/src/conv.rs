@@ -212,8 +212,8 @@ impl Layer for Conv2d {
             let mut g = Tensor::zeros(vec![oh * ow, self.geo.out_channels]);
             for c in 0..self.geo.out_channels {
                 for p in 0..oh * ow {
-                    *g.at2_mut(p, c) = grad_out.data()
-                        [b * self.geo.out_channels * oh * ow + c * oh * ow + p];
+                    *g.at2_mut(p, c) =
+                        grad_out.data()[b * self.geo.out_channels * oh * ow + c * oh * ow + p];
                 }
             }
             // dW += gᵀ · patches.
@@ -255,7 +255,12 @@ impl Layer for Conv2d {
     }
 
     fn update(&mut self, lr: f32) {
-        for (w, g) in self.weights.data_mut().iter_mut().zip(self.grad_w.data_mut()) {
+        for (w, g) in self
+            .weights
+            .data_mut()
+            .iter_mut()
+            .zip(self.grad_w.data_mut())
+        {
             *w -= lr * *g;
             *g = 0.0;
         }

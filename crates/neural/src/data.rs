@@ -15,8 +15,8 @@
 //!   near 43 % top-1 misclassification.
 
 use rand::Rng;
-use rand_chacha::ChaCha8Rng;
 use rand_chacha::rand_core::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 use crate::Tensor;
 
@@ -197,8 +197,8 @@ fn render_shape<R: Rng + ?Sized>(class: usize, rng: &mut R, difficulty: f32) -> 
             let u = (x as f32 + 0.5) / s as f32 - cx;
             let v = (y as f32 + 0.5) / s as f32 - cy;
             let inside = match shape {
-                0 => (u * u + v * v).sqrt() < radius, // circle
-                1 => u.abs().max(v.abs()) < radius,   // square
+                0 => (u * u + v * v).sqrt() < radius,             // circle
+                1 => u.abs().max(v.abs()) < radius,               // square
                 2 => v > -radius && u.abs() < (radius - v) * 0.8, // triangle
                 3 => u.abs() < radius * 0.35 || v.abs() < radius * 0.35, // cross
                 _ => ((u * 14.0).sin() > 0.0) && u.abs().max(v.abs()) < radius, // stripes
@@ -323,11 +323,21 @@ mod tests {
     fn shuffle_preserves_pairs() {
         let mut d = digits(30, 8);
         let ink_label: Vec<(u32, usize)> = (0..30)
-            .map(|i| ((d.image(i).iter().sum::<f32>() * 1000.0) as u32, d.labels[i]))
+            .map(|i| {
+                (
+                    (d.image(i).iter().sum::<f32>() * 1000.0) as u32,
+                    d.labels[i],
+                )
+            })
             .collect();
         shuffle(&mut d, 99);
         let mut after: Vec<(u32, usize)> = (0..30)
-            .map(|i| ((d.image(i).iter().sum::<f32>() * 1000.0) as u32, d.labels[i]))
+            .map(|i| {
+                (
+                    (d.image(i).iter().sum::<f32>() * 1000.0) as u32,
+                    d.labels[i],
+                )
+            })
             .collect();
         let mut before = ink_label;
         before.sort_unstable();

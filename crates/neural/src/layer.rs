@@ -133,7 +133,12 @@ impl Layer for Dense {
     }
 
     fn update(&mut self, lr: f32) {
-        for (w, g) in self.weights.data_mut().iter_mut().zip(self.grad_w.data_mut()) {
+        for (w, g) in self
+            .weights
+            .data_mut()
+            .iter_mut()
+            .zip(self.grad_w.data_mut())
+        {
             *w -= lr * *g;
             *g = 0.0;
         }
@@ -334,7 +339,9 @@ mod tests {
         layer.params_mut()[0]
             .data_mut()
             .copy_from_slice(&[1., 0., -1., 0.5, 0.5, 0.5]);
-        layer.params_mut()[1].data_mut().copy_from_slice(&[0.0, 1.0]);
+        layer.params_mut()[1]
+            .data_mut()
+            .copy_from_slice(&[0.0, 1.0]);
         let x = Tensor::from_vec(vec![1, 3], vec![2., 3., 4.]);
         let y = layer.forward(&x, false);
         assert_eq!(y.data(), &[2. - 4., 0.5 * 9. + 1.]);

@@ -154,7 +154,11 @@ mod tests {
     #[test]
     fn models_quantize_cleanly() {
         use crate::QuantizedNetwork;
-        for net in [mlp1(&mut rng()), cnn1(&mut rng()), alexnet_proxy(&mut rng())] {
+        for net in [
+            mlp1(&mut rng()),
+            cnn1(&mut rng()),
+            alexnet_proxy(&mut rng()),
+        ] {
             let q = QuantizedNetwork::from_network(&net);
             assert!(!q.mvm_matrices().is_empty());
         }
