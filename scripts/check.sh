@@ -14,7 +14,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "=== rustfmt (ratchet: listed crates must stay cargo-fmt clean) ==="
 # Not every crate is rustfmt-clean yet. The crates named here are, and
 # must stay so; a crate joins the list once a change formats it.
-cargo fmt --check -p xbar -p wideint -p bench -p repro-chaos -p reram-ecc -p accel
+cargo fmt --check -p xbar -p wideint -p bench -p repro-chaos -p reram-ecc -p accel \
+  -p neural -p repro-lint
 
 echo "=== compiler warnings (every target of the workspace builds warning-free) ==="
 warnings="$(cargo check --workspace --all-targets --quiet 2>&1 | grep '^warning:' || true)"
