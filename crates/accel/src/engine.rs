@@ -143,6 +143,9 @@ pub struct MvmScratch {
     /// non-empty level.
     trap_offsets: Vec<u32>,
     trap_entries: Vec<(f64, u128)>,
+    /// The draw-free half of the current (stack, vector)'s row reads:
+    /// every nonzero bit's current, sigma and `±Z_MAX` codes per row.
+    brackets: xbar::ReadBrackets,
     /// Paired-Gaussian source for the row reads. Its carry
     /// cache persists across calls, keeping the draw stream a pure
     /// function of the call sequence.
@@ -177,6 +180,7 @@ impl MvmScratch {
             planes: Vec::with_capacity(input_bits as usize * max_rows),
             trap_offsets: Vec::with_capacity(max_rows + 1),
             trap_entries: Vec::with_capacity(max_trap),
+            brackets: xbar::ReadBrackets::with_row_capacity(max_rows),
             normals: xbar::stats::NormalSource::new(),
         }
     }
@@ -212,6 +216,9 @@ pub struct CrossbarEngine {
     /// `order[new_position] = original_row` when fault-aware remapping
     /// is active; `None` leaves the hot path untouched.
     remap_order: Option<Vec<usize>>,
+    /// Per chunk, per stack: whether the stack's group-cycle values and
+    /// their `×2^t` sum fit an `i128` ([`accumulates_in_i128`]).
+    narrow: Vec<Vec<bool>>,
 }
 
 impl std::fmt::Debug for CrossbarEngine {
@@ -280,6 +287,17 @@ impl CrossbarEngine {
             (matrix.rows().to_vec(), None)
         };
         let mapped = map_matrix(&weights, config, &mut rng)?;
+        let narrow = mapped
+            .chunks
+            .iter()
+            .zip(&mapped.stacks)
+            .map(|(cols, stacks)| {
+                stacks
+                    .iter()
+                    .map(|stack| accumulates_in_i128(stack, cols.len(), config.input_bits))
+                    .collect()
+            })
+            .collect();
         let scratch = MvmScratch::for_mapped(
             &mapped,
             config.input_bits,
@@ -296,6 +314,7 @@ impl CrossbarEngine {
             reported: DecodeStats::default(),
             scratch,
             remap_order,
+            narrow,
         })
     }
 
@@ -309,31 +328,20 @@ impl CrossbarEngine {
         self.local_stats
     }
 
-    /// Reads and reduces one stack for one bit-serial cycle: the
-    /// amortized row read over precomputed conductance sums and
-    /// trap-level words, then the shift-and-add reduction, returning
-    /// the raw group value `D_t`.
-    #[allow(clippy::too_many_arguments)]
-    fn read_group(
+    /// Reads one stack for bracketed cycle `cycle`, drawing the noise
+    /// of the straddling rows from the engine's stream, into
+    /// `row_outputs`.
+    fn read_cycle(
         &mut self,
         stack: &Stack,
-        mask: &InputMask,
-        g_totals: &[f64],
-        trap_offsets: &[u32],
-        trap_entries: &[(f64, u128)],
+        brackets: &xbar::ReadBrackets,
+        cycle: usize,
         normals: &mut xbar::stats::NormalSource,
         row_outputs: &mut Vec<u64>,
-    ) -> U256 {
-        stack.array.read_rows_amortized_into(
-            mask,
-            g_totals,
-            trap_offsets,
-            trap_entries,
-            normals,
-            &mut self.rng,
-            row_outputs,
-        );
-        stack.slicer.reduce(row_outputs)
+    ) {
+        stack
+            .array
+            .draw_reads_into(brackets, cycle, normals, &mut self.rng, row_outputs);
     }
 
     /// Reads and decodes one group-cycle value, applying the retry
@@ -444,8 +452,8 @@ impl MvmEngine for CrossbarEngine {
             }
 
             let stacks = std::mem::take(&mut self.mapped.stacks[chunk_idx]);
-            for stack in &stacks {
-                let rows = stack.array.row_count();
+            for (stack_idx, stack) in stacks.iter().enumerate() {
+                let narrow = self.narrow[chunk_idx][stack_idx];
                 // ONE frozen RTN configuration per (chunk, stack),
                 // shared by every vector: trap dwell times dwarf the MVM
                 // latency, so errors persist across the bit-serial
@@ -460,12 +468,21 @@ impl MvmEngine for CrossbarEngine {
 
                 for v in 0..batch {
                     let input = &inputs[v * in_dim..(v + 1) * in_dim];
+                    let masks = &scratch.masks[v * input_bits..(v + 1) * input_bits];
                     // One ascending-column pass computes every bit
-                    // plane's conductance sum for this vector.
+                    // plane's conductance sum for this vector; the
+                    // draw-free pass brackets every nonzero bit's rows.
                     stack.array.conductance_planes_into(
                         &scratch.batch_input[v * chunk_w..(v + 1) * chunk_w],
                         input_bits as u32,
                         &mut scratch.planes,
+                    );
+                    stack.array.bracket_reads_into(
+                        masks,
+                        &scratch.planes,
+                        &scratch.trap_offsets,
+                        &scratch.trap_entries,
+                        &mut scratch.brackets,
                     );
                     scratch.ideal.clear();
                     scratch.ideal.extend((0..stack.lanes).map(|l| {
@@ -475,36 +492,69 @@ impl MvmEngine for CrossbarEngine {
                             .sum::<i64>()
                     }));
 
-                    let mut total = I256::ZERO;
-                    for t in 0..input_bits {
-                        let mask = &scratch.masks[v * input_bits + t];
-                        if mask.count_ones() == 0 {
-                            continue;
-                        }
-                        let g_totals = &scratch.planes[t * rows..(t + 1) * rows];
-                        let value = self.decode_cycle(stack, |me| {
-                            me.read_group(
-                                stack,
-                                mask,
-                                g_totals,
-                                &scratch.trap_offsets,
-                                &scratch.trap_entries,
-                                &mut scratch.normals,
-                                &mut scratch.row_outputs,
-                            )
-                        });
-                        total += value.shifted_left(t as u32);
-                    }
-                    let lane_bits = stack.group.layout().operand_bits();
-                    let ideal_total: I256 = scratch
-                        .ideal
+                    // Only the bits that drive a column are read.
+                    let cycles = masks
                         .iter()
                         .enumerate()
-                        .map(|(l, &y)| {
-                            I256::from_i128(y as i128).shifted_left(l as u32 * lane_bits)
-                        })
-                        .sum();
-                    let err = total - ideal_total;
+                        .filter(|(_, m)| m.count_ones() != 0)
+                        .map(|(t, _)| t);
+                    let lane_bits = stack.group.layout().operand_bits();
+                    let err = if narrow {
+                        let mut total = 0i128;
+                        for t in cycles {
+                            let mut read = |me: &mut Self| {
+                                me.read_cycle(
+                                    stack,
+                                    &scratch.brackets,
+                                    t,
+                                    &mut scratch.normals,
+                                    &mut scratch.row_outputs,
+                                );
+                                stack.slicer.reduce_u128(&scratch.row_outputs)
+                            };
+                            let value = match stack.code {
+                                None => {
+                                    self.local_stats.uncoded += 1;
+                                    read(self) as i128
+                                }
+                                Some(_) => {
+                                    narrow_value(self.decode_cycle(stack, |me| read(me).into()))
+                                }
+                            };
+                            total += value << t as u32;
+                        }
+                        let ideal_total: i128 = scratch
+                            .ideal
+                            .iter()
+                            .enumerate()
+                            .map(|(l, &y)| i128::from(y) << (l as u32 * lane_bits))
+                            .sum();
+                        I256::from_i128(total - ideal_total)
+                    } else {
+                        let mut total = I256::ZERO;
+                        for t in cycles {
+                            let value = self.decode_cycle(stack, |me| {
+                                me.read_cycle(
+                                    stack,
+                                    &scratch.brackets,
+                                    t,
+                                    &mut scratch.normals,
+                                    &mut scratch.row_outputs,
+                                );
+                                stack.slicer.reduce(&scratch.row_outputs)
+                            });
+                            total += value.shifted_left(t as u32);
+                        }
+                        let ideal_total: I256 = scratch
+                            .ideal
+                            .iter()
+                            .enumerate()
+                            .map(|(l, &y)| {
+                                I256::from_i128(y as i128).shifted_left(l as u32 * lane_bits)
+                            })
+                            .sum();
+                        total - ideal_total
+                    };
                     stack.group.split_signed_into(err, &mut scratch.lane_err);
                     let out_v = &mut out[v * out_dim..(v + 1) * out_dim];
                     for l in 0..stack.lanes {
@@ -536,6 +586,37 @@ impl MvmEngine for CrossbarEngine {
         self.scratch = scratch;
         self.report_stats();
     }
+}
+
+/// Whether every group-cycle value of `stack`, the `×2^t` sum of
+/// `input_bits` of them and the ideal lane total it is compared with
+/// all fit an `i128`, for a chunk of `columns` inputs.
+///
+/// With `c`-bit cells over `R` rows (span `R·c`), a row code is at
+/// most `columns · max_level < 2^k`, so an observed value
+/// `Σ code_r · 2^{r·c}` is below `2^{k + span − c + 1}`. A table
+/// syndrome sums terms `±δ · 2^bit` with distinct `bit < span` and
+/// `|δ| < 2^7`, so it is below `2^{span + 7}`; a decoded value (an
+/// exact or rounded quotient of the observed or corrected value) is at
+/// most their sum. Every NoECC and Static16 stack fits; a grouped
+/// ABN-k or Static128 stack, spanning 128 bits or more, does not.
+fn accumulates_in_i128(stack: &Stack, columns: usize, input_bits: u32) -> bool {
+    let bits = |x: u64| u64::BITS - x.leading_zeros();
+    let c = stack.slicer.cell_bits();
+    let span = stack.slicer.rows_per_word() * c;
+    let max_code = columns as u64 * u64::from(stack.array.params().max_level());
+    let cycle_bits = (bits(max_code) + span - c + 1).max(span + 7) + 1;
+    // A lane's ideal value is `Σ w·x < columns · 2^32`.
+    let lane_bits = stack.group.layout().operand_bits();
+    let ideal_bits = (stack.lanes as u32).saturating_sub(1) * lane_bits + 33 + bits(columns as u64);
+    cycle_bits + input_bits <= 126 && ideal_bits <= 126
+}
+
+/// A narrow stack's decoded group-cycle value as an `i128`, which
+/// [`accumulates_in_i128`] guarantees it fits.
+fn narrow_value(value: I256) -> i128 {
+    debug_assert!(value.to_i128().is_some(), "{value:?} exceeds i128");
+    value.to_i128().unwrap_or_default()
 }
 
 /// Builds [`CrossbarEngine`]s for every matrix of a quantized network,

@@ -89,7 +89,7 @@ impl Adc {
         let corrected = current - active as f64 * self.offset_per_active;
         let code = (corrected * self.lsb_recip).round();
         let max = (active * self.max_level) as f64;
-        code.clamp(0.0, max) as u32
+        code_to_u32(code.clamp(0.0, max))
     }
 
     /// The ideal (noise-free) current for integer output `code` under
@@ -97,6 +97,25 @@ impl Adc {
     /// centers.
     pub fn ideal_current(&self, code: u32, mask: &InputMask) -> f64 {
         code as f64 * self.lsb + mask.count_ones() as f64 * self.offset_per_active
+    }
+}
+
+/// `code as u32` for a clamped ADC code: NaN or an integer in
+/// `[0, 2³¹)`, since a code is at most `128 · 255`.
+///
+/// Adding `2⁵²` puts such an integer, exactly, in the low mantissa
+/// bits, so the conversion is a float add and a bit truncation, which
+/// the compiler runs across vector lanes (it converts saturating
+/// `as u32` one lane at a time). NaN, which `as u32` sends to 0, is
+/// selected out; `−0.0 + 2⁵²` is `2⁵²`, so `−0.0` gives 0 too.
+#[inline]
+fn code_to_u32(code: f64) -> u32 {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let low = (code + TWO_52).to_bits() as u32;
+    if code.is_nan() {
+        0
+    } else {
+        low
     }
 }
 
@@ -165,6 +184,15 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn code_conversion_matches_saturating_cast() {
+        let mut codes = vec![0.0, -0.0, f64::NAN, -f64::NAN, 1.0, 32640.0];
+        codes.extend((0..=32640).step_by(7).map(f64::from));
+        for code in codes {
+            assert_eq!(code_to_u32(code), code as u32, "{code}");
         }
     }
 

@@ -605,17 +605,196 @@ impl CrossbarArray {
         }
     }
 
+    /// The draw-free half of the batched kernel's row reads: brackets
+    /// every row under each of `masks` (one bit-serial cycle each, at
+    /// most [`MAX_CYCLES`]), into `out`.
+    ///
+    /// `planes` holds one `row_count` slice of driven conductance sums
+    /// per mask, t-major as
+    /// [`conductance_planes_into`](CrossbarArray::conductance_planes_into)
+    /// writes them; `trap_offsets` and `trap_entries` are the hoisted
+    /// table of
+    /// [`trap_level_sparse_into`](CrossbarArray::trap_level_sparse_into).
+    ///
+    /// Per read this computes exactly the `f64` expressions of a single
+    /// read: the noise-free current `v_read · g − trapped · Δi` over the
+    /// table's levels in ascending order, the sigma
+    /// `sqrt(thermal · g + shot · |current|)`, and the codes at both
+    /// ends of `current ± Z_MAX · σ` through `Adc::quantize_fast`. A
+    /// row is done for all cycles at once, one cycle per lane, so the
+    /// compiler runs the trapped counts, the square roots and the
+    /// quantizer over 16 lanes at a time. Nothing here draws, so
+    /// bracketing every cycle before walking any changes no draw; a
+    /// cycle whose mask drives no column is bracketed too and never
+    /// walked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `masks` holds more than [`MAX_CYCLES`] masks, or
+    /// `planes` or the trap table do not cover every row of every mask.
+    pub fn bracket_reads_into(
+        &self,
+        masks: &[InputMask],
+        planes: &[f64],
+        trap_offsets: &[u32],
+        trap_entries: &[(f64, u128)],
+        out: &mut ReadBrackets,
+    ) {
+        let rows = self.rows.len();
+        let cycles = Cycles::<MAX_CYCLES>::new(masks);
+        assert!(
+            planes.len() >= masks.len() * rows,
+            "planes narrower than masks"
+        );
+        self.check_trap_offsets(trap_offsets);
+        out.reset(rows, masks);
+        let reads = out.current.chunks_exact_mut(MAX_CYCLES);
+        let reads = reads.zip(out.sigma.chunks_exact_mut(MAX_CYCLES));
+        let reads = reads.zip(out.lo.chunks_exact_mut(MAX_CYCLES));
+        let reads = reads.zip(out.hi.chunks_exact_mut(MAX_CYCLES));
+        for (row, (((current, sigma), lo), hi)) in reads.enumerate() {
+            let mut g = [0.0f64; MAX_CYCLES];
+            for (t, g) in g.iter_mut().enumerate().take(masks.len()) {
+                *g = planes[t * rows + row];
+            }
+            let levels = trap_levels(trap_offsets, trap_entries, row);
+            let bracket = self.bracket_row(&cycles, &g, levels);
+            current.copy_from_slice(&bracket.current);
+            sigma.copy_from_slice(&bracket.sigma);
+            lo.copy_from_slice(&bracket.lo);
+            hi.copy_from_slice(&bracket.hi);
+        }
+    }
+
+    /// The sequential half of the batched kernel's row reads: walks the
+    /// rows of bracketed cycle `cycle` in ascending order, writing the
+    /// quantized outputs into `out` (cleared first).
+    ///
+    /// A row whose bracket agrees takes its code and nothing from the
+    /// stream; a row whose bracket straddles takes one [`Deferred`]
+    /// normal from `normals` ([`NormalSource::next_deferred`]) and
+    /// brackets again at the draw's own bound, evaluating it only if
+    /// that straddles too. Walking the same cycle again — a decode
+    /// retry — re-draws exactly the straddling rows, as a full re-read
+    /// would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle` is not a cycle of `brackets`.
+    pub fn draw_reads_into<R: Rng + ?Sized>(
+        &self,
+        brackets: &ReadBrackets,
+        cycle: usize,
+        normals: &mut NormalSource,
+        rng: &mut R,
+        out: &mut Vec<u64>,
+    ) {
+        let active = brackets.active[cycle];
+        out.clear();
+        obs::counter!(xbar_row_reads).add(brackets.rows as u64);
+        for row in 0..brackets.rows {
+            let i = row * MAX_CYCLES + cycle;
+            let code = self.draw_read(
+                active,
+                brackets.current[i],
+                brackets.sigma[i],
+                brackets.lo[i],
+                brackets.hi[i],
+                normals,
+                rng,
+            );
+            out.push(u64::from(code));
+        }
+    }
+
+    /// Asserts that a trap table's offsets cover every row.
+    fn check_trap_offsets(&self, trap_offsets: &[u32]) {
+        assert!(
+            trap_offsets.len() > self.rows.len(),
+            "trap_offsets narrower than array"
+        );
+    }
+
+    /// Brackets one row under every cycle of `cycles`, one cycle per
+    /// lane: the per-read expressions of
+    /// [`bracket_reads_into`](CrossbarArray::bracket_reads_into). Lanes
+    /// past the real cycles compute on `g = 0` and an empty mask, and
+    /// are never walked.
+    #[inline(always)]
+    fn bracket_row<const N: usize>(
+        &self,
+        cycles: &Cycles<N>,
+        g: &[f64; N],
+        levels: &[(f64, u128)],
+    ) -> RowBracket<N> {
+        let mut current = [0.0f64; N];
+        for (c, &g) in current.iter_mut().zip(g) {
+            *c = self.params.v_read * g;
+        }
+        for &(delta_i, word) in levels {
+            let (low, high) = (word as u64, (word >> 64) as u64);
+            for (k, c) in current.iter_mut().enumerate() {
+                let trapped =
+                    (cycles.low[k] & low).count_ones() + (cycles.high[k] & high).count_ones();
+                *c -= trapped as f64 * delta_i;
+            }
+        }
+        let noise = self.read_noise();
+        let mut bracket = RowBracket {
+            current,
+            sigma: [0.0; N],
+            lo: [0; N],
+            hi: [0; N],
+        };
+        for k in 0..N {
+            let (current, active) = (current[k], cycles.active[k]);
+            let sigma = noise.sigma(g[k], current);
+            bracket.sigma[k] = sigma;
+            bracket.lo[k] = self.adc.quantize_fast(current + sigma * -Z_MAX, active);
+            bracket.hi[k] = self.adc.quantize_fast(current + sigma * Z_MAX, active);
+        }
+        bracket
+    }
+
+    /// One bracketed read's code: `lo` where the bracket agrees, else
+    /// one deferred normal from `normals`, quantized.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn draw_read<R: Rng + ?Sized>(
+        &self,
+        active: u32,
+        current: f64,
+        sigma: f64,
+        lo: u32,
+        hi: u32,
+        normals: &mut NormalSource,
+        rng: &mut R,
+    ) -> u32 {
+        if lo == hi {
+            return lo;
+        }
+        obs::counter!(xbar_noise_evaluated).incr();
+        quantize_deferred(current, sigma, normals.next_deferred(rng), |i| {
+            self.adc.quantize_fast(i, active)
+        })
+    }
+
     /// Reads every row for one bit-serial cycle of the *batched*
     /// kernel, using precomputed per-row conductance sums
     /// (`g_totals`, one bit-plane slice of
     /// [`conductance_planes_into`](CrossbarArray::conductance_planes_into))
-    /// and the hoisted sparse trap table
+    /// and the hoisted dense trap table
     /// ([`trap_level_sparse_into`](CrossbarArray::trap_level_sparse_into)).
     ///
-    /// This is the accelerator engine's group read at every batch size.
-    /// Differences from [`read_rows_into`](CrossbarArray::read_rows_into),
-    /// all invisible when every noise source is disabled and pinned by
-    /// the engine goldens otherwise:
+    /// This is the one-cycle call of the engine's two-pass read:
+    /// [`bracket_reads_into`](CrossbarArray::bracket_reads_into) then
+    /// [`draw_reads_into`](CrossbarArray::draw_reads_into), a block of
+    /// eight rows at a time on a stack buffer, which draws exactly what
+    /// the two passes over the whole cycle draw, since bracketing draws
+    /// nothing. Differences from
+    /// [`read_rows_into`](CrossbarArray::read_rows_into), all invisible
+    /// when every noise source is disabled and pinned by the engine
+    /// goldens otherwise:
     ///
     /// - Gaussian noise comes from the paired [`NormalSource`] (a
     ///   different — equally valid — stream than the single-draw
@@ -638,7 +817,8 @@ impl CrossbarArray {
     ///
     /// # Panics
     ///
-    /// Panics if `g_totals` or the trap table do not cover every row.
+    /// Panics if `g_totals` does not cover every row or the trap table
+    /// is not this array's dense table.
     #[allow(clippy::too_many_arguments)]
     pub fn read_rows_amortized_into<R: Rng + ?Sized>(
         &self,
@@ -650,30 +830,23 @@ impl CrossbarArray {
         rng: &mut R,
         out: &mut Vec<u64>,
     ) {
-        obs::counter!(xbar_row_reads).add(self.rows.len() as u64);
         let rows = self.rows.len();
         assert!(g_totals.len() >= rows, "g_totals narrower than array");
-        assert!(
-            trap_offsets.len() > rows,
-            "trap_offsets narrower than array"
-        );
+        self.check_trap_offsets(trap_offsets);
+        obs::counter!(xbar_row_reads).add(rows as u64);
         out.clear();
-        let active = mask.count_ones();
-        let mask_bits = mask.bits();
-        let noise = self.read_noise();
-        for row in 0..rows {
-            let g = g_totals[row];
-            let mut current = self.params.v_read * g;
-            let span = trap_offsets[row] as usize..trap_offsets[row + 1] as usize;
-            for &(delta_i, m) in &trap_entries[span] {
-                let trapped = (m & mask_bits).count_ones();
-                current -= trapped as f64 * delta_i;
-            }
-            let code = quantize_on_demand(
-                current,
-                noise.sigma(g, current),
-                || normals.next_deferred(rng),
-                |i| self.adc.quantize_fast(i, active),
+        let cycles = Cycles::<1>::new(std::slice::from_ref(mask));
+        for (row, &g) in g_totals[..rows].iter().enumerate() {
+            let levels = trap_levels(trap_offsets, trap_entries, row);
+            let b = self.bracket_row(&cycles, &[g], levels);
+            let code = self.draw_read(
+                cycles.active[0],
+                b.current[0],
+                b.sigma[0],
+                b.lo[0],
+                b.hi[0],
+                normals,
+                rng,
             );
             out.push(u64::from(code));
         }
@@ -725,6 +898,102 @@ impl CrossbarArray {
         }
         current
     }
+}
+
+/// Most cycles [`CrossbarArray::bracket_reads_into`] brackets at once:
+/// the 16 bit-planes of a 16-bit input, one lane each.
+pub const MAX_CYCLES: usize = 16;
+
+/// The masks of up to `N` cycles, one lane each: the low and high
+/// 64 columns and the driven-column count. Lanes past the given masks
+/// are empty.
+struct Cycles<const N: usize> {
+    low: [u64; N],
+    high: [u64; N],
+    active: [u32; N],
+}
+
+impl<const N: usize> Cycles<N> {
+    /// # Panics
+    ///
+    /// Panics if `masks` holds more than `N` masks.
+    fn new(masks: &[InputMask]) -> Cycles<N> {
+        assert!(masks.len() <= N, "{} cycles exceed {N}", masks.len());
+        let mut cycles = Cycles {
+            low: [0; N],
+            high: [0; N],
+            active: [0; N],
+        };
+        for (k, mask) in masks.iter().enumerate() {
+            cycles.low[k] = mask.bits() as u64;
+            cycles.high[k] = (mask.bits() >> 64) as u64;
+            cycles.active[k] = mask.count_ones();
+        }
+        cycles
+    }
+}
+
+/// One row's bracketed reads, one per cycle lane.
+struct RowBracket<const N: usize> {
+    current: [f64; N],
+    sigma: [f64; N],
+    lo: [u32; N],
+    hi: [u32; N],
+}
+
+/// The draw-free half of one (stack, vector)'s row reads, filled by
+/// [`CrossbarArray::bracket_reads_into`] and walked by
+/// [`CrossbarArray::draw_reads_into`].
+///
+/// Per read, row-major with one slot per cycle lane
+/// (`[row · MAX_CYCLES + cycle]`): the noise-free current, the noise
+/// sigma, and the codes at `current − Z_MAX·σ` and
+/// `current + Z_MAX·σ`. A buffer with capacity for the largest stack
+/// is reused without allocating.
+#[derive(Debug, Clone, Default)]
+pub struct ReadBrackets {
+    /// Physical rows bracketed.
+    rows: usize,
+    /// Driven-column count of each cycle.
+    active: Vec<u32>,
+    current: Vec<f64>,
+    sigma: Vec<f64>,
+    lo: Vec<u32>,
+    hi: Vec<u32>,
+}
+
+impl ReadBrackets {
+    /// An empty buffer with room for every cycle of `rows` rows.
+    pub fn with_row_capacity(rows: usize) -> ReadBrackets {
+        let reads = rows * MAX_CYCLES;
+        ReadBrackets {
+            rows: 0,
+            active: Vec::with_capacity(MAX_CYCLES),
+            current: Vec::with_capacity(reads),
+            sigma: Vec::with_capacity(reads),
+            lo: Vec::with_capacity(reads),
+            hi: Vec::with_capacity(reads),
+        }
+    }
+
+    /// Sizes the buffer for `rows` rows under `masks`, keeping
+    /// capacity; every read slot is then overwritten by the caller.
+    fn reset(&mut self, rows: usize, masks: &[InputMask]) {
+        let reads = rows * MAX_CYCLES;
+        self.rows = rows;
+        self.active.clear();
+        self.active.extend(masks.iter().map(InputMask::count_ones));
+        self.current.resize(reads, 0.0);
+        self.sigma.resize(reads, 0.0);
+        self.lo.resize(reads, 0);
+        self.hi.resize(reads, 0);
+    }
+}
+
+/// Row `row`'s entries of a hoisted trap table.
+#[inline]
+fn trap_levels<'t>(offsets: &[u32], entries: &'t [(f64, u128)], row: usize) -> &'t [(f64, u128)] {
+    &entries[offsets[row] as usize..offsets[row + 1] as usize]
 }
 
 /// The read-noise model: thermal noise of the driven resistors plus

@@ -164,6 +164,19 @@ impl BitSlicer {
             U256::from_limbs([0, (a0 >> 64) as u64, (a1 >> 64) as u64, (a2 >> 64) as u64]);
         low + carried + top
     }
+
+    /// [`reduce`](BitSlicer::reduce) in one `u128`, for stacks whose
+    /// reduction provably fits: the caller bounds the row outputs so
+    /// that `Σ outputs[r] · 2^{r·cell_bits} < 2¹²⁸` (debug builds check
+    /// the shifts and adds for overflow). Then it equals `reduce`
+    /// exactly.
+    pub fn reduce_u128(&self, outputs: &[u64]) -> u128 {
+        outputs
+            .iter()
+            .enumerate()
+            .map(|(r, &o)| u128::from(o) << self.row_lsb(r as u32))
+            .sum()
+    }
 }
 
 #[cfg(test)]
@@ -312,6 +325,29 @@ mod tests {
             }
         }
         assert!(compared > 1500, "only {compared} stacks compared");
+    }
+
+    #[test]
+    fn u128_reduce_matches_wide_reduce() {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x128);
+        for cell_bits in 1..=5 {
+            for word_bits in [16u32, 26, 40, 100] {
+                let slicer = BitSlicer::new(cell_bits, word_bits);
+                let rows = slicer.rows_per_word() as usize;
+                for width in [1u32, 9, 12] {
+                    // Row outputs of at most `width` bits keep the sum
+                    // below 2^(span + width) ≤ 2^118.
+                    let outputs: Vec<u64> =
+                        (0..rows).map(|_| rng.next_u64() >> (64 - width)).collect();
+                    assert_eq!(
+                        U256::from(slicer.reduce_u128(&outputs)),
+                        slicer.reduce(&outputs),
+                        "c={cell_bits} w={word_bits} width={width}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
