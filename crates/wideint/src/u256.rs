@@ -279,22 +279,41 @@ impl U256 {
     /// let (q, r) = U256::from(1000u64).div_rem_u64(19).unwrap();
     /// assert_eq!((q, r), (U256::from(52u64), 12));
     /// ```
+    ///
+    /// Long division, limb by limb from the top. Zero high limbs are
+    /// skipped (their quotient limbs are zero and the remainder stays
+    /// 0), a limb reached with a zero remainder takes one `u64`
+    /// division, and every other limb one `u128` division whose
+    /// remainder is taken by multiply-subtract, so a value that fits
+    /// one limb costs one machine division.
     #[inline]
     pub fn div_rem_u64(self, divisor: u64) -> Option<(U256, u64)> {
         if divisor == 0 {
             return None;
         }
         let mut quotient = [0u64; 4];
-        let mut rem = 0u128;
-        for i in (0..4).rev() {
-            let cur = (rem << 64) | self.limbs[i] as u128;
-            // Long-division invariant: rem < divisor <= u64::MAX going
-            // in, so cur < divisor * 2^64 and the per-limb quotient
-            // fits in 64 bits.
-            quotient[i] = (cur / divisor as u128) as u64; // lint: allow(lossy_cast, quotient < 2^64 by the long-division invariant)
-            rem = cur % divisor as u128;
+        let mut rem = 0u64;
+        let top = self
+            .limbs
+            .iter()
+            .rposition(|&l| l != 0)
+            .map_or(0, |i| i + 1);
+        for i in (0..top).rev() {
+            let limb = self.limbs[i];
+            if rem == 0 {
+                quotient[i] = limb / divisor;
+                rem = limb % divisor;
+            } else {
+                // Long-division invariant: rem < divisor <= u64::MAX
+                // going in, so cur < divisor * 2^64 and the per-limb
+                // quotient fits in 64 bits.
+                let cur = (u128::from(rem) << 64) | u128::from(limb);
+                let q = (cur / u128::from(divisor)) as u64; // lint: allow(lossy_cast, quotient < 2^64 by the long-division invariant)
+                quotient[i] = q;
+                rem = (cur - u128::from(q) * u128::from(divisor)) as u64; // lint: allow(lossy_cast, the remainder is below divisor, a u64)
+            }
         }
-        Some((U256 { limbs: quotient }, rem as u64)) // lint: allow(lossy_cast, rem < divisor which is a u64)
+        Some((U256 { limbs: quotient }, rem))
     }
 
     /// Returns `self % divisor` for a `u64` divisor, or `None` if
@@ -325,8 +344,15 @@ impl U256 {
             let (q, r) = self.div_rem_u64(divisor.limbs[0])?;
             return Some((q, U256::from(r)));
         }
+        Some(self.div_rem_bitwise(divisor))
+    }
+
+    /// Binary long division by a nonzero divisor, one quotient bit at a
+    /// time: the general path of [`div_rem`](U256::div_rem), and the
+    /// independent reference its `u64` fast path is tested against.
+    fn div_rem_bitwise(self, divisor: U256) -> (U256, U256) {
         if self < divisor {
-            return Some((U256::ZERO, self));
+            return (U256::ZERO, self);
         }
         // Long division, one bit at a time, starting from the highest bit
         // of the dividend that could produce a nonzero quotient bit.
@@ -341,7 +367,7 @@ impl U256 {
             }
             d = d >> 1u32;
         }
-        Some((quotient, rem))
+        (quotient, rem)
     }
 
     /// Converts to `u64`, returning `None` if the value does not fit.
@@ -863,6 +889,30 @@ mod tests {
         let n128 = n.to_u128().unwrap();
         assert_eq!(q.to_u128().unwrap(), n128 / 19);
         assert_eq!(r as u128, n128 % 19);
+    }
+
+    proptest::proptest! {
+        /// The limb-skipping `u64` division agrees with the bit-serial
+        /// long division on values of every limb count, for the
+        /// divisors at the edges of its paths and random ones.
+        #[test]
+        fn div_rem_u64_matches_bitwise_division(
+            limbs in proptest::prelude::any::<[u64; 4]>(),
+            width in 0usize..=4,
+            random in 1u64..,
+        ) {
+            let mut limbs = limbs;
+            limbs[width..].fill(0);
+            let n = U256::from_limbs(limbs);
+            for d in [1, 3, 1 << 16, u64::MAX, random] {
+                let (q, r) = n.div_rem_u64(d).unwrap();
+                proptest::prop_assert_eq!(
+                    (q, U256::from(r)),
+                    n.div_rem_bitwise(U256::from(d)),
+                    "{:?} / {}", n, d
+                );
+            }
+        }
     }
 
     #[test]
