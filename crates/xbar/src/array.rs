@@ -539,14 +539,37 @@ impl CrossbarArray {
             // can unroll. There is one code path; any lane-parallel
             // codegen comes from `target-cpu=native` in
             // `.cargo/config.toml` and keeps every plane's add order.
-            for (row, r) in self.rows.iter().enumerate() {
-                assert!(
-                    values.len() >= r.conductance.len(),
-                    "values narrower than row"
-                );
-                let acc = planes16(&r.conductance, values);
-                for (t, &a) in acc.iter().enumerate() {
-                    out[t * rows + row] = a;
+            // Rows of equal width go [`PLANE_ROWS`] at a time: their
+            // add chains are independent, so they overlap instead of
+            // each waiting out one add latency per column, and the
+            // column's bit masks are built once for all of them.
+            for (block, group) in self.rows.chunks(PLANE_ROWS).enumerate() {
+                for r in group {
+                    assert!(
+                        values.len() >= r.conductance.len(),
+                        "values narrower than row"
+                    );
+                }
+                let width = group[0].conductance.len();
+                let same_width = group.iter().all(|r| r.conductance.len() == width);
+                match <&[PhysicalRow; PLANE_ROWS]>::try_from(group) {
+                    Ok(group) if same_width => {
+                        let acc =
+                            planes16_rows(group.each_ref().map(|r| &r.conductance[..]), values);
+                        for (k, acc) in acc.iter().enumerate() {
+                            for (t, &a) in acc.iter().enumerate() {
+                                out[t * rows + block * PLANE_ROWS + k] = a;
+                            }
+                        }
+                    }
+                    _ => {
+                        for (k, r) in group.iter().enumerate() {
+                            let [acc] = planes16_rows([&r.conductance[..]], values);
+                            for (t, &a) in acc.iter().enumerate() {
+                                out[t * rows + block * PLANE_ROWS + k] = a;
+                            }
+                        }
+                    }
                 }
             }
             return;
@@ -733,10 +756,18 @@ impl CrossbarArray {
         }
         for &(delta_i, word) in levels {
             let (low, high) = (word as u64, (word >> 64) as u64);
-            for (k, c) in current.iter_mut().enumerate() {
-                let trapped =
-                    (cycles.low[k] & low).count_ones() + (cycles.high[k] & high).count_ones();
-                *c -= trapped as f64 * delta_i;
+            let mut trapped = [0u32; N];
+            for (k, t) in trapped.iter_mut().enumerate() {
+                *t = (cycles.low[k] & low).count_ones();
+            }
+            if high != 0 {
+                // Only rows wider than 64 columns have high words.
+                for (k, t) in trapped.iter_mut().enumerate() {
+                    *t += (cycles.high[k] & high).count_ones();
+                }
+            }
+            for (c, &t) in current.iter_mut().zip(&trapped) {
+                *c -= t as f64 * delta_i;
             }
         }
         let noise = self.read_noise();
@@ -1141,19 +1172,31 @@ fn driven_conductance_sums(rows: &[PhysicalRow], mask: &InputMask) -> [f64; READ
     g
 }
 
-/// One row's 16 bit-plane conductance sums, each accumulated in
-/// ascending column order. `g · bit` is computed as
-/// `f64::from_bits(g.to_bits() & bit.wrapping_neg())` — exactly `g`
+/// Rows whose bit-plane sums [`CrossbarArray::conductance_planes_into`]
+/// accumulates together.
+const PLANE_ROWS: usize = 4;
+
+/// The 16 bit-plane conductance sums of `R` rows of equal width, each
+/// accumulated in its own ascending column order. `g · bit` is computed
+/// as `f64::from_bits(g.to_bits() & bit.wrapping_neg())` — exactly `g`
 /// when the bit is set and exactly `+0.0` otherwise, so the result is
 /// bit-identical to the multiply form (and to the scalar path's
 /// skip-the-zeros scan, since adding `+0.0` to a non-negative partial
 /// sum is an identity).
-fn planes16(conductance: &[f64], values: &[u64]) -> [f64; 16] {
-    let mut acc = [0.0f64; 16];
-    for (&g, &v) in conductance.iter().zip(values) {
-        let gb = g.to_bits();
-        for (t, a) in acc.iter_mut().enumerate() {
-            *a += f64::from_bits(gb & ((v >> t) & 1).wrapping_neg());
+fn planes16_rows<const R: usize>(rows: [&[f64]; R], values: &[u64]) -> [[f64; 16]; R] {
+    let width = rows[0].len();
+    let rows = rows.map(|r| &r[..width]);
+    let mut acc = [[0.0f64; 16]; R];
+    for (j, &v) in values[..width].iter().enumerate() {
+        let mut bits = [0u64; 16];
+        for (t, b) in bits.iter_mut().enumerate() {
+            *b = ((v >> t) & 1).wrapping_neg();
+        }
+        for (acc, row) in acc.iter_mut().zip(&rows) {
+            let g = row[j].to_bits();
+            for (a, &b) in acc.iter_mut().zip(&bits) {
+                *a += f64::from_bits(g & b);
+            }
         }
     }
     acc
