@@ -543,6 +543,16 @@ impl CrossbarArray {
             // add chains are independent, so they overlap instead of
             // each waiting out one add latency per column, and the
             // column's bit masks are built once for all of them.
+            // Only columns with a nonzero input word add anything.
+            let mut driven = [0u8; InputMask::MAX_WIDTH as usize];
+            let mut count = 0;
+            for (j, &v) in values.iter().enumerate().take(driven.len()) {
+                driven[count] = j as u8;
+                count += usize::from(v != 0);
+            }
+            let driven = &driven[..count];
+            let below =
+                |width: usize| &driven[..driven.partition_point(|&j| usize::from(j) < width)];
             for (block, group) in self.rows.chunks(PLANE_ROWS).enumerate() {
                 for r in group {
                     assert!(
@@ -554,8 +564,11 @@ impl CrossbarArray {
                 let same_width = group.iter().all(|r| r.conductance.len() == width);
                 match <&[PhysicalRow; PLANE_ROWS]>::try_from(group) {
                     Ok(group) if same_width => {
-                        let acc =
-                            planes16_rows(group.each_ref().map(|r| &r.conductance[..]), values);
+                        let acc = planes16_rows(
+                            group.each_ref().map(|r| &r.conductance[..]),
+                            values,
+                            below(width),
+                        );
                         for (k, acc) in acc.iter().enumerate() {
                             for (t, &a) in acc.iter().enumerate() {
                                 out[t * rows + block * PLANE_ROWS + k] = a;
@@ -564,7 +577,8 @@ impl CrossbarArray {
                     }
                     _ => {
                         for (k, r) in group.iter().enumerate() {
-                            let [acc] = planes16_rows([&r.conductance[..]], values);
+                            let width = r.conductance.len();
+                            let [acc] = planes16_rows([&r.conductance[..]], values, below(width));
                             for (t, &a) in acc.iter().enumerate() {
                                 out[t * rows + block * PLANE_ROWS + k] = a;
                             }
@@ -1177,17 +1191,23 @@ fn driven_conductance_sums(rows: &[PhysicalRow], mask: &InputMask) -> [f64; READ
 const PLANE_ROWS: usize = 4;
 
 /// The 16 bit-plane conductance sums of `R` rows of equal width, each
-/// accumulated in its own ascending column order. `g · bit` is computed
-/// as `f64::from_bits(g.to_bits() & bit.wrapping_neg())` — exactly `g`
-/// when the bit is set and exactly `+0.0` otherwise, so the result is
-/// bit-identical to the multiply form (and to the scalar path's
-/// skip-the-zeros scan, since adding `+0.0` to a non-negative partial
-/// sum is an identity).
-fn planes16_rows<const R: usize>(rows: [&[f64]; R], values: &[u64]) -> [[f64; 16]; R] {
-    let width = rows[0].len();
-    let rows = rows.map(|r| &r[..width]);
+/// accumulated in its own ascending column order over `driven`, the
+/// ascending columns below the width whose input word is nonzero.
+/// `g · bit` is computed as `f64::from_bits(g.to_bits() &
+/// bit.wrapping_neg())` — exactly `g` when the bit is set and exactly
+/// `+0.0` otherwise, so the result is bit-identical to the multiply
+/// form (and to the scalar path's skip-the-zeros scan, since adding
+/// `+0.0` to a non-negative partial sum is an identity); a column whose
+/// word is zero would add `+0.0` to every plane, so it is skipped.
+fn planes16_rows<const R: usize>(
+    rows: [&[f64]; R],
+    values: &[u64],
+    driven: &[u8],
+) -> [[f64; 16]; R] {
     let mut acc = [[0.0f64; 16]; R];
-    for (j, &v) in values[..width].iter().enumerate() {
+    for &j in driven {
+        let j = usize::from(j);
+        let v = values[j];
         let mut bits = [0u64; 16];
         for (t, b) in bits.iter_mut().enumerate() {
             *b = ((v >> t) & 1).wrapping_neg();
@@ -2225,6 +2245,49 @@ mod tests {
                 // Exact equality: the branchless plane pass adds only
                 // `g·1.0` and `+0.0` terms in the same ascending order.
                 assert_eq!(planes[t as usize * 5 + row], g, "t={t} row={row}");
+            }
+        }
+    }
+
+    #[test]
+    fn conductance_planes_match_mask_scans_on_sparse_ragged_rows() {
+        // Half the input words zero, and rows of unequal widths, so
+        // both the four-row groups and the single-row fallback skip
+        // columns; every plane sum must still equal the ascending scan
+        // of its driven columns, bit for bit.
+        let mut rng = rng();
+        let widths = [
+            100usize, 100, 100, 100, 100, 37, 100, 128, 5, 128, 128, 128, 128,
+        ];
+        let levels: Vec<Vec<u32>> = widths
+            .iter()
+            .map(|&w| (0..w).map(|_| rng.gen_range(0..4)).collect())
+            .collect();
+        let array = CrossbarArray::program(&levels, &DeviceParams::default(), &mut rng);
+        let values: Vec<u64> = (0..128)
+            .map(|_| {
+                if rng.gen::<bool>() {
+                    0
+                } else {
+                    rng.gen_range(0..65536)
+                }
+            })
+            .collect();
+        let mut planes = Vec::new();
+        array.conductance_planes_into(&values, 16, &mut planes);
+        let rows = widths.len();
+        for t in 0..16u32 {
+            for (row, r) in array.rows().iter().enumerate() {
+                let mask = InputMask::from_bit_of(&values[..r.conductance.len()], t);
+                let mut g = 0.0f64;
+                for j in mask.iter_ones() {
+                    g += r.conductance[j as usize];
+                }
+                assert_eq!(
+                    planes[t as usize * rows + row].to_bits(),
+                    g.to_bits(),
+                    "t={t} row={row}"
+                );
             }
         }
     }
