@@ -685,15 +685,25 @@ impl CrossbarArray {
         );
         self.check_trap_offsets(trap_offsets);
         out.reset(rows, masks);
+        // Transpose the t-major plane sums into the sigma slots, one
+        // row of lanes each, where the row's pass reads them first.
+        if masks.len() < MAX_CYCLES {
+            out.sigma.fill(0.0);
+        }
+        if rows > 0 {
+            for (t, plane) in planes.chunks_exact(rows).take(masks.len()).enumerate() {
+                for (lanes, &g) in out.sigma.chunks_exact_mut(MAX_CYCLES).zip(plane) {
+                    lanes[t] = g;
+                }
+            }
+        }
         let reads = out.current.chunks_exact_mut(MAX_CYCLES);
         let reads = reads.zip(out.sigma.chunks_exact_mut(MAX_CYCLES));
         let reads = reads.zip(out.lo.chunks_exact_mut(MAX_CYCLES));
         let reads = reads.zip(out.hi.chunks_exact_mut(MAX_CYCLES));
         for (row, (((current, sigma), lo), hi)) in reads.enumerate() {
             let mut g = [0.0f64; MAX_CYCLES];
-            for (t, g) in g.iter_mut().enumerate().take(masks.len()) {
-                *g = planes[t * rows + row];
-            }
+            g.copy_from_slice(sigma);
             let levels = trap_levels(trap_offsets, trap_entries, row);
             let bracket = self.bracket_row(&cycles, &g, levels);
             current.copy_from_slice(&bracket.current);
