@@ -198,8 +198,12 @@ impl MvmScratch {
 ///
 /// There is one kernel: `mvm_into` is `mvm_batch_into` with a batch of
 /// one. Per (chunk, stack) it draws one RTN snapshot shared by the
-/// batch, then per vector per nonzero input bit reads the rows in
-/// ascending order with paired Gaussians drawn on demand.
+/// batch. Per vector it brackets every bit's rows without drawing
+/// ([`xbar::CrossbarArray::bracket_reads_into`]), then per nonzero
+/// input bit walks the rows in ascending order, drawing paired
+/// Gaussians only where a bracket straddles a code boundary. A stack
+/// whose group-cycle values provably fit keeps its bookkeeping in
+/// `i128`; wider stacks use `U256`/`I256`.
 pub struct CrossbarEngine {
     mapped: MappedMatrix,
     /// Biased weights for the ideal digital baseline used in lane
@@ -328,22 +332,6 @@ impl CrossbarEngine {
         self.local_stats
     }
 
-    /// Reads one stack for bracketed cycle `cycle`, drawing the noise
-    /// of the straddling rows from the engine's stream, into
-    /// `row_outputs`.
-    fn read_cycle(
-        &mut self,
-        stack: &Stack,
-        brackets: &xbar::ReadBrackets,
-        cycle: usize,
-        normals: &mut xbar::stats::NormalSource,
-        row_outputs: &mut Vec<u64>,
-    ) {
-        stack
-            .array
-            .draw_reads_into(brackets, cycle, normals, &mut self.rng, row_outputs);
-    }
-
     /// Reads and decodes one group-cycle value, applying the retry
     /// policy: `read` performs the group read, once and then once per
     /// retry.
@@ -351,7 +339,8 @@ impl CrossbarEngine {
     /// Retries re-read the rows under the *same* RTN snapshot (the trap
     /// state does not change on retry timescales), so retries only
     /// resolve transient thermal/shot borderline cases — exactly the
-    /// limitation §VI-A accepts.
+    /// limitation §VI-A accepts. A re-read walks the same brackets, so
+    /// it re-draws exactly the rows whose bracket straddles.
     fn decode_cycle(&mut self, stack: &Stack, mut read: impl FnMut(&mut Self) -> U256) -> I256 {
         let mut observed = read(self);
         let Some(code) = &stack.code else {
@@ -503,11 +492,11 @@ impl MvmEngine for CrossbarEngine {
                         let mut total = 0i128;
                         for t in cycles {
                             let mut read = |me: &mut Self| {
-                                me.read_cycle(
-                                    stack,
+                                stack.array.draw_reads_into(
                                     &scratch.brackets,
                                     t,
                                     &mut scratch.normals,
+                                    &mut me.rng,
                                     &mut scratch.row_outputs,
                                 );
                                 stack.slicer.reduce_u128(&scratch.row_outputs)
@@ -534,11 +523,11 @@ impl MvmEngine for CrossbarEngine {
                         let mut total = I256::ZERO;
                         for t in cycles {
                             let value = self.decode_cycle(stack, |me| {
-                                me.read_cycle(
-                                    stack,
+                                stack.array.draw_reads_into(
                                     &scratch.brackets,
                                     t,
                                     &mut scratch.normals,
+                                    &mut me.rng,
                                     &mut scratch.row_outputs,
                                 );
                                 stack.slicer.reduce(&scratch.row_outputs)
@@ -754,6 +743,25 @@ mod tests {
             let config = noiseless_config(ProtectionScheme::data_aware(10)).with_cell_bits(bits);
             let out = run_engine(&m, config, &input);
             assert_eq!(out, exact_reference(&m, &input), "cell bits {bits}");
+        }
+    }
+
+    /// Fewer than 16 input bits leave the upper bracket lanes unused;
+    /// noiseless outputs must still be exact for every scheme family.
+    #[test]
+    fn noiseless_exact_at_narrow_input_width() {
+        let m = quantized(9, 20, 13);
+        let input: Vec<u16> = (0..20).map(|i| (i * 37 % 256) as u16).collect();
+        for scheme in [
+            ProtectionScheme::None,
+            ProtectionScheme::Static16,
+            ProtectionScheme::data_aware(9),
+        ] {
+            let label = scheme.label();
+            let mut config = noiseless_config(scheme);
+            config.input_bits = 8;
+            let out = run_engine(&m, config, &input);
+            assert_eq!(out, exact_reference(&m, &input), "{label}");
         }
     }
 
