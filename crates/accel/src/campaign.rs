@@ -965,6 +965,9 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    /// A config mutation and the text its validation error must name.
+    type ConfigCase = (Box<dyn Fn(&mut CampaignConfig)>, &'static str);
+
     /// A tiny trained network and test set (same recipe as the sim
     /// tests, smaller test split: campaigns evaluate it many times).
     fn tiny_problem() -> (QuantizedNetwork, Tensor, Vec<usize>) {
@@ -1276,7 +1279,7 @@ mod tests {
             Err(AccelError::InvalidConfig(_))
         ));
         let good = CampaignConfig::new(AccelConfig::new(ProtectionScheme::None), 2, 1);
-        let cases: Vec<(Box<dyn Fn(&mut CampaignConfig)>, &str)> = vec![
+        let cases: Vec<ConfigCase> = vec![
             (Box::new(|c| c.seed = 1u64 << 53), "2^53"),
             (Box::new(|c| c.base.device.bits_per_cell = 6), "cell_bits"),
             (

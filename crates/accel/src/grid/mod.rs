@@ -939,6 +939,11 @@ mod tests {
     use std::collections::HashMap;
     use std::sync::Arc;
 
+    /// A spec mutation and the text its validation error must name.
+    type SpecCase = (Box<dyn Fn(&mut GridSpec)>, &'static str);
+    /// An artifact-state mutation and the field the done-check names.
+    type StateCase = (fn(&mut CampaignState), &'static str);
+
     fn spec_2x1() -> GridSpec {
         GridSpec {
             version: GRID_SPEC_VERSION,
@@ -1035,7 +1040,7 @@ mod tests {
         let good = spec_2x1();
         assert!(good.validate().is_ok());
 
-        let cases: Vec<(Box<dyn Fn(&mut GridSpec)>, &str)> = vec![
+        let cases: Vec<SpecCase> = vec![
             (Box::new(|s| s.version = 99), "version"),
             (Box::new(|s| s.models.clear()), "non-empty"),
             (
@@ -1656,7 +1661,7 @@ mod tests {
         let state = campaign::parse_state(&text).expect("artifact parses");
         assert!(spec.check_done(cell, &state).is_ok());
 
-        let cases: [(fn(&mut CampaignState), &str); 3] = [
+        let cases: [StateCase; 3] = [
             (|s| s.threads += 1, "threads"),
             (|s| s.initial_writes = 1e6, "initial_writes"),
             (|s| s.error_model = "mc".into(), "error_model"),
