@@ -1,6 +1,6 @@
 //! Microbenchmarks for the crossbar substrate: programming, row reads
-//! (independent, frozen-RTN and batched-amortized), reduction, and
-//! error-rate prediction.
+//! (independent, frozen-RTN and batched-amortized at 2- and 5-bit
+//! cells), reduction, and error-rate prediction.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand_chacha::rand_core::SeedableRng;
@@ -48,6 +48,35 @@ fn bench_crossbar(c: &mut Criterion) {
                 black_box(&planes[..69]),
                 &offsets,
                 &entries,
+                &mut normals,
+                &mut rng,
+                &mut out,
+            )
+        })
+    });
+
+    // The same cycle at 5-bit cells (a 137-bit coded group spans 28
+    // rows), where a row's trap table has up to 32 levels.
+    let params5 = DeviceParams {
+        bits_per_cell: 5,
+        ..DeviceParams::default()
+    };
+    let levels5: Vec<Vec<u32>> = (0..28)
+        .map(|r| (0..128).map(|j| ((r + j) % 32) as u32).collect())
+        .collect();
+    let array5 = CrossbarArray::program(&levels5, &params5, &mut rng);
+    let snap5 = array5.sample_rtn(&mut rng);
+    let mut planes5 = Vec::new();
+    array5.conductance_planes_into(&values, 16, &mut planes5);
+    let (mut offsets5, mut entries5) = (Vec::new(), Vec::new());
+    array5.trap_level_sparse_into(&snap5, &mut offsets5, &mut entries5);
+    c.bench_function("read_rows_amortized_28x128_5b", |b| {
+        b.iter(|| {
+            array5.read_rows_amortized_into(
+                &plane_mask,
+                black_box(&planes5[..28]),
+                &offsets5,
+                &entries5,
                 &mut normals,
                 &mut rng,
                 &mut out,
