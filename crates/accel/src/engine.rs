@@ -144,7 +144,7 @@ pub struct MvmScratch {
     trap_offsets: Vec<u32>,
     trap_entries: Vec<(f64, u128)>,
     /// The draw-free half of the current (stack, vector)'s row reads:
-    /// every nonzero bit's current, sigma and `±Z_MAX` codes per row.
+    /// every bit's current, sigma and `±Z_MAX` codes per row.
     brackets: xbar::ReadBrackets,
     /// Paired-Gaussian source for the row reads. Its carry
     /// cache persists across calls, keeping the draw stream a pure
@@ -460,7 +460,7 @@ impl MvmEngine for CrossbarEngine {
                     let masks = &scratch.masks[v * input_bits..(v + 1) * input_bits];
                     // One ascending-column pass computes every bit
                     // plane's conductance sum for this vector; the
-                    // draw-free pass brackets every nonzero bit's rows.
+                    // draw-free pass brackets every bit's rows.
                     stack.array.conductance_planes_into(
                         &scratch.batch_input[v * chunk_w..(v + 1) * chunk_w],
                         input_bits as u32,
@@ -487,8 +487,7 @@ impl MvmEngine for CrossbarEngine {
                         .enumerate()
                         .filter(|(_, m)| m.count_ones() != 0)
                         .map(|(t, _)| t);
-                    let lane_bits = stack.group.layout().operand_bits();
-                    let err = if narrow {
+                    let total = if narrow {
                         let mut total = 0i128;
                         for t in cycles {
                             let mut read = |me: &mut Self| {
@@ -512,13 +511,7 @@ impl MvmEngine for CrossbarEngine {
                             };
                             total += value << t as u32;
                         }
-                        let ideal_total: i128 = scratch
-                            .ideal
-                            .iter()
-                            .enumerate()
-                            .map(|(l, &y)| i128::from(y) << (l as u32 * lane_bits))
-                            .sum();
-                        I256::from_i128(total - ideal_total)
+                        I256::from_i128(total)
                     } else {
                         let mut total = I256::ZERO;
                         for t in cycles {
@@ -534,16 +527,18 @@ impl MvmEngine for CrossbarEngine {
                             });
                             total += value.shifted_left(t as u32);
                         }
-                        let ideal_total: I256 = scratch
-                            .ideal
-                            .iter()
-                            .enumerate()
-                            .map(|(l, &y)| {
-                                I256::from_i128(y as i128).shifted_left(l as u32 * lane_bits)
-                            })
-                            .sum();
-                        total - ideal_total
+                        total
                     };
+                    let lane_bits = stack.group.layout().operand_bits();
+                    let ideal_total: I256 = scratch
+                        .ideal
+                        .iter()
+                        .enumerate()
+                        .map(|(l, &y)| {
+                            I256::from_i128(y as i128).shifted_left(l as u32 * lane_bits)
+                        })
+                        .sum();
+                    let err = total - ideal_total;
                     stack.group.split_signed_into(err, &mut scratch.lane_err);
                     let out_v = &mut out[v * out_dim..(v + 1) * out_dim];
                     for l in 0..stack.lanes {
@@ -577,9 +572,8 @@ impl MvmEngine for CrossbarEngine {
     }
 }
 
-/// Whether every group-cycle value of `stack`, the `×2^t` sum of
-/// `input_bits` of them and the ideal lane total it is compared with
-/// all fit an `i128`, for a chunk of `columns` inputs.
+/// Whether every group-cycle value of `stack` and the `×2^t` sum of
+/// `input_bits` of them fit an `i128`, for a chunk of `columns` inputs.
 ///
 /// With `c`-bit cells over `R` rows (span `R·c`), a row code is at
 /// most `columns · max_level < 2^k`, so an observed value
@@ -595,10 +589,7 @@ fn accumulates_in_i128(stack: &Stack, columns: usize, input_bits: u32) -> bool {
     let span = stack.slicer.rows_per_word() * c;
     let max_code = columns as u64 * u64::from(stack.array.params().max_level());
     let cycle_bits = (bits(max_code) + span - c + 1).max(span + 7) + 1;
-    // A lane's ideal value is `Σ w·x < columns · 2^32`.
-    let lane_bits = stack.group.layout().operand_bits();
-    let ideal_bits = (stack.lanes as u32).saturating_sub(1) * lane_bits + 33 + bits(columns as u64);
-    cycle_bits + input_bits <= 126 && ideal_bits <= 126
+    cycle_bits + input_bits <= 126
 }
 
 /// A narrow stack's decoded group-cycle value as an `i128`, which

@@ -644,7 +644,7 @@ impl CrossbarArray {
 
     /// The draw-free half of the batched kernel's row reads: brackets
     /// every row under each of `masks` (one bit-serial cycle each, at
-    /// most [`MAX_CYCLES`]), into `out`.
+    /// most 16), into `out`.
     ///
     /// `planes` holds one `row_count` slice of driven conductance sums
     /// per mask, t-major as
@@ -667,7 +667,7 @@ impl CrossbarArray {
     ///
     /// # Panics
     ///
-    /// Panics if `masks` holds more than [`MAX_CYCLES`] masks, or
+    /// Panics if `masks` holds more than 16 masks, or
     /// `planes` or the trap table do not cover every row of every mask.
     pub fn bracket_reads_into(
         &self,
@@ -838,15 +838,15 @@ impl CrossbarArray {
     /// kernel, using precomputed per-row conductance sums
     /// (`g_totals`, one bit-plane slice of
     /// [`conductance_planes_into`](CrossbarArray::conductance_planes_into))
-    /// and the hoisted dense trap table
+    /// and the hoisted trap table
     /// ([`trap_level_sparse_into`](CrossbarArray::trap_level_sparse_into)).
     ///
-    /// This is the one-cycle call of the engine's two-pass read:
-    /// [`bracket_reads_into`](CrossbarArray::bracket_reads_into) then
-    /// [`draw_reads_into`](CrossbarArray::draw_reads_into), a block of
-    /// eight rows at a time on a stack buffer, which draws exactly what
-    /// the two passes over the whole cycle draw, since bracketing draws
-    /// nothing. Differences from
+    /// This is the one-cycle call of the engine's two-pass read
+    /// ([`bracket_reads_into`](CrossbarArray::bracket_reads_into), then
+    /// [`draw_reads_into`](CrossbarArray::draw_reads_into)): the same
+    /// per-row bracket and draw, one lane wide and a row at a time,
+    /// which draws exactly what the two passes draw, since bracketing
+    /// draws nothing. Differences from
     /// [`read_rows_into`](CrossbarArray::read_rows_into), all invisible
     /// when every noise source is disabled and pinned by the engine
     /// goldens otherwise:
@@ -872,8 +872,7 @@ impl CrossbarArray {
     ///
     /// # Panics
     ///
-    /// Panics if `g_totals` does not cover every row or the trap table
-    /// is not this array's dense table.
+    /// Panics if `g_totals` or the trap table do not cover every row.
     #[allow(clippy::too_many_arguments)]
     pub fn read_rows_amortized_into<R: Rng + ?Sized>(
         &self,
@@ -957,7 +956,7 @@ impl CrossbarArray {
 
 /// Most cycles [`CrossbarArray::bracket_reads_into`] brackets at once:
 /// the 16 bit-planes of a 16-bit input, one lane each.
-pub const MAX_CYCLES: usize = 16;
+const MAX_CYCLES: usize = 16;
 
 /// The masks of up to `N` cycles, one lane each: the low and high
 /// 64 columns and the driven-column count. Lanes past the given masks

@@ -59,7 +59,7 @@ pub mod rowerr;
 pub mod stats;
 
 pub use adc::Adc;
-pub use array::{ArrayError, CrossbarArray, PhysicalRow, ReadBrackets, RtnSnapshot, MAX_CYCLES};
+pub use array::{ArrayError, CrossbarArray, PhysicalRow, ReadBrackets, RtnSnapshot};
 pub use bitslice::BitSlicer;
 pub use device::{DeviceParams, RtnModel};
 pub use mask::InputMask;
