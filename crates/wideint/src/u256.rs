@@ -270,6 +270,13 @@ impl U256 {
 
     /// Divides by a `u64` divisor, returning `(quotient, remainder)`.
     ///
+    /// Long division, limb by limb from the top. Zero high limbs are
+    /// skipped (their quotient limbs are zero and the remainder stays
+    /// 0), a limb reached with a zero remainder takes one `u64`
+    /// division, and every other limb one `u128` division whose
+    /// remainder is taken by multiply-subtract, so a value that fits
+    /// one limb costs one machine division.
+    ///
     /// Returns `None` if `divisor == 0`.
     ///
     /// # Examples
@@ -279,13 +286,6 @@ impl U256 {
     /// let (q, r) = U256::from(1000u64).div_rem_u64(19).unwrap();
     /// assert_eq!((q, r), (U256::from(52u64), 12));
     /// ```
-    ///
-    /// Long division, limb by limb from the top. Zero high limbs are
-    /// skipped (their quotient limbs are zero and the remainder stays
-    /// 0), a limb reached with a zero remainder takes one `u64`
-    /// division, and every other limb one `u128` division whose
-    /// remainder is taken by multiply-subtract, so a value that fits
-    /// one limb costs one machine division.
     #[inline]
     pub fn div_rem_u64(self, divisor: u64) -> Option<(U256, u64)> {
         if divisor == 0 {

@@ -168,8 +168,7 @@ impl BitSlicer {
     /// [`reduce`](BitSlicer::reduce) in one `u128`, for stacks whose
     /// reduction provably fits: the caller bounds the row outputs so
     /// that `Σ outputs[r] · 2^{r·cell_bits} < 2¹²⁸` (debug builds check
-    /// the shifts and adds for overflow). Then it equals `reduce`
-    /// exactly.
+    /// the sum for overflow). Then it equals `reduce` exactly.
     pub fn reduce_u128(&self, outputs: &[u64]) -> u128 {
         outputs
             .iter()
