@@ -9,7 +9,9 @@
 //! - cell bits 1 to 5;
 //! - stuck-at fault rate 0 and 1e-3;
 //! - batch 1 and 3;
-//! - `max_retries` 0 and 2,
+//! - `max_retries` 0 and 2;
+//! - 40 and 100 input columns (rows up to and past 64 cells, whose
+//!   trap words have high halves),
 //!
 //! one digest per scheme, with every other noise source at its default.
 //! Any change to the draw order, the float expressions of a read or the
@@ -21,20 +23,19 @@ use neural::{MvmEngineProvider, QuantizedMatrix, Tensor};
 /// Output rows of the swept matrix: one full 8-lane group and a
 /// partial one.
 const OUT: usize = 10;
-/// Input columns: one chunk.
-const IN: usize = 40;
 
-fn matrix() -> QuantizedMatrix {
-    let weights: Vec<f32> = (0..OUT * IN)
+/// An `OUT × columns` matrix: one chunk.
+fn matrix(columns: usize) -> QuantizedMatrix {
+    let weights: Vec<f32> = (0..OUT * columns)
         .map(|i| ((i as f32) * 0.377).sin() * 0.8)
         .collect();
-    QuantizedMatrix::from_tensor(&Tensor::from_vec(vec![OUT, IN], weights))
+    QuantizedMatrix::from_tensor(&Tensor::from_vec(vec![OUT, columns], weights))
 }
 
 /// Six dense input vectors (most bit-planes nonzero): two calls of
 /// up to three.
-fn inputs() -> Vec<u16> {
-    (0..6 * IN as u64)
+fn inputs(columns: usize) -> Vec<u16> {
+    (0..6 * columns as u64)
         .map(|i| ((i * 2654435761 + 977) % 65536) as u16)
         .collect()
 }
@@ -69,36 +70,40 @@ impl Digest {
     }
 }
 
-/// The digest of one scheme's sweep: per cell width, fault rate, batch
-/// and retry budget, two calls on one engine, then the provider's
-/// decode statistics; with the retries the sweep performed.
+/// The digest of one scheme's sweep: per column count, cell width,
+/// fault rate, batch and retry budget, two calls on one engine, then
+/// the provider's decode statistics; with the retries the sweep
+/// performed.
 fn sweep(scheme: &ProtectionScheme) -> (u64, u64) {
-    let m = matrix();
-    let all = inputs();
     let mut digest = Digest::new();
     let mut retries = 0;
-    for bits in 1..=5u32 {
-        for fault_rate in [0.0, 1e-3] {
-            for batch in [1usize, 3] {
-                for max_retries in [0u32, 2] {
-                    let mut config = AccelConfig::new(scheme.clone())
-                        .with_cell_bits(bits)
-                        .with_fault_rate(fault_rate)
-                        .with_batch(batch);
-                    config.max_retries = max_retries;
-                    let seed = u64::from(bits) * 1000 + u64::from(max_retries) * 10 + batch as u64;
-                    let provider = CrossbarProvider::new(config, seed);
-                    let mut engine = provider.build(&m);
-                    let mut out = Vec::new();
-                    for call in 0..2 {
-                        let ins = &all[call * batch * IN..(call + 1) * batch * IN];
-                        engine.mvm_batch_into(ins, batch, &mut out);
-                        for &y in &out {
-                            digest.word(y as u64);
+    for columns in [40, 100] {
+        let m = matrix(columns);
+        let all = inputs(columns);
+        for bits in 1..=5u32 {
+            for fault_rate in [0.0, 1e-3] {
+                for batch in [1usize, 3] {
+                    for max_retries in [0u32, 2] {
+                        let mut config = AccelConfig::new(scheme.clone())
+                            .with_cell_bits(bits)
+                            .with_fault_rate(fault_rate)
+                            .with_batch(batch);
+                        config.max_retries = max_retries;
+                        let seed =
+                            u64::from(bits) * 1000 + u64::from(max_retries) * 10 + batch as u64;
+                        let provider = CrossbarProvider::new(config, seed);
+                        let mut engine = provider.build(&m);
+                        let mut out = Vec::new();
+                        for call in 0..2 {
+                            let ins = &all[call * batch * columns..(call + 1) * batch * columns];
+                            engine.mvm_batch_into(ins, batch, &mut out);
+                            for &y in &out {
+                                digest.word(y as u64);
+                            }
                         }
+                        digest.stats(&provider.stats());
+                        retries += provider.stats().retries;
                     }
-                    digest.stats(&provider.stats());
-                    retries += provider.stats().retries;
                 }
             }
         }
@@ -109,10 +114,10 @@ fn sweep(scheme: &ProtectionScheme) -> (u64, u64) {
 #[test]
 fn golden_digests_across_cell_widths() {
     let pinned: [(ProtectionScheme, u64); 4] = [
-        (ProtectionScheme::None, 4751635269201240828),
-        (ProtectionScheme::Static16, 7754697922967279271),
-        (ProtectionScheme::Static128, 11725438108651873957),
-        (ProtectionScheme::data_aware(9), 3936482616835708517),
+        (ProtectionScheme::None, 10324290047032631353),
+        (ProtectionScheme::Static16, 18206411585515029150),
+        (ProtectionScheme::Static128, 9803093590202275562),
+        (ProtectionScheme::data_aware(9), 14175721771759018361),
     ];
     let mut got = Vec::new();
     for (scheme, _) in &pinned {
