@@ -220,9 +220,6 @@ pub struct CrossbarEngine {
     /// `order[new_position] = original_row` when fault-aware remapping
     /// is active; `None` leaves the hot path untouched.
     remap_order: Option<Vec<usize>>,
-    /// Per chunk, per stack: whether the stack's group-cycle values and
-    /// their `×2^t` sum fit an `i128` ([`accumulates_in_i128`]).
-    narrow: Vec<Vec<bool>>,
 }
 
 impl std::fmt::Debug for CrossbarEngine {
@@ -291,17 +288,6 @@ impl CrossbarEngine {
             (matrix.rows().to_vec(), None)
         };
         let mapped = map_matrix(&weights, config, &mut rng)?;
-        let narrow = mapped
-            .chunks
-            .iter()
-            .zip(&mapped.stacks)
-            .map(|(cols, stacks)| {
-                stacks
-                    .iter()
-                    .map(|stack| accumulates_in_i128(stack, cols.len(), config.input_bits))
-                    .collect()
-            })
-            .collect();
         let scratch = MvmScratch::for_mapped(
             &mapped,
             config.input_bits,
@@ -318,7 +304,6 @@ impl CrossbarEngine {
             reported: DecodeStats::default(),
             scratch,
             remap_order,
-            narrow,
         })
     }
 
@@ -441,8 +426,8 @@ impl MvmEngine for CrossbarEngine {
             }
 
             let stacks = std::mem::take(&mut self.mapped.stacks[chunk_idx]);
-            for (stack_idx, stack) in stacks.iter().enumerate() {
-                let narrow = self.narrow[chunk_idx][stack_idx];
+            for stack in &stacks {
+                let narrow = accumulates_in_i128(stack, chunk_w, input_bits as u32);
                 // ONE frozen RTN configuration per (chunk, stack),
                 // shared by every vector: trap dwell times dwarf the MVM
                 // latency, so errors persist across the bit-serial
