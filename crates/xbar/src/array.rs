@@ -784,8 +784,7 @@ impl CrossbarArray {
             for (k, t) in trapped.iter_mut().enumerate() {
                 *t = (cycles.low[k] & low).count_ones();
             }
-            if high != 0 {
-                // Only rows wider than 64 columns have high words.
+            if cycles.wide {
                 for (k, t) in trapped.iter_mut().enumerate() {
                     *t += (cycles.high[k] & high).count_ones();
                 }
@@ -965,6 +964,9 @@ struct Cycles<const N: usize> {
     low: [u64; N],
     high: [u64; N],
     active: [u32; N],
+    /// Whether any mask drives a column past 64, so the high words of
+    /// the trap table count (the same answer for every row and level).
+    wide: bool,
 }
 
 impl<const N: usize> Cycles<N> {
@@ -977,11 +979,13 @@ impl<const N: usize> Cycles<N> {
             low: [0; N],
             high: [0; N],
             active: [0; N],
+            wide: false,
         };
         for (k, mask) in masks.iter().enumerate() {
             cycles.low[k] = mask.bits() as u64;
             cycles.high[k] = (mask.bits() >> 64) as u64;
             cycles.active[k] = mask.count_ones();
+            cycles.wide |= cycles.high[k] != 0;
         }
         cycles
     }
