@@ -654,8 +654,8 @@ impl CrossbarArray {
     /// [`trap_level_sparse_into`](CrossbarArray::trap_level_sparse_into).
     ///
     /// Per read this computes exactly the `f64` expressions of a single
-    /// read: the noise-free current `v_read · g − trapped · Δi` over the
-    /// table's levels in ascending order, the sigma
+    /// read: the noise-free current `v_read · g − Σ trapped · Δi` over
+    /// the table's levels in ascending order, the sigma
     /// `sqrt(thermal · g + shot · |current|)`, and the codes at both
     /// ends of `current ± Z_MAX · σ` through `Adc::quantize_fast`. A
     /// row is done for all cycles at once, one cycle per lane, so the
