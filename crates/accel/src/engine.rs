@@ -124,8 +124,6 @@ pub struct MvmScratch {
     ideal: Vec<i64>,
     /// Balanced-digit lane attribution of the residual error.
     lane_err: Vec<i64>,
-    /// Quantized row outputs of one group read.
-    row_outputs: Vec<u64>,
     /// Frozen RTN trap state for the current stack.
     rtn: RtnSnapshot,
     /// Staging copy of the output vector while un-permuting a
@@ -144,7 +142,8 @@ pub struct MvmScratch {
     trap_offsets: Vec<u32>,
     trap_entries: Vec<(f64, u128)>,
     /// The draw-free half of the current (stack, vector)'s row reads:
-    /// every bit's current, sigma and `±Z_MAX` codes per row.
+    /// every bit's current, sigma and low code per row, which bits
+    /// straddle, and every bit's clean reduced value.
     brackets: xbar::ReadBrackets,
     /// Paired-Gaussian source for the row reads. Its carry
     /// cache persists across calls, keeping the draw stream a pure
@@ -173,7 +172,6 @@ impl MvmScratch {
             masks: Vec::with_capacity(batch * input_bits as usize),
             ideal: Vec::with_capacity(max_lanes),
             lane_err: Vec::with_capacity(max_lanes),
-            row_outputs: Vec::with_capacity(max_rows),
             rtn: RtnSnapshot::with_row_capacity(max_rows),
             remapped_out: Vec::with_capacity(if remap { mapped.out_dim } else { 0 }),
             batch_input: Vec::with_capacity(batch * max_chunk),
@@ -198,10 +196,12 @@ impl MvmScratch {
 ///
 /// There is one kernel: `mvm_into` is `mvm_batch_into` with a batch of
 /// one. Per (chunk, stack) it draws one RTN snapshot shared by the
-/// batch. Per vector it brackets every bit's rows without drawing
+/// batch. Per vector it brackets every bit's rows without drawing and
+/// sums each bit's clean value from the low codes
 /// ([`xbar::CrossbarArray::bracket_reads_into`]), then per nonzero
-/// input bit walks the rows in ascending order, drawing paired
-/// Gaussians only where a bracket straddles a code boundary. A stack
+/// input bit walks only the rows whose bracket straddles a code
+/// boundary, in ascending order, drawing paired Gaussians for them
+/// ([`xbar::CrossbarArray::walk_reads`]). A stack
 /// whose group-cycle values provably fit keeps its bookkeeping in
 /// `i128`; wider stacks use `U256`/`I256`.
 pub struct CrossbarEngine {
@@ -476,14 +476,12 @@ impl MvmEngine for CrossbarEngine {
                         let mut total = 0i128;
                         for t in cycles {
                             let mut read = |me: &mut Self| {
-                                stack.array.draw_reads_into(
+                                stack.array.walk_reads_u128(
                                     &scratch.brackets,
                                     t,
                                     &mut scratch.normals,
                                     &mut me.rng,
-                                    &mut scratch.row_outputs,
-                                );
-                                stack.slicer.reduce_u128(&scratch.row_outputs)
+                                )
                             };
                             let value = match stack.code {
                                 None => {
@@ -501,14 +499,12 @@ impl MvmEngine for CrossbarEngine {
                         let mut total = I256::ZERO;
                         for t in cycles {
                             let value = self.decode_cycle(stack, |me| {
-                                stack.array.draw_reads_into(
+                                stack.array.walk_reads(
                                     &scratch.brackets,
                                     t,
                                     &mut scratch.normals,
                                     &mut me.rng,
-                                    &mut scratch.row_outputs,
-                                );
-                                stack.slicer.reduce(&scratch.row_outputs)
+                                )
                             });
                             total += value.shifted_left(t as u32);
                         }

@@ -1,6 +1,7 @@
 //! Microbenchmarks for the crossbar substrate: programming, row reads
 //! (independent, frozen-RTN and batched-amortized at 2- and 5-bit
-//! cells), reduction, and error-rate prediction.
+//! cells, and the engine's bracket-then-walk of one vector), reduction,
+//! and error-rate prediction.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand_chacha::rand_core::SeedableRng;
@@ -52,6 +53,28 @@ fn bench_crossbar(c: &mut Criterion) {
                 &mut rng,
                 &mut out,
             )
+        })
+    });
+
+    // The engine's read of one vector over the same stack: bracket all
+    // 16 cycles, then walk each (its clean value plus the straddling
+    // rows' draws).
+    let masks: Vec<InputMask> = (0..16)
+        .map(|t| InputMask::from_bit_of(&values, t))
+        .collect();
+    let mut brackets = xbar::ReadBrackets::with_row_capacity(69);
+    c.bench_function("walk_69x128", |b| {
+        b.iter(|| {
+            array.bracket_reads_into(
+                &masks,
+                black_box(&planes),
+                &offsets,
+                &entries,
+                &mut brackets,
+            );
+            for t in 0..16 {
+                black_box(array.walk_reads(&brackets, t, &mut normals, &mut rng));
+            }
         })
     });
 

@@ -2,6 +2,8 @@
 
 use rand::Rng;
 
+use wideint::U256;
+
 use crate::stats::{sample_binomial, Deferred, NormalSource, Z_MAX};
 use crate::{Adc, DeviceParams, InputMask};
 
@@ -665,6 +667,12 @@ impl CrossbarArray {
     /// cycle whose mask drives no column is bracketed too and never
     /// walked.
     ///
+    /// The reduce happens here too: each row's low code `lo` is added,
+    /// shifted by its row weight `2^{r·c}`, into the cycle's clean
+    /// value, and each row records which cycles straddle (`lo ≠ hi`),
+    /// so [`walk_reads`](CrossbarArray::walk_reads) only visits the
+    /// rows that draw.
+    ///
     /// # Panics
     ///
     /// Panics if `masks` holds more than 16 masks, or
@@ -684,7 +692,8 @@ impl CrossbarArray {
             "planes narrower than masks"
         );
         self.check_trap_offsets(trap_offsets);
-        out.reset(rows, masks);
+        let c = self.params.bits_per_cell as usize;
+        out.reset(rows, c, masks);
         // Transpose the t-major plane sums into the sigma slots, one
         // row of lanes each, where the row's pass reads them first.
         if masks.len() < MAX_CYCLES {
@@ -700,8 +709,8 @@ impl CrossbarArray {
         let reads = out.current.chunks_exact_mut(MAX_CYCLES);
         let reads = reads.zip(out.sigma.chunks_exact_mut(MAX_CYCLES));
         let reads = reads.zip(out.lo.chunks_exact_mut(MAX_CYCLES));
-        let reads = reads.zip(out.hi.chunks_exact_mut(MAX_CYCLES));
-        for (row, (((current, sigma), lo), hi)) in reads.enumerate() {
+        let mut straddle_any = 0;
+        for (row, ((current, sigma), lo)) in reads.enumerate() {
             let mut g = [0.0f64; MAX_CYCLES];
             g.copy_from_slice(sigma);
             let levels = trap_levels(trap_offsets, trap_entries, row);
@@ -709,49 +718,116 @@ impl CrossbarArray {
             current.copy_from_slice(&bracket.current);
             sigma.copy_from_slice(&bracket.sigma);
             lo.copy_from_slice(&bracket.lo);
-            hi.copy_from_slice(&bracket.hi);
+            let shift = row * c;
+            let digit = &mut out.digits[shift / DIGIT_BITS * MAX_CYCLES..][..MAX_CYCLES];
+            let mut straddle = 0u16;
+            for (k, d) in digit.iter_mut().enumerate() {
+                *d += u64::from(bracket.lo[k]) << (shift % DIGIT_BITS);
+                straddle |= u16::from(bracket.lo[k] != bracket.hi[k]) << k;
+            }
+            out.straddle[row] = straddle;
+            straddle_any |= straddle;
         }
+        out.straddle_any = straddle_any;
     }
 
-    /// The sequential half of the batched kernel's row reads: walks the
-    /// rows of bracketed cycle `cycle` in ascending order, writing the
-    /// quantized outputs into `out` (cleared first).
+    /// The sequential half of the batched kernel's row reads: the
+    /// reduced value `Σ_r code_r · 2^{r·c}` of bracketed cycle `cycle`,
+    /// as [`BitSlicer::reduce`](crate::BitSlicer::reduce) sums the
+    /// codes of the rows in ascending order.
     ///
-    /// A row whose bracket agrees takes its code and nothing from the
-    /// stream; a row whose bracket straddles takes one [`Deferred`]
-    /// normal from `normals` ([`NormalSource::next_deferred`]) and
-    /// brackets again at the draw's own bound, evaluating it only if
-    /// that straddles too. Walking the same cycle again — a decode
+    /// It starts from the clean value that
+    /// [`bracket_reads_into`](CrossbarArray::bracket_reads_into) summed
+    /// from every row's low code and returns it at once if no row
+    /// straddles. Otherwise it visits, in ascending order, only the rows
+    /// whose bracket straddles: each takes one [`Deferred`] normal from
+    /// `normals` ([`NormalSource::next_deferred`]), brackets again at
+    /// the draw's own bound, evaluates it only if that straddles too,
+    /// and adds `(code − lo) · 2^{r·c}`. A row whose bracket agrees
+    /// takes nothing from the stream, so the draws are the ones a walk
+    /// of every row would take. Walking the same cycle again — a decode
     /// retry — re-draws exactly the straddling rows, as a full re-read
     /// would.
     ///
     /// # Panics
     ///
     /// Panics if `cycle` is not a cycle of `brackets`.
-    pub fn draw_reads_into<R: Rng + ?Sized>(
+    pub fn walk_reads<R: Rng + ?Sized>(
         &self,
         brackets: &ReadBrackets,
         cycle: usize,
         normals: &mut NormalSource,
         rng: &mut R,
-        out: &mut Vec<u64>,
-    ) {
-        let active = brackets.active[cycle];
-        out.clear();
+    ) -> U256 {
+        self.walk(brackets, cycle, normals, rng)
+    }
+
+    /// [`walk_reads`](CrossbarArray::walk_reads) in one `u128`, for
+    /// stacks whose cycle values provably fit, as
+    /// [`BitSlicer::reduce_u128`](crate::BitSlicer::reduce_u128): the
+    /// caller bounds the codes so that the value is below `2¹²⁸`. Then
+    /// it equals `walk_reads` exactly, draws included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle` is not a cycle of `brackets`.
+    pub fn walk_reads_u128<R: Rng + ?Sized>(
+        &self,
+        brackets: &ReadBrackets,
+        cycle: usize,
+        normals: &mut NormalSource,
+        rng: &mut R,
+    ) -> u128 {
+        self.walk(brackets, cycle, normals, rng)
+    }
+
+    /// The one walk behind [`walk_reads`](CrossbarArray::walk_reads) and
+    /// [`walk_reads_u128`](CrossbarArray::walk_reads_u128).
+    #[inline]
+    fn walk<V: CycleValue, R: Rng + ?Sized>(
+        &self,
+        brackets: &ReadBrackets,
+        cycle: usize,
+        normals: &mut NormalSource,
+        rng: &mut R,
+    ) -> V {
+        assert!(cycle < brackets.active.len(), "cycle {cycle} not bracketed");
         obs::counter!(xbar_row_reads).add(brackets.rows as u64);
-        for row in 0..brackets.rows {
-            let i = row * MAX_CYCLES + cycle;
-            let code = self.draw_read(
-                active,
-                brackets.current[i],
-                brackets.sigma[i],
-                brackets.lo[i],
-                brackets.hi[i],
-                normals,
-                rng,
-            );
-            out.push(u64::from(code));
+        // This cycle's clean digits; a straddling row adds its
+        // correction to its own digit, and the digits become one value
+        // at the end. Digits from 2²⁵⁶ up are dropped, as a `U256`
+        // shift drops them.
+        let mut digits = [0u64; MAX_DIGITS];
+        let clean = brackets.digits.get(cycle..).unwrap_or_default();
+        let clean = clean.iter().step_by(MAX_CYCLES);
+        let count = clean.len().min(MAX_DIGITS);
+        for (d, &clean) in digits.iter_mut().zip(clean) {
+            *d = clean;
         }
+        let lane = 1u16 << cycle;
+        if brackets.straddle_any & lane != 0 {
+            let active = brackets.active[cycle];
+            let c = self.params.bits_per_cell as usize;
+            for (row, &straddle) in brackets.straddle.iter().enumerate() {
+                if straddle & lane == 0 {
+                    continue;
+                }
+                let i = row * MAX_CYCLES + cycle;
+                let code =
+                    self.draw_read(active, brackets.current[i], brackets.sigma[i], normals, rng);
+                // The draw lies within `±Z_MAX`, so its code lies within
+                // the bracket (`quantize_deferred`'s monotonicity): code ≥ lo.
+                let shift = row * c;
+                if let Some(d) = digits.get_mut(shift / DIGIT_BITS) {
+                    *d += u64::from(code - brackets.lo[i]) << (shift % DIGIT_BITS);
+                }
+            }
+        }
+        digits[..count]
+            .iter()
+            .enumerate()
+            .map(|(d, &digit)| V::shifted(digit, (d * DIGIT_BITS) as u32))
+            .sum()
     }
 
     /// Asserts that a trap table's offsets cover every row.
@@ -810,23 +886,17 @@ impl CrossbarArray {
         bracket
     }
 
-    /// One bracketed read's code: `lo` where the bracket agrees, else
-    /// one deferred normal from `normals`, quantized.
-    #[allow(clippy::too_many_arguments)]
+    /// One straddling read's code: one deferred normal from `normals`,
+    /// quantized.
     #[inline]
     fn draw_read<R: Rng + ?Sized>(
         &self,
         active: u32,
         current: f64,
         sigma: f64,
-        lo: u32,
-        hi: u32,
         normals: &mut NormalSource,
         rng: &mut R,
     ) -> u32 {
-        if lo == hi {
-            return lo;
-        }
         obs::counter!(xbar_noise_evaluated).incr();
         quantize_deferred(current, sigma, normals.next_deferred(rng), |i| {
             self.adc.quantize_fast(i, active)
@@ -842,10 +912,12 @@ impl CrossbarArray {
     ///
     /// This is the one-cycle call of the engine's two-pass read
     /// ([`bracket_reads_into`](CrossbarArray::bracket_reads_into), then
-    /// [`draw_reads_into`](CrossbarArray::draw_reads_into)): the same
-    /// per-row bracket and draw, one lane wide and a row at a time,
-    /// which draws exactly what the two passes draw, since bracketing
-    /// draws nothing. Differences from
+    /// [`walk_reads`](CrossbarArray::walk_reads)): the same per-row
+    /// bracket and draw, one lane wide and a row at a time, which draws
+    /// exactly what the two passes draw, since bracketing draws nothing.
+    /// Its codes reduce
+    /// ([`BitSlicer::reduce`](crate::BitSlicer::reduce)) to the walk's
+    /// value. Differences from
     /// [`read_rows_into`](CrossbarArray::read_rows_into), all invisible
     /// when every noise source is disabled and pinned by the engine
     /// goldens otherwise:
@@ -892,15 +964,11 @@ impl CrossbarArray {
         for (row, &g) in g_totals[..rows].iter().enumerate() {
             let levels = trap_levels(trap_offsets, trap_entries, row);
             let b = self.bracket_row(&cycles, &[g], levels);
-            let code = self.draw_read(
-                cycles.active[0],
-                b.current[0],
-                b.sigma[0],
-                b.lo[0],
-                b.hi[0],
-                normals,
-                rng,
-            );
+            let code = if b.lo[0] == b.hi[0] {
+                b.lo[0]
+            } else {
+                self.draw_read(cycles.active[0], b.current[0], b.sigma[0], normals, rng)
+            };
             out.push(u64::from(code));
         }
     }
@@ -999,15 +1067,30 @@ struct RowBracket<const N: usize> {
     hi: [u32; N],
 }
 
+/// Bits per digit of [`ReadBrackets`]' clean-value accumulator.
+const DIGIT_BITS: usize = 32;
+
+/// Digits below 2²⁵⁶, the widest cycle value.
+const MAX_DIGITS: usize = 256 / DIGIT_BITS;
+
 /// The draw-free half of one (stack, vector)'s row reads, filled by
 /// [`CrossbarArray::bracket_reads_into`] and walked by
-/// [`CrossbarArray::draw_reads_into`].
+/// [`CrossbarArray::walk_reads`].
 ///
 /// Per read, row-major with one slot per cycle lane
 /// (`[row · MAX_CYCLES + cycle]`): the noise-free current, the noise
-/// sigma, and the codes at `current − Z_MAX·σ` and
-/// `current + Z_MAX·σ`. A buffer with capacity for the largest stack
-/// is reused without allocating.
+/// sigma, and the code `lo` at `current − Z_MAX·σ`. Per row, a bitmap
+/// of the cycles whose bracket straddles (`lo` differs from the code
+/// at `current + Z_MAX·σ`), and the OR of those bitmaps.
+///
+/// Per cycle, the clean value `Σ_r lo_r · 2^{r·c}` in 32-bit digits,
+/// one `u64` per (digit, cycle) at `[⌊r·c/32⌋ · MAX_CYCLES + cycle]`:
+/// row `r` adds `lo_r · 2^{r·c mod 32}` to its digit. A code is at most
+/// `128 · 255 < 2¹⁵`, so a term is below `2⁴⁷`, and at most 32 rows
+/// (1-bit cells) share a digit, so no digit overflows.
+///
+/// A buffer with capacity for the largest stack is reused without
+/// allocating.
 #[derive(Debug, Clone, Default)]
 pub struct ReadBrackets {
     /// Physical rows bracketed.
@@ -1017,11 +1100,17 @@ pub struct ReadBrackets {
     current: Vec<f64>,
     sigma: Vec<f64>,
     lo: Vec<u32>,
-    hi: Vec<u32>,
+    /// Per row, bit `t` set where cycle `t`'s bracket straddles.
+    straddle: Vec<u16>,
+    /// The OR of every row's `straddle`.
+    straddle_any: u16,
+    /// Per cycle, the clean value in 32-bit digits.
+    digits: Vec<u64>,
 }
 
 impl ReadBrackets {
-    /// An empty buffer with room for every cycle of `rows` rows.
+    /// An empty buffer with room for every cycle of `rows` rows of
+    /// cells of up to 8 bits.
     pub fn with_row_capacity(rows: usize) -> ReadBrackets {
         let reads = rows * MAX_CYCLES;
         ReadBrackets {
@@ -1030,13 +1119,16 @@ impl ReadBrackets {
             current: Vec::with_capacity(reads),
             sigma: Vec::with_capacity(reads),
             lo: Vec::with_capacity(reads),
-            hi: Vec::with_capacity(reads),
+            straddle: Vec::with_capacity(rows),
+            straddle_any: 0,
+            digits: Vec::with_capacity(digit_count(rows, 8) * MAX_CYCLES),
         }
     }
 
-    /// Sizes the buffer for `rows` rows under `masks`, keeping
-    /// capacity; every read slot is then overwritten by the caller.
-    fn reset(&mut self, rows: usize, masks: &[InputMask]) {
+    /// Sizes the buffer for `rows` rows of `cell_bits`-bit cells under
+    /// `masks`, keeping capacity, and zeroes the digits; every other
+    /// slot is then overwritten by the caller.
+    fn reset(&mut self, rows: usize, cell_bits: usize, masks: &[InputMask]) {
         let reads = rows * MAX_CYCLES;
         self.rows = rows;
         self.active.clear();
@@ -1044,7 +1136,41 @@ impl ReadBrackets {
         self.current.resize(reads, 0.0);
         self.sigma.resize(reads, 0.0);
         self.lo.resize(reads, 0);
-        self.hi.resize(reads, 0);
+        self.straddle.resize(rows, 0);
+        self.digits.clear();
+        self.digits
+            .resize(digit_count(rows, cell_bits) * MAX_CYCLES, 0);
+    }
+}
+
+/// Digits spanned by the row weights of `rows` rows of `cell_bits`-bit
+/// cells: row `r` sits in digit `⌊r·c/32⌋`.
+fn digit_count(rows: usize, cell_bits: usize) -> usize {
+    match rows {
+        0 => 0,
+        _ => (rows - 1) * cell_bits / DIGIT_BITS + 1,
+    }
+}
+
+/// A cycle value the walk sums: a `u128` where the caller bounds it,
+/// else a [`U256`], whose shifts truncate as
+/// [`BitSlicer::reduce`](crate::BitSlicer::reduce)'s do.
+trait CycleValue: std::iter::Sum {
+    /// `x · 2^shift`.
+    fn shifted(x: u64, shift: u32) -> Self;
+}
+
+impl CycleValue for u128 {
+    #[inline]
+    fn shifted(x: u64, shift: u32) -> u128 {
+        u128::from(x) << shift
+    }
+}
+
+impl CycleValue for U256 {
+    #[inline]
+    fn shifted(x: u64, shift: u32) -> U256 {
+        U256::from(x) << shift
     }
 }
 
@@ -2371,6 +2497,131 @@ mod tests {
             );
             array.read_rows_into(&mask, &snap, &mut rng, &mut scalar);
             assert_eq!(fast, scalar, "bit {t}");
+        }
+    }
+
+    #[test]
+    fn walk_matches_reduce_of_one_lane_reads() {
+        // Every cell width; 40- and 100-column rows (so trap words have
+        // high halves), every fifth row narrower; stuck cells; and
+        // noise large enough that many brackets straddle. Per cycle,
+        // the walk must equal the reduce of the one-lane reads' codes
+        // from an identically seeded stream, and so must a second walk
+        // of the same cycle (a retry); both streams must end alike.
+        let (mut reads, mut straddled) = (0usize, 0usize);
+        for cell_bits in 1..=5u32 {
+            for width in [40usize, 100] {
+                // A 26-bit word spans at most 30 bits, so its values fit
+                // `u128`; a 138-bit word does not.
+                for word_bits in [26u32, 138] {
+                    let params = DeviceParams {
+                        bits_per_cell: cell_bits,
+                        bandwidth: 1e10,
+                        fault_rate: 0.05,
+                        ..DeviceParams::default()
+                    };
+                    let mut rng =
+                        ChaCha8Rng::seed_from_u64(u64::from(cell_bits) * 1000 + width as u64);
+                    let slicer = crate::BitSlicer::new(cell_bits, word_bits);
+                    let rows = slicer.rows_per_word() as usize;
+                    let levels: Vec<Vec<u32>> = (0..rows)
+                        .map(|r| {
+                            let w = if r % 5 == 4 { width / 3 } else { width };
+                            (0..w)
+                                .map(|_| rng.gen_range(0..=params.max_level()))
+                                .collect()
+                        })
+                        .collect();
+                    let array = CrossbarArray::program(&levels, &params, &mut rng);
+                    let values: Vec<u64> = (0..width)
+                        .map(|_| {
+                            if rng.gen_range(0..4) == 0 {
+                                0
+                            } else {
+                                rng.gen_range(0..65536)
+                            }
+                        })
+                        .collect();
+                    let masks: Vec<InputMask> = (0..16)
+                        .map(|t| InputMask::from_bit_of(&values, t))
+                        .collect();
+                    let snap = array.sample_rtn(&mut rng);
+                    let (mut offsets, mut entries) = (Vec::new(), Vec::new());
+                    array.trap_level_sparse_into(&snap, &mut offsets, &mut entries);
+                    let mut planes = Vec::new();
+                    array.conductance_planes_into(&values, 16, &mut planes);
+                    let mut brackets = ReadBrackets::with_row_capacity(rows);
+                    array.bracket_reads_into(&masks, &planes, &offsets, &entries, &mut brackets);
+
+                    let (mut walk_rng, mut read_rng) = (rng.clone(), rng.clone());
+                    let (mut walk_normals, mut read_normals) =
+                        (NormalSource::new(), NormalSource::new());
+                    let mut codes = Vec::new();
+                    for (t, mask) in masks.iter().enumerate() {
+                        let plane = &planes[t * rows..(t + 1) * rows];
+                        for attempt in 0..2 {
+                            array.read_rows_amortized_into(
+                                mask,
+                                plane,
+                                &offsets,
+                                &entries,
+                                &mut read_normals,
+                                &mut read_rng,
+                                &mut codes,
+                            );
+                            let want = slicer.reduce(&codes);
+                            let at = format!(
+                                "c={cell_bits} w={width} word={word_bits} t={t} attempt {attempt}"
+                            );
+                            if word_bits == 26 && attempt == 1 {
+                                let walked = array.walk_reads_u128(
+                                    &brackets,
+                                    t,
+                                    &mut walk_normals,
+                                    &mut walk_rng,
+                                );
+                                assert_eq!(walked, slicer.reduce_u128(&codes), "{at}");
+                                assert_eq!(U256::from(walked), want, "{at}");
+                            } else {
+                                let walked = array.walk_reads(
+                                    &brackets,
+                                    t,
+                                    &mut walk_normals,
+                                    &mut walk_rng,
+                                );
+                                assert_eq!(walked, want, "{at}");
+                            }
+                        }
+                        reads += rows;
+                        straddled += brackets
+                            .straddle
+                            .iter()
+                            .filter(|&&s| s >> t & 1 != 0)
+                            .count();
+                    }
+                    assert_eq!(
+                        walk_normals.next(&mut walk_rng).to_bits(),
+                        read_normals.next(&mut read_rng).to_bits()
+                    );
+                    assert_eq!(walk_rng.gen::<u64>(), read_rng.gen::<u64>());
+                }
+            }
+        }
+        assert!(
+            straddled * 4 > reads && straddled * 4 < reads * 3,
+            "{straddled} of {reads} reads straddle"
+        );
+        // An array of no rows reads 0 in every cycle.
+        let empty = CrossbarArray::program(&[], &DeviceParams::default(), &mut rng());
+        let masks = [InputMask::all_ones(8); 16];
+        let mut brackets = ReadBrackets::default();
+        empty.bracket_reads_into(&masks, &[], &[0], &[], &mut brackets);
+        let (mut normals, mut rng) = (NormalSource::new(), rng());
+        for t in 0..16 {
+            assert_eq!(
+                empty.walk_reads(&brackets, t, &mut normals, &mut rng),
+                U256::ZERO
+            );
         }
     }
 

@@ -56,14 +56,29 @@ echo "=== e2ebench (own tests + traced cnn1 and mlp1 smokes) ==="
 # the last line of stdout and must report no failed cell. The cnn1
 # smoke runs the engine at batch 32; the mlp1 smoke (~14 s) is the only
 # end-to-end check of the engine at batch 1 against sim::evaluate.
+# Both smokes run at seed 23 and must reproduce its pinned per-cell
+# stats digests, so a kernel change that reorders, adds or drops a
+# draw fails here even when the replay agrees with itself.
 cargo test -q --offline --manifest-path e2ebench/Cargo.toml
 for workload in fig10-cnn1-batched fig10-mlp1-scalar; do
+  case "$workload" in
+    fig10-cnn1-batched) want='"stats_digest": {"NoECC": "4e7c4e4fe3034006", "ABN-9": "62f0c6bf66cbbc8b"}' ;;
+    fig10-mlp1-scalar) want='"stats_digest": {"NoECC": "366ad7512d14585f", "Static16": "50f1f4e5d762f86c", "ABN-9": "2800b321a044dbfa"}' ;;
+  esac
+  manifest=".e2ebench_out/$workload-s23-t1.manifest.json"
+  rm -f "$manifest"
   e2e_result="$(cargo run --release --quiet --offline --manifest-path e2ebench/Cargo.toml -- \
-    --workload "$workload" --seconds 1 --trace 1 | tail -n 1)"
+    --workload "$workload" --seed 23 --seconds 1 --trace 1 | tail -n 1)"
   case "$e2e_result" in
     *'"failed": 0,'*) echo "e2ebench $workload traced smoke: failed 0" ;;
     *) echo "FAIL: e2ebench $workload traced smoke reported failed cells: $e2e_result" >&2; exit 1 ;;
   esac
+  got="$(grep -o '"stats_digest": {[^}]*}' "$manifest" || true)"
+  if [ "$got" != "$want" ]; then
+    echo "FAIL: e2ebench $workload seed 23 digests moved: got ${got:-none}, want $want" >&2
+    exit 1
+  fi
+  echo "e2ebench $workload seed 23: stats digests pinned"
 done
 
 echo "=== repro-lint self-tests (lexer fixtures + CLI) ==="
